@@ -38,8 +38,6 @@ from stgnn.model import (
     ModelParams,
     init_params,
     random_features,
-    phi,
-    stagg_layer,
     forward_node,
     cosine,
     save_checkpoint,

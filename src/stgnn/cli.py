@@ -82,7 +82,6 @@ class ExperimentConfig:
             epochs=self.epochs,
             batch_size=self.batch_size,
             m=self.m,
-            p=self.p,
             lam=self.lam,
             seed=rep_seed(self.seed, rep),
             d0=self.d0,
@@ -115,24 +114,20 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 def _fit_window(train_g, config: ExperimentConfig):
     """Power-law fit and window size for the training stream.
 
-    A user-supplied window size bypasses the fit; window-ablated runs
-    fall back to no window at all when the stream has no repeating pair.
+    A user-supplied window size replaces the fitted one; the fit is then
+    only reported, and omitted when it fails.  Window-ablated runs fall
+    back to no window at all when the fit is degenerate.
     """
-    fit_dict = None
-    if config.window_size is not None:
-        delta = float(config.window_size)
-        try:
-            fit = powerlaw.fit_power_law(powerlaw.collect_inter_event_times(train_g))
-            fit_dict = _fit_to_dict(fit, delta=None)
-        except (powerlaw.DegenerateFitError, ValueError):
-            fit_dict = None
-        return delta, fit_dict
     try:
         fit = powerlaw.fit_power_law(powerlaw.collect_inter_event_times(train_g))
-    except powerlaw.DegenerateFitError:
-        if ABLATION_FLAGS[config.ablation][1]:
-            raise
-        return None, None
+    except ValueError as exc:
+        if config.window_size is not None:
+            return float(config.window_size), None
+        if isinstance(exc, powerlaw.DegenerateFitError) and not ABLATION_FLAGS[config.ablation][1]:
+            return None, None
+        raise
+    if config.window_size is not None:
+        return float(config.window_size), _fit_to_dict(fit, delta=None)
     delta = powerlaw.intimate_window_size(fit, config.p)
     return delta, _fit_to_dict(fit, delta)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from stgnn.model import ModelParams, cosine, forward_node, random_neighbor_selector
+from stgnn.model import NORM_EPS, ModelParams, forward_node, random_neighbor_selector
 from stgnn.significance import initial_significance
 from stgnn.temporal_graph import DataSplit, TemporalGraph, _pair_key
 from stgnn.training import TrainConfig, named_rng
@@ -58,31 +58,34 @@ class MetricsReport:
         }
 
 
-def score_pair(h_u: np.ndarray, h_v: np.ndarray, kind: str) -> float:
-    """Ranking score of a pair under one similarity; higher means more
-    likely to link.  The squared-L2 distance is negated so it ranks the
-    same way as the other two."""
+def score_pair(h_u: np.ndarray, h_v: np.ndarray, kind: str) -> np.ndarray:
+    """Ranking scores of pairs under one similarity, row-wise over the
+    last axis; higher means more likely to link.  The squared-L2 distance
+    is negated so it ranks the same way as the other two.  Cosine is 0
+    where either vector is numerically null."""
     if kind == "Cos":
-        return cosine(h_u, h_v)
+        nu = np.linalg.norm(h_u, axis=-1)
+        nv = np.linalg.norm(h_v, axis=-1)
+        ok = (nu >= NORM_EPS) & (nv >= NORM_EPS)
+        return np.where(ok, np.sum(h_u * h_v, axis=-1) / np.where(ok, nu * nv, 1.0), 0.0)
     if kind == "Had":
-        return float(np.sum(h_u * h_v))
+        return np.sum(h_u * h_v, axis=-1)
     if kind == "L2":
         d = h_u - h_v
-        return -float(np.sum(d * d))
+        d *= d
+        return -np.sum(d, axis=-1)
     raise ValueError(f"unknown similarity {kind!r}; expected one of {SIMILARITIES}")
 
 
 def _avg_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged (midrank)."""
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
-    i = 0
-    while i < scores.shape[0]:
-        j = i
-        while j < scores.shape[0] and scores[order[j]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
+    s = scores[order]
+    n = s.shape[0]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -177,8 +180,8 @@ def node_embeddings(
     nodes,
     t0: float,
     config: TrainConfig,
-) -> dict[int, np.ndarray]:
-    """Embed each node once at the evaluation time t0.
+) -> np.ndarray:
+    """Embed every node once at the evaluation time t0; row i embeds nodes[i].
 
     Selection-ablated variants keep their uniform neighbor sampling here
     too, fed by a seeded stream so reports stay reproducible.
@@ -186,12 +189,9 @@ def node_embeddings(
     selector = None
     if not config.use_significant_selection:
         selector = random_neighbor_selector(named_rng(config.seed, "eval-selection"), lam=config.lam)
-    return {
-        int(u): forward_node(
-            g_train, feats, params, int(u), t0, m=config.m, lam=config.lam, selector=selector
-        )
-        for u in nodes
-    }
+    return forward_node(
+        g_train, feats, params, nodes, t0, m=config.m, lam=config.lam, selector=selector
+    )
 
 
 def evaluate(
@@ -211,11 +211,15 @@ def evaluate(
 
     involved = sorted({x for u, v, _ in labeled for x in (u, v)})
     emb = node_embeddings(split.train, params, feats, involved, split.t_split, config)
+    h_u = emb[np.searchsorted(involved, [u for u, _, _ in labeled])]
+    h_v = emb[np.searchsorted(involved, [v for _, v, _ in labeled])]
+    scores = {kind: score_pair(h_u, h_v, kind) for kind in SIMILARITIES}
+    del h_u, h_v  # pair-sized; freed before the per-pair lists below raise peak memory
 
     per_sim: dict[str, dict[str, float]] = {}
     for kind in SIMILARITIES:
         scored = [
-            ScoredPair(u, v, score_pair(emb[u], emb[v], kind), lab) for u, v, lab in labeled
+            ScoredPair(u, v, s, lab) for (u, v, lab), s in zip(labeled, scores[kind].tolist())
         ]
         per_sim[kind] = {"auc": auc(scored), "map": mean_average_precision(scored)}
         if per_node_map:

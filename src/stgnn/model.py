@@ -8,14 +8,17 @@ features and applies ReLU; the output layer is linear so pair cosines
 can span [-1, 1].
 
 Everything here is plain numpy and pure: given (graph, features,
-parameters, time) the embedding of a node is deterministic.  The
-training module re-implements the same computation in batched form; this
-module is the readable reference the batched path is tested against.
+parameters, time) the embedding of a node is deterministic.  The forward
+pass exists once, batched over a flattened computation tree
+(``forward_batch``): training builds the tree from its mini-batch samples
+and backpropagates through the returned activations, and evaluation
+embeds all of its nodes at the split time through ``forward_node``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,68 +85,176 @@ def random_features(num_nodes: int, dim: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-1.0, 1.0, size=(num_nodes, dim))
 
 
-def phi(scores, beta) -> np.ndarray:
-    """Softmax weights over rank-aligned score * correction products.
+# ---------------------------------------------------------------------------
+# Batched computation tree
+# ---------------------------------------------------------------------------
 
-    ``scores`` are the top-k significance values in rank order; rank i
-    pairs with beta[i].  Computed with max subtraction since raw scores
-    can reach the hundreds on high-frequency pairs.
+
+class _BatchTree:
+    """Flattened two-hop computation trees for one batch of roots.
+
+    An *entry* is one (time, node) layer-1 unit: the node plus its
+    candidate list.  A *root* is an entry used at layer 2, carrying the
+    entry indices of its candidate neighbors.  Training samples reference
+    two roots each.  Entries are deduplicated, so every (time, node)
+    candidate list is queried once per tree, and positives and their
+    attached negatives share the anchor-node subtree.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    k = scores.shape[0]
-    if k == 0:
-        raise ValueError("phi over an empty candidate list; skip the neighbor term")
-    if k > np.asarray(beta).shape[0]:
-        raise ValueError(f"{k} scores exceed the rank-correction capacity {len(beta)}")
-    z = scores * np.asarray(beta, dtype=np.float64)[:k]
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+
+    def __init__(self, m: int):
+        self.m = m
+        self._entry_ids: dict[tuple[float, int], int] = {}
+        self.owner: list[int] = []
+        self.nbr_ids: list[np.ndarray] = []
+        self.nbr_scores: list[np.ndarray] = []
+        self._root_ids: dict[tuple[float, int], int] = {}
+        self.root_entry: list[int] = []
+        self.root_nbr_entries: list[np.ndarray] = []
+        self.sample_roots: list[tuple[int, int]] = []
+        self.sample_positive: list[bool] = []
+        self.sample_sdelta: list[float] = []
+
+    def add_entry(self, node: int, t: float, query) -> int:
+        key = (t, node)
+        idx = self._entry_ids.get(key)
+        if idx is not None:
+            return idx
+        ids, scores = query(node)
+        idx = len(self.owner)
+        self._entry_ids[key] = idx
+        self.owner.append(node)
+        self.nbr_ids.append(np.asarray(ids, dtype=np.int64))
+        self.nbr_scores.append(np.asarray(scores, dtype=np.float64))
+        return idx
+
+    def add_root(self, node: int, t: float, query) -> int:
+        key = (t, node)
+        idx = self._root_ids.get(key)
+        if idx is not None:
+            return idx
+        e = self.add_entry(node, t, query)
+        nbr_entries = np.asarray(
+            [self.add_entry(int(v), t, query) for v in self.nbr_ids[e]], dtype=np.int64
+        )
+        idx = len(self.root_entry)
+        self._root_ids[key] = idx
+        self.root_entry.append(e)
+        self.root_nbr_entries.append(nbr_entries)
+        return idx
+
+    def add_sample(self, root_u: int, root_v: int, positive: bool, s_delta: float) -> None:
+        self.sample_roots.append((root_u, root_v))
+        self.sample_positive.append(positive)
+        self.sample_sdelta.append(float(s_delta))
+
+    def finalize(self) -> "_FlatBatch":
+        m = self.m
+        n_e = len(self.owner)
+        n_r = len(self.root_entry)
+        owner = np.asarray(self.owner, dtype=np.int64)
+        nbrs = np.zeros((n_e, m), dtype=np.int64)
+        scores = np.zeros((n_e, m), dtype=np.float64)
+        mask = np.zeros((n_e, m), dtype=bool)
+        for i, (ids, sc) in enumerate(zip(self.nbr_ids, self.nbr_scores)):
+            k = ids.shape[0]
+            nbrs[i, :k] = ids
+            scores[i, :k] = sc
+            mask[i, :k] = True
+        root_entry = np.asarray(self.root_entry, dtype=np.int64)
+        root_nbrs = np.zeros((n_r, m), dtype=np.int64)
+        for i, es in enumerate(self.root_nbr_entries):
+            root_nbrs[i, : es.shape[0]] = es
+        su = np.asarray([r[0] for r in self.sample_roots], dtype=np.int64)
+        sv = np.asarray([r[1] for r in self.sample_roots], dtype=np.int64)
+        positive = np.asarray(self.sample_positive, dtype=bool)
+        sdelta = np.asarray(self.sample_sdelta, dtype=np.float64)
+        pos_sd = sdelta[positive]
+        s_bar = float(pos_sd.mean()) if pos_sd.size else 1.0
+        weight = np.where(positive, sdelta, s_bar)
+        return _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs, su, sv, positive, weight)
 
 
-def stagg_layer(
-    self_in: np.ndarray,
-    nbr_ins: list[np.ndarray],
-    scores,
-    w_self: np.ndarray,
-    w_nbr: np.ndarray,
-    beta: np.ndarray,
-    activate: bool,
-) -> np.ndarray:
-    """One aggregation layer: self map plus significance-weighted neighbor map.
+@dataclass
+class _FlatBatch:
+    owner: np.ndarray       # (E,)
+    nbrs: np.ndarray        # (E, m) node ids, zero-padded
+    scores: np.ndarray      # (E, m)
+    mask: np.ndarray        # (E, m) bool
+    root_entry: np.ndarray  # (R,)
+    root_nbrs: np.ndarray   # (R, m) entry ids, zero-padded
+    su: np.ndarray          # (S,) root ids
+    sv: np.ndarray          # (S,)
+    positive: np.ndarray    # (S,) bool
+    weight: np.ndarray      # (S,) s_delta for positives, s_bar for negatives
 
-    With no neighbors the neighbor term is zero.  ``activate`` applies
-    ReLU (hidden layer); the output layer runs it with identity.
+
+def _masked_phi(scores: np.ndarray, mask: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax of score * beta over the valid ranks.
+
+    Rank i pairs with beta[i]; a tree narrower than beta uses its leading
+    ranks.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(nbr_ins) != scores.shape[0]:
-        raise ValueError(f"{len(nbr_ins)} neighbor inputs vs {scores.shape[0]} scores")
-    out = self_in @ w_self
-    if nbr_ins:
-        weights = phi(scores, beta)
-        agg = np.zeros_like(nbr_ins[0])
-        for w_i, x_i in zip(weights, nbr_ins):
-            agg = agg + w_i * x_i
-        out = out + agg @ w_nbr
-    return np.maximum(out, 0.0) if activate else out
+    z = scores * beta[None, : scores.shape[1]]
+    z = np.where(mask, z, -np.inf)
+    zmax = np.max(z, axis=1, keepdims=True)
+    zmax = np.where(np.isfinite(zmax), zmax, 0.0)
+    e = np.where(mask, np.exp(z - zmax), 0.0)
+    denom = e.sum(axis=1, keepdims=True)
+    return e / np.where(denom > 0.0, denom, 1.0)
+
+
+class Activations(NamedTuple):
+    """Intermediate tensors of one batched forward pass (E entries, R roots)."""
+
+    phi_e: np.ndarray       # (E, m) neighbor weights of each entry
+    nbr_gather: np.ndarray  # (E, m, d1) neighbor-mapped input features
+    pre: np.ndarray         # (E, d1) layer-1 pre-activation
+    h1: np.ndarray          # (E, d1) layer-1 states
+    phi_r: np.ndarray       # (R, m) neighbor weights of each root
+    h1_nbr: np.ndarray      # (R, m, d1) layer-1 states of each root's neighbors
+    agg: np.ndarray         # (R, d1) weighted neighbor aggregate at layer 2
+    h2: np.ndarray          # (R, d2) root embeddings
+
+
+def forward_batch(fb: _FlatBatch, params: ModelParams, feats: np.ndarray) -> Activations:
+    """The two-layer aggregation over every root of a flattened tree.
+
+    Layer one maps each entry's raw features plus its candidates'
+    features, weighted by phi over their significance scores, and applies
+    ReLU.  Layer two fuses each root's layer-1 state with its candidates'
+    layer-1 states under the same weights; it is linear so pair cosines
+    can span [-1, 1].  Padded ranks carry zero weight.
+    """
+    xw1s = feats @ params.w1_self  # (N, d1)
+    xw1n = feats @ params.w1_nbr
+
+    phi_e = _masked_phi(fb.scores, fb.mask, params.beta)
+    nbr_gather = xw1n[fb.nbrs]
+    pre = xw1s[fb.owner] + np.einsum("em,emd->ed", phi_e, nbr_gather)
+    h1 = np.maximum(pre, 0.0)
+
+    phi_r = phi_e[fb.root_entry]
+    h1_nbr = h1[fb.root_nbrs]
+    agg = np.einsum("rm,rmd->rd", phi_r, h1_nbr)
+    h2 = h1[fb.root_entry] @ params.w2_self + agg @ params.w2_nbr
+    return Activations(phi_e, nbr_gather, pre, h1, phi_r, h1_nbr, agg, h2)
 
 
 def forward_node(
     g: TemporalGraph,
     feats: np.ndarray,
     params: ModelParams,
-    u: int,
+    nodes,
     t: float,
     m: int | None = None,
     lam: float = 1.0,
     selector=None,
 ) -> np.ndarray:
-    """Embedding of node u at time t via the two-layer computation tree.
+    """Embeddings of ``nodes`` at time t; row i embeds nodes[i].
 
-    Layer-1 states of u and of each of its top-m neighbors are built from
-    their own top-m neighbors' raw features; layer 2 fuses u's layer-1
-    state with its neighbors'.  All candidate lists are taken at the same
-    query time t and share one rank-correction vector.
+    All roots share one computation tree, so each distinct node's
+    candidate list is taken once at the query time t, whether the node
+    appears as a root, as a neighbor, or both.
 
     ``selector(g, node, t, m)`` overrides neighbor selection (used by the
     selection-ablated variants); it defaults to significance top-m.
@@ -153,32 +264,13 @@ def forward_node(
     if selector is None:
         selector = lambda g_, n_, t_, m_: top_m_neighbors(g_, n_, t_, m_, lam=lam)
 
-    lists: dict[int, CandidateList] = {}
+    def query(node: int):
+        cl = selector(g, node, t, m)
+        return cl.neighbor_ids(), cl.scores()
 
-    def cand(node: int) -> CandidateList:
-        if node not in lists:
-            lists[node] = selector(g, node, t, m)
-        return lists[node]
-
-    def layer1(node: int) -> np.ndarray:
-        cl = cand(node)
-        nbr_feats = [feats[e.neighbor] for e in cl.entries]
-        return stagg_layer(
-            feats[node], nbr_feats, cl.scores(), params.w1_self, params.w1_nbr,
-            params.beta, activate=True,
-        )
-
-    cl_u = cand(u)
-    h1 = {node: layer1(node) for node in [u, *cl_u.neighbor_ids()]}
-    return stagg_layer(
-        h1[u],
-        [h1[v] for v in cl_u.neighbor_ids()],
-        cl_u.scores(),
-        params.w2_self,
-        params.w2_nbr,
-        params.beta,
-        activate=False,
-    )
+    tree = _BatchTree(m)
+    roots = [tree.add_root(int(u), t, query) for u in nodes]
+    return forward_batch(tree.finalize(), params, feats).h2[roots]
 
 
 def random_neighbor_selector(rng: np.random.Generator, lam: float = 1.0):

@@ -7,10 +7,11 @@ for aggregation.  A forward window [t, t + delta) turns each event into
 a graded label: the number of contacts the pair produces inside it.
 
 Two evaluation routes exist on purpose: pure queries against an
-immutable TemporalGraph (reference semantics, used by evaluation and
-tests) and a streaming index that sweeps events chronologically and
-rescales scores lazily (used by the training loop; per-event cost is
-O(degree) instead of a full recomputation).
+immutable TemporalGraph (reference semantics; evaluation's batched
+forward takes each distinct node's list from it once, and tests pin the
+streaming route against it) and a streaming index that sweeps events
+chronologically and rescales scores lazily (used by the training loop;
+per-event cost is O(degree) instead of a full recomputation).
 """
 
 from __future__ import annotations

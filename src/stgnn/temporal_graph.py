@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -142,6 +143,8 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
                 t_raw = float(parts[2])
             except ValueError as exc:
                 raise EdgeListParseError(f"{path}:{lineno}: bad timestamp {parts[2]!r}") from exc
+            if not math.isfinite(t_raw):
+                raise EdgeListParseError(f"{path}:{lineno}: non-finite timestamp {parts[2]!r}")
             rows.append((parts[0], parts[1], t_raw))
     if not rows:
         raise EdgeListParseError(f"{path}: no events found")

@@ -5,11 +5,12 @@ forward-window significance label and pairs it with one uniformly drawn
 non-interacting negative per positive, weighted by the batch mean of the
 positive labels.
 
+The forward pass is stgnn.model.forward_batch, shared with evaluation.
 Gradients of the full loss -> output layer -> hidden layer -> softmax
-rank-weighting composition are derived by hand and evaluated in batched
-numpy.  The batched path is intentionally redundant with the reference
-forward in stgnn.model; tests pin them against each other and against
-central finite differences.
+rank-weighting composition are derived by hand from its activations and
+evaluated in batched numpy; tests pin the loss against a per-node
+recursive reference forward and the gradients against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from stgnn.model import ModelParams, init_params, random_features
+from stgnn.model import (
+    ModelParams,
+    _BatchTree,
+    _FlatBatch,
+    forward_batch,
+    init_params,
+    random_features,
+)
 from stgnn.significance import SignificanceIndex, significance_label, top_m_neighbors
 from stgnn.temporal_graph import TemporalGraph, _pair_key
 
@@ -60,7 +68,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 128
     m: int = 10
-    p: float = 0.5
     lam: float = 1.0
     seed: int = 0
     d0: int = 128
@@ -74,8 +81,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"window proportion must lie in [0, 1), got {self.p}")
 
 
 @dataclass
@@ -203,116 +208,8 @@ def sample_negatives(
 
 
 # ---------------------------------------------------------------------------
-# Batched computation tree
+# Batch loss and gradients
 # ---------------------------------------------------------------------------
-
-
-class _BatchTree:
-    """Flattened two-hop computation trees for one mini-batch.
-
-    An *entry* is one (time, node) layer-1 unit: the node plus its
-    candidate list.  A *root* is an entry used at layer 2, carrying the
-    entry indices of its candidate neighbors.  Samples reference two
-    roots each.  Entries are deduplicated, so positives and their
-    attached negatives share the anchor-node subtree.
-    """
-
-    def __init__(self, m: int):
-        self.m = m
-        self._entry_ids: dict[tuple[float, int], int] = {}
-        self.owner: list[int] = []
-        self.nbr_ids: list[np.ndarray] = []
-        self.nbr_scores: list[np.ndarray] = []
-        self._root_ids: dict[tuple[float, int], int] = {}
-        self.root_entry: list[int] = []
-        self.root_nbr_entries: list[np.ndarray] = []
-        self.sample_roots: list[tuple[int, int]] = []
-        self.sample_positive: list[bool] = []
-        self.sample_sdelta: list[float] = []
-
-    def add_entry(self, node: int, t: float, query) -> int:
-        key = (t, node)
-        idx = self._entry_ids.get(key)
-        if idx is not None:
-            return idx
-        ids, scores = query(node)
-        idx = len(self.owner)
-        self._entry_ids[key] = idx
-        self.owner.append(node)
-        self.nbr_ids.append(np.asarray(ids, dtype=np.int64))
-        self.nbr_scores.append(np.asarray(scores, dtype=np.float64))
-        return idx
-
-    def add_root(self, node: int, t: float, query) -> int:
-        key = (t, node)
-        idx = self._root_ids.get(key)
-        if idx is not None:
-            return idx
-        e = self.add_entry(node, t, query)
-        nbr_entries = np.asarray(
-            [self.add_entry(int(v), t, query) for v in self.nbr_ids[e]], dtype=np.int64
-        )
-        idx = len(self.root_entry)
-        self._root_ids[key] = idx
-        self.root_entry.append(e)
-        self.root_nbr_entries.append(nbr_entries)
-        return idx
-
-    def add_sample(self, root_u: int, root_v: int, positive: bool, s_delta: float) -> None:
-        self.sample_roots.append((root_u, root_v))
-        self.sample_positive.append(positive)
-        self.sample_sdelta.append(float(s_delta))
-
-    def finalize(self) -> "_FlatBatch":
-        m = self.m
-        n_e = len(self.owner)
-        n_r = len(self.root_entry)
-        owner = np.asarray(self.owner, dtype=np.int64)
-        nbrs = np.zeros((n_e, m), dtype=np.int64)
-        scores = np.zeros((n_e, m), dtype=np.float64)
-        mask = np.zeros((n_e, m), dtype=bool)
-        for i, (ids, sc) in enumerate(zip(self.nbr_ids, self.nbr_scores)):
-            k = ids.shape[0]
-            nbrs[i, :k] = ids
-            scores[i, :k] = sc
-            mask[i, :k] = True
-        root_entry = np.asarray(self.root_entry, dtype=np.int64)
-        root_nbrs = np.zeros((n_r, m), dtype=np.int64)
-        for i, es in enumerate(self.root_nbr_entries):
-            root_nbrs[i, : es.shape[0]] = es
-        su = np.asarray([r[0] for r in self.sample_roots], dtype=np.int64)
-        sv = np.asarray([r[1] for r in self.sample_roots], dtype=np.int64)
-        positive = np.asarray(self.sample_positive, dtype=bool)
-        sdelta = np.asarray(self.sample_sdelta, dtype=np.float64)
-        pos_sd = sdelta[positive]
-        s_bar = float(pos_sd.mean()) if pos_sd.size else 1.0
-        weight = np.where(positive, sdelta, s_bar)
-        return _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs, su, sv, positive, weight)
-
-
-@dataclass
-class _FlatBatch:
-    owner: np.ndarray       # (E,)
-    nbrs: np.ndarray        # (E, m) node ids, zero-padded
-    scores: np.ndarray      # (E, m)
-    mask: np.ndarray        # (E, m) bool
-    root_entry: np.ndarray  # (R,)
-    root_nbrs: np.ndarray   # (R, m) entry ids, zero-padded
-    su: np.ndarray          # (S,) root ids
-    sv: np.ndarray          # (S,)
-    positive: np.ndarray    # (S,) bool
-    weight: np.ndarray      # (S,) s_delta for positives, s_bar for negatives
-
-
-def _masked_phi(scores: np.ndarray, mask: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of score * beta over the valid ranks."""
-    z = scores * beta[None, :]
-    z = np.where(mask, z, -np.inf)
-    zmax = np.max(z, axis=1, keepdims=True)
-    zmax = np.where(np.isfinite(zmax), zmax, 0.0)
-    e = np.where(mask, np.exp(z - zmax), 0.0)
-    denom = e.sum(axis=1, keepdims=True)
-    return e / np.where(denom > 0.0, denom, 1.0)
 
 
 def _forward_backward(
@@ -323,18 +220,7 @@ def _forward_backward(
     detach_phi: bool = False,
 ) -> tuple[float, ModelParams | None]:
     """Mean batch loss and (optionally) its exact parameter gradients."""
-    xw1s = feats @ params.w1_self  # (N, d1)
-    xw1n = feats @ params.w1_nbr
-
-    phi_e = _masked_phi(fb.scores, fb.mask, params.beta)  # (E, m)
-    nbr_gather = xw1n[fb.nbrs]  # (E, m, d1)
-    pre = xw1s[fb.owner] + np.einsum("em,emd->ed", phi_e, nbr_gather)
-    h1 = np.maximum(pre, 0.0)
-
-    phi_r = phi_e[fb.root_entry]  # (R, m)
-    h1_nbr = h1[fb.root_nbrs]  # (R, m, d1)
-    agg = np.einsum("rm,rmd->rd", phi_r, h1_nbr)
-    h2 = h1[fb.root_entry] @ params.w2_self + agg @ params.w2_nbr  # (R, d2)
+    phi_e, nbr_gather, pre, h1, phi_r, h1_nbr, agg, h2 = forward_batch(fb, params, feats)
 
     hu, hv = h2[fb.su], h2[fb.sv]
     nu = np.linalg.norm(hu, axis=1)
@@ -380,14 +266,14 @@ def _forward_backward(
     )
 
     d_pre = d_h1 * (pre > 0.0)
-    d_xw1s = np.zeros_like(xw1s)
+    d_xw1s = np.zeros((feats.shape[0], pre.shape[1]))
     np.add.at(d_xw1s, fb.owner, d_pre)
     d_phi += np.einsum("ed,emd->em", d_pre, nbr_gather) * fb.mask
-    d_xw1n = np.zeros_like(xw1n)
+    d_xw1n = np.zeros_like(d_xw1s)
     np.add.at(
         d_xw1n,
         fb.nbrs.ravel(),
-        (phi_e[:, :, None] * d_pre[:, None, :]).reshape(-1, xw1n.shape[1]),
+        (phi_e[:, :, None] * d_pre[:, None, :]).reshape(-1, pre.shape[1]),
     )
 
     if detach_phi:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from stgnn.cli import (
     ABLATION_FLAGS,
     ExperimentConfig,
+    _fit_window,
     eval_checkpoint,
     load_config,
     main,
@@ -15,7 +17,9 @@ from stgnn.cli import (
     run_single_rep,
     run_sweep,
 )
+from stgnn.powerlaw import DegenerateFitError
 from stgnn.synthetic import generate_synthetic
+from stgnn.temporal_graph import Event, from_events, load_edge_list
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,45 @@ class TestConfig:
     def test_rep_seeds_distinct(self):
         seeds = {rep_seed(0, r) for r in range(10)}
         assert len(seeds) == 10
+
+
+class TestConfigValidation:
+    def test_bad_p(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(dataset="edges.txt", time_unit=1.0, p=1.0)
+
+
+def equal_gap_stream():
+    """One pair meeting every time unit: its gap fit is degenerate."""
+    return from_events([Event(0, 1, float(t)) for t in range(20)])
+
+
+def short_gap_stream():
+    """Five distinct gaps: too few to fit, though not degenerate."""
+    return from_events([Event(0, 1, t) for t in (0.0, 1.0, 3.0, 6.0, 10.0, 15.0)])
+
+
+class TestFitWindow:
+    def test_window_size_reports_fit_without_delta(self, dataset):
+        cfg = ExperimentConfig(dataset=str(dataset), time_unit=1.0, window_size=2.5)
+        delta, fit = _fit_window(load_edge_list(dataset), cfg)
+        assert delta == 2.5
+        assert fit["alpha"] > 1.0
+        assert fit["delta"] is None
+
+    def test_window_size_survives_failed_fit(self):
+        cfg = ExperimentConfig(dataset="edges.txt", time_unit=1.0, window_size=2.5)
+        assert _fit_window(equal_gap_stream(), cfg) == (2.5, None)
+        assert _fit_window(short_gap_stream(), cfg) == (2.5, None)
+
+    def test_failed_fit_without_window_size(self):
+        cfg = ExperimentConfig(dataset="edges.txt", time_unit=1.0)
+        with pytest.raises(DegenerateFitError):
+            _fit_window(equal_gap_stream(), cfg)
+        ablated = dataclasses.replace(cfg, ablation="BGNN+S")
+        assert _fit_window(equal_gap_stream(), ablated) == (None, None)
+        with pytest.raises(ValueError, match="at least 10 samples"):
+            _fit_window(short_gap_stream(), ablated)
 
 
 class TestRun:

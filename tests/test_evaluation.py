@@ -11,7 +11,7 @@ from stgnn.evaluation import (
     sample_test_negatives,
     score_pair,
 )
-from stgnn.model import init_params, random_features
+from stgnn.model import cosine, init_params, random_features
 from stgnn.significance import initial_significance
 from stgnn.temporal_graph import Event, from_events, split_train_test
 from stgnn.training import TrainConfig, named_rng
@@ -58,6 +58,18 @@ class TestScorePair:
     def test_hadamard_zero_vector(self, rng):
         z = np.zeros(4)
         assert score_pair(z, rng.normal(size=4), "Had") == 0.0
+
+    def test_rows_match_single_pairs(self, rng):
+        h_u, h_v = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        h_u[2] = 0.0  # null row: cosine guard
+        expected = {
+            "Cos": [cosine(a, b) for a, b in zip(h_u, h_v)],
+            "Had": [float(a @ b) for a, b in zip(h_u, h_v)],
+            "L2": [-float((a - b) @ (a - b)) for a, b in zip(h_u, h_v)],
+        }
+        for kind, want in expected.items():
+            np.testing.assert_allclose(score_pair(h_u, h_v, kind), want, rtol=1e-12)
+        assert score_pair(h_u, h_v, "Cos")[2] == 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

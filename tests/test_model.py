@@ -9,14 +9,15 @@ from stgnn.model import (
     forward_node,
     init_params,
     load_checkpoint,
-    phi,
     random_features,
+    random_neighbor_selector,
     save_checkpoint,
-    stagg_layer,
 )
 from stgnn.significance import top_m_neighbors
 from stgnn.temporal_graph import Event, from_events
 from conftest import random_stream
+from reference_model import forward_node as reference_forward_node
+from reference_model import phi, stagg_layer
 
 
 class TestPhi:
@@ -107,7 +108,7 @@ class TestForwardNode:
         g = from_events([Event(0, 1, 0.0)], num_nodes=3)
         feats = random_features(3, 4, rng)
         params = init_params(rng, 4, 3, 2, m=2)
-        h = forward_node(g, feats, params, 2, 5.0)
+        (h,) = forward_node(g, feats, params, [2], 5.0)
         expected = np.maximum(feats[2] @ params.w1_self, 0.0) @ params.w2_self
         np.testing.assert_allclose(h, expected, rtol=1e-12)
 
@@ -146,9 +147,53 @@ class TestForwardNode:
                     acc = acc + wi * (h1(vi) @ params.w2_nbr)
             return acc
 
+        rows = forward_node(g, feats, params, range(5), t, m=m)
+        assert rows.shape == (5, 3)
         for u in range(5):
+            np.testing.assert_allclose(rows[u], oracle(u), rtol=1e-10)
+
+    def test_each_distinct_node_selected_once(self, rng):
+        g = random_stream(rng, n_nodes=8, n_events=80)
+        feats = random_features(8, 4, rng)
+        params = init_params(rng, 4, 3, 3, m=3)
+        t = g.t_max * 0.8
+        calls = []
+
+        def counting(g_, node, t_, m_):
+            calls.append(node)
+            return top_m_neighbors(g_, node, t_, m_)
+
+        nodes = [0, 3, 5, 3]
+        forward_node(g, feats, params, nodes, t, selector=counting)
+        in_tree = set(nodes)
+        for u in set(nodes):
+            in_tree.update(top_m_neighbors(g, u, t, 3).neighbor_ids())
+        assert sorted(calls) == sorted(in_tree)
+
+    def test_random_list_shared_by_root_and_neighbor(self, rng):
+        # every node has more historical neighbors than m, so each draw is
+        # a genuine sample, and every node is a root, so each drawn
+        # neighbor is a root as well
+        g = random_stream(rng, n_nodes=8, n_events=200)
+        feats = random_features(8, 4, rng)
+        params = init_params(rng, 4, 3, 3, m=2)
+        params.beta = rng.normal(size=2)
+        t = g.t_max
+        assert all(len(top_m_neighbors(g, u, t, 8)) > 2 for u in range(8))
+        drawn = {}
+        sampler = random_neighbor_selector(np.random.default_rng(7))
+
+        def recording(g_, node, t_, m_):
+            drawn.setdefault(node, []).append(sampler(g_, node, t_, m_))
+            return drawn[node][-1]
+
+        rows = forward_node(g, feats, params, range(8), t, selector=recording)
+        assert all(len(lists) == 1 for lists in drawn.values())
+        replay = lambda g_, node, t_, m_: drawn[node][0]
+        for u in range(8):
             np.testing.assert_allclose(
-                forward_node(g, feats, params, u, t, m=m), oracle(u), rtol=1e-10
+                rows[u], reference_forward_node(g, feats, params, u, t, selector=replay),
+                rtol=1e-10,
             )
 
     def test_membership_stable_past_last_event(self, rng):
@@ -167,17 +212,16 @@ class TestForwardNode:
         g = random_stream(rng, n_nodes=6, n_events=50)
         feats = random_features(6, 4, rng)
         params = init_params(rng, 4, 3, 3, m=2).zeros_like()
-        for u in range(6):
-            np.testing.assert_array_equal(
-                forward_node(g, feats, params, u, g.t_max), np.zeros(3)
-            )
+        np.testing.assert_array_equal(
+            forward_node(g, feats, params, range(6), g.t_max), np.zeros((6, 3))
+        )
 
     def test_deterministic(self, rng):
         g = random_stream(rng, n_nodes=6, n_events=60)
         feats = random_features(6, 4, rng)
         params = init_params(rng, 4, 3, 3, m=3)
-        a = forward_node(g, feats, params, 1, 4.2)
-        b = forward_node(g, feats, params, 1, 4.2)
+        a = forward_node(g, feats, params, [1, 4], 4.2)
+        b = forward_node(g, feats, params, [1, 4], 4.2)
         np.testing.assert_array_equal(a, b)
 
 
@@ -239,7 +283,7 @@ def test_forward_uses_shared_beta_across_layers(rng):
     )
     feats = random_features(3, 4, rng)
     params = init_params(rng, 4, 3, 3, m=2)
-    base = forward_node(g, feats, params, 0, 3.0)
+    base = forward_node(g, feats, params, [0], 3.0)
     params.beta = params.beta + np.array([1.0, -1.0])
-    moved = forward_node(g, feats, params, 0, 3.0)
+    moved = forward_node(g, feats, params, [0], 3.0)
     assert not np.allclose(base, moved)

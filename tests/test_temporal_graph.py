@@ -54,6 +54,12 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match=":1:"):
             load_edge_list(p)
 
+    def test_non_finite_timestamp_reports_line_number(self, tmp_path):
+        for bad in ("nan", "inf", "-inf"):
+            p = write_lines(tmp_path / "e.txt", ["1 2 0.0", f"0 3 {bad}"])
+            with pytest.raises(EdgeListParseError, match=f":2: non-finite timestamp '{bad}'"):
+                load_edge_list(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = write_lines(tmp_path / "e.txt", ["# only a comment"])
         with pytest.raises(EdgeListParseError, match="no events"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stgnn.model import forward_node, init_params, random_features
+from stgnn.model import forward_batch, init_params, random_features
 from stgnn.significance import significance_label
 from stgnn.temporal_graph import Event, from_events
 from stgnn.training import (
@@ -17,8 +17,9 @@ from stgnn.training import (
     significance_loss,
     train,
 )
-from stgnn.training import _forward_backward, _masked_phi, _tree_from_graph
+from stgnn.training import _forward_backward, _tree_from_graph
 from conftest import random_stream
+from reference_model import forward_node
 
 
 def small_instance(seed, n_nodes=6, n_events=25, d=3, m=2):
@@ -61,11 +62,7 @@ def finite_difference(batch, g, feats, params, cfg, h=1e-5):
 
 def kink_margin(batch, g, feats, params, cfg):
     """Distance of the instance from ReLU and hinge kinks."""
-    fb = _tree_from_graph(batch, g, cfg)
-    phi_e = _masked_phi(fb.scores, fb.mask, params.beta)
-    pre = (feats @ params.w1_self)[fb.owner] + np.einsum(
-        "em,emd->ed", phi_e, (feats @ params.w1_nbr)[fb.nbrs]
-    )
+    pre = forward_batch(_tree_from_graph(batch, g, cfg), params, feats).pre
     margin = float(np.abs(pre).min())
     for s in batch:
         if not s.positive:
@@ -371,10 +368,6 @@ class TestConfigValidation:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
-
-    def test_bad_p(self):
-        with pytest.raises(ValueError):
-            TrainConfig(p=1.0)
 
 
 def test_named_rng_streams_independent():
