@@ -3,7 +3,9 @@
 Continuous-time temporal link prediction built around three ideas:
 
 * exponentially decayed interaction significance ranks each node's
-  neighbors, and only the top-m most significant ones are aggregated;
+  neighbors, and only the top-m most significant ones are aggregated
+  (a candidate list is a pair of arrays: neighbor ids and their scores,
+  score-descending);
 * a forward-looking "intimate window", sized from a power-law fit of
   inter-event times, turns each event into a graded significance label;
 * a cosine embedding loss weighted by those labels trains a small
@@ -27,8 +29,6 @@ from stgnn.powerlaw import (
     sample_power_law,
 )
 from stgnn.significance import (
-    SignificanceEntry,
-    CandidateList,
     SignificanceIndex,
     initial_significance,
     top_m_neighbors,
@@ -39,7 +39,6 @@ from stgnn.model import (
     init_params,
     random_features,
     forward_node,
-    cosine,
     save_checkpoint,
     load_checkpoint,
 )
@@ -50,10 +49,6 @@ from stgnn.training import (
     TrainResult,
     TrainingDiverged,
     build_positive_samples,
-    sample_negatives,
-    significance_loss,
-    batch_loss,
-    backward,
     adam_step,
     train,
 )

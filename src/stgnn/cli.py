@@ -74,6 +74,7 @@ class ExperimentConfig:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
+        self.train_config(0)  # TrainConfig checks the training fields
 
     def train_config(self, rep: int) -> training.TrainConfig:
         sel, win = ABLATION_FLAGS[self.ablation]

@@ -112,8 +112,11 @@ def _average_precision(sorted_labels: np.ndarray) -> float:
 
 def _rank_sort(pairs: list[ScoredPair]) -> np.ndarray:
     """Labels sorted by score descending, node-id pair on ties (determinism)."""
-    decorated = sorted(pairs, key=lambda p: (-p.score, p.u, p.v))
-    return np.asarray([p.label for p in decorated], dtype=np.int64)
+    u = np.asarray([p.u for p in pairs], dtype=np.int64)
+    v = np.asarray([p.v for p in pairs], dtype=np.int64)
+    score = np.asarray([p.score for p in pairs], dtype=np.float64)
+    label = np.asarray([p.label for p in pairs], dtype=np.int64)
+    return label[np.lexsort((v, u, -score))]
 
 
 def mean_average_precision(pairs: list[ScoredPair], per_node: bool = False) -> float:

@@ -13,16 +13,21 @@ pass exists once, batched over a flattened computation tree
 (``forward_batch``): training builds the tree from its mini-batch samples
 and backpropagates through the returned activations, and evaluation
 embeds all of its nodes at the split time through ``forward_node``.
+
+The tree takes its candidate lists from a query ``(node, t, m) -> (ids,
+scores)`` returning the arrays of stgnn.significance: the streaming index
+in training, ``top_m_neighbors`` or a selector in evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from stgnn.significance import CandidateList, top_m_neighbors
+from stgnn.significance import sample_m, top_m_neighbors
 from stgnn.temporal_graph import TemporalGraph
 
 NORM_EPS = 1e-12
@@ -99,10 +104,14 @@ class _BatchTree:
     two roots each.  Entries are deduplicated, so every (time, node)
     candidate list is queried once per tree, and positives and their
     attached negatives share the anchor-node subtree.
+
+    ``query(node, t, m)`` returns a node's candidate list as ``(ids,
+    scores)`` arrays of length <= m, score-descending.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, query):
         self.m = m
+        self.query = query
         self._entry_ids: dict[tuple[float, int], int] = {}
         self.owner: list[int] = []
         self.nbr_ids: list[np.ndarray] = []
@@ -114,27 +123,27 @@ class _BatchTree:
         self.sample_positive: list[bool] = []
         self.sample_sdelta: list[float] = []
 
-    def add_entry(self, node: int, t: float, query) -> int:
+    def add_entry(self, node: int, t: float) -> int:
         key = (t, node)
         idx = self._entry_ids.get(key)
         if idx is not None:
             return idx
-        ids, scores = query(node)
+        ids, scores = self.query(node, t, self.m)
         idx = len(self.owner)
         self._entry_ids[key] = idx
         self.owner.append(node)
-        self.nbr_ids.append(np.asarray(ids, dtype=np.int64))
-        self.nbr_scores.append(np.asarray(scores, dtype=np.float64))
+        self.nbr_ids.append(ids)
+        self.nbr_scores.append(scores)
         return idx
 
-    def add_root(self, node: int, t: float, query) -> int:
+    def add_root(self, node: int, t: float) -> int:
         key = (t, node)
         idx = self._root_ids.get(key)
         if idx is not None:
             return idx
-        e = self.add_entry(node, t, query)
+        e = self.add_entry(node, t)
         nbr_entries = np.asarray(
-            [self.add_entry(int(v), t, query) for v in self.nbr_ids[e]], dtype=np.int64
+            [self.add_entry(int(v), t) for v in self.nbr_ids[e]], dtype=np.int64
         )
         idx = len(self.root_entry)
         self._root_ids[key] = idx
@@ -256,20 +265,16 @@ def forward_node(
     candidate list is taken once at the query time t, whether the node
     appears as a root, as a neighbor, or both.
 
-    ``selector(g, node, t, m)`` overrides neighbor selection (used by the
-    selection-ablated variants); it defaults to significance top-m.
+    ``selector(g, node, t, m) -> (ids, scores)`` overrides neighbor
+    selection (used by the selection-ablated variants); it defaults to
+    significance top-m.
     """
     if m is None:
         m = params.m
     if selector is None:
-        selector = lambda g_, n_, t_, m_: top_m_neighbors(g_, n_, t_, m_, lam=lam)
-
-    def query(node: int):
-        cl = selector(g, node, t, m)
-        return cl.neighbor_ids(), cl.scores()
-
-    tree = _BatchTree(m)
-    roots = [tree.add_root(int(u), t, query) for u in nodes]
+        selector = partial(top_m_neighbors, lam=lam)
+    tree = _BatchTree(m, partial(selector, g))
+    roots = [tree.add_root(int(u), t) for u in nodes]
     return forward_batch(tree.finalize(), params, feats).h2[roots]
 
 
@@ -280,24 +285,11 @@ def random_neighbor_selector(rng: np.random.Generator, lam: float = 1.0):
     ordered score-descending so rank corrections stay aligned.
     """
 
-    def select(g: TemporalGraph, u: int, t: float, m: int) -> CandidateList:
-        full = top_m_neighbors(g, u, t, m=max(m, g.num_nodes), lam=lam)
-        entries = list(full.entries)
-        if len(entries) > m:
-            pick = rng.choice(len(entries), size=m, replace=False)
-            entries = [entries[i] for i in sorted(pick)]
-        return CandidateList(owner=u, at_time=t, entries=tuple(entries), capacity=m)
+    def select(g: TemporalGraph, u: int, t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+        ids, scores = top_m_neighbors(g, u, t, m=max(m, g.num_nodes), lam=lam)
+        return sample_m(ids, scores, m, rng)
 
     return select
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, 0 when either vector is numerically null."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < NORM_EPS or nb < NORM_EPS:
-        return 0.0
-    return float(a @ b / (na * nb))
 
 
 def save_checkpoint(path, params: ModelParams, feats: np.ndarray, seed: int) -> None:

@@ -6,55 +6,26 @@ node's neighbors are ranked by this score and only the top m are kept
 for aggregation.  A forward window [t, t + delta) turns each event into
 a graded label: the number of contacts the pair produces inside it.
 
-Two evaluation routes exist on purpose: pure queries against an
-immutable TemporalGraph (reference semantics; evaluation's batched
-forward takes each distinct node's list from it once, and tests pin the
-streaming route against it) and a streaming index that sweeps events
-chronologically and rescales scores lazily (used by the training loop;
-per-event cost is O(degree) instead of a full recomputation).
+A candidate list is a pair of arrays ``(ids: int64[k], scores:
+float64[k])``, score-descending with the smaller id first on ties.  Both
+routes return it: the pure ``top_m_neighbors`` queries an immutable
+TemporalGraph (evaluation embeds at one fixed time, and tests pin the
+streaming route against it), and ``SignificanceIndex`` sweeps events
+chronologically and rescales scores lazily (training queries every event
+time, at O(degree) per event instead of a full recomputation).
+``sample_m`` draws the uniform subset that the selection-ablated
+variants use on either route.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
 from stgnn.temporal_graph import TemporalGraph
 
 DEFAULT_DECAY = 1.0
-
-
-@dataclass(frozen=True)
-class SignificanceEntry:
-    """One neighbor with its decayed significance score."""
-
-    neighbor: int
-    score: float
-
-
-@dataclass(frozen=True)
-class CandidateList:
-    """Top neighbors of ``owner`` at ``at_time``, score-descending.
-
-    Ties break toward the smaller neighbor id; at most ``capacity``
-    entries are kept.
-    """
-
-    owner: int
-    at_time: float
-    entries: tuple[SignificanceEntry, ...]
-    capacity: int
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def neighbor_ids(self) -> list[int]:
-        return [e.neighbor for e in self.entries]
-
-    def scores(self) -> np.ndarray:
-        return np.asarray([e.score for e in self.entries], dtype=np.float64)
 
 
 def initial_significance(history, t: float, lam: float = DEFAULT_DECAY) -> float:
@@ -78,13 +49,29 @@ def _rank_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.lexsort((ids, -scores))
 
 
+def sample_m(
+    ids: np.ndarray, scores: np.ndarray, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to m candidates drawn uniformly without replacement, ranked.
+
+    Used by the selection-ablated model variants.  The sampled subset is
+    returned score-descending so downstream rank corrections stay
+    aligned.
+    """
+    if ids.size > m:
+        pick = rng.choice(ids.size, size=m, replace=False)
+        ids, scores = ids[pick], scores[pick]
+    order = _rank_order(ids, scores)
+    return ids[order], scores[order]
+
+
 def top_m_neighbors(
     g: TemporalGraph, u: int, t: float, m: int, lam: float = DEFAULT_DECAY
-) -> CandidateList:
-    """Rank u's historical neighbors at time t and keep the top m.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and scores of u's m most significant neighbors at time t.
 
     A neighbor qualifies once it has at least one contact with u strictly
-    before t.  Isolated nodes yield an empty list.
+    before t.  Isolated nodes yield empty arrays.
     """
     if m < 1:
         raise ValueError(f"capacity must be at least 1, got {m}")
@@ -96,13 +83,10 @@ def top_m_neighbors(
             continue
         ids.append(v)
         scores.append(float(np.exp(-lam * (t - hist)).sum()))
-    if not ids:
-        return CandidateList(owner=u, at_time=t, entries=(), capacity=m)
     ids_a = np.asarray(ids, dtype=np.int64)
     sc_a = np.asarray(scores, dtype=np.float64)
     order = _rank_order(ids_a, sc_a)[:m]
-    entries = tuple(SignificanceEntry(int(ids_a[i]), float(sc_a[i])) for i in order)
-    return CandidateList(owner=u, at_time=t, entries=entries, capacity=m)
+    return ids_a[order], sc_a[order]
 
 
 def significance_label(g: TemporalGraph, u: int, v: int, t: float, delta: float) -> int:
@@ -147,9 +131,6 @@ class SignificanceIndex:
         self._version = [0] * num_nodes
         # node -> (version, m, t_ref, ids, scores_at_t_ref)
         self._topm_cache: dict[int, tuple[int, int, float, np.ndarray, np.ndarray]] = {}
-
-    def reset(self) -> None:
-        self.__init__(self.num_nodes, self.lam)
 
     def add_event(self, u: int, v: int, t: float) -> None:
         """Record a contact; time must not run backwards."""
@@ -244,15 +225,7 @@ class SignificanceIndex:
     def random_m(
         self, u: int, t: float, m: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Uniformly sampled (not ranked) historical neighbors at time t.
-
-        Used by the selection-ablated model variants.  The sampled subset
-        is still returned score-descending so downstream rank corrections
-        stay aligned.
-        """
+        """Uniformly sampled (not ranked) historical neighbors at time t;
+        see ``sample_m``."""
         ids_all, scores_all = self.neighbor_scores(u, t)
-        if ids_all.size > m:
-            pick = rng.choice(ids_all.size, size=m, replace=False)
-            ids_all, scores_all = ids_all[pick], scores_all[pick]
-        order = _rank_order(ids_all, scores_all)
-        return ids_all[order], scores_all[order]
+        return sample_m(ids_all, scores_all, m, rng)

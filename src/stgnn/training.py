@@ -5,12 +5,15 @@ forward-window significance label and pairs it with one uniformly drawn
 non-interacting negative per positive, weighted by the batch mean of the
 positive labels.
 
-The forward pass is stgnn.model.forward_batch, shared with evaluation.
-Gradients of the full loss -> output layer -> hidden layer -> softmax
-rank-weighting composition are derived by hand from its activations and
-evaluated in batched numpy; tests pin the loss against a per-node
-recursive reference forward and the gradients against central finite
-differences.
+Training reaches significance only through the streaming
+SignificanceIndex: each chronological chunk becomes one computation tree
+whose candidate lists are the index's ``(ids, scores)`` arrays, taken
+before the chunk's events are inserted.  The forward pass is
+stgnn.model.forward_batch, shared with evaluation.  Gradients of the full
+loss -> output layer -> hidden layer -> softmax rank-weighting
+composition are derived by hand from its activations and evaluated in
+batched numpy; tests pin the loss against a per-node recursive reference
+forward and the gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ import logging
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from stgnn.model import (
+    NORM_EPS,
     ModelParams,
     _BatchTree,
     _FlatBatch,
@@ -30,12 +35,10 @@ from stgnn.model import (
     init_params,
     random_features,
 )
-from stgnn.significance import SignificanceIndex, significance_label, top_m_neighbors
-from stgnn.temporal_graph import TemporalGraph, _pair_key
+from stgnn.significance import SignificanceIndex, significance_label
+from stgnn.temporal_graph import TemporalGraph
 
 logger = logging.getLogger(__name__)
-
-NORM_EPS = 1e-12
 
 
 def named_rng(seed: int, *names) -> np.random.Generator:
@@ -81,6 +84,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if self.m < 1:
+            raise ValueError(f"m (neighbors per node) must be at least 1, got {self.m}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass
@@ -132,19 +139,6 @@ class TrainResult:
     skipped_negatives: int = 0
 
 
-def significance_loss(h_u, h_v, s_delta: int, s_bar: float) -> float:
-    """Per-sample loss: positives pull cosine toward 1 scaled by their
-    label, negatives hinge the cosine at 0 scaled by the batch mean label."""
-    from stgnn.model import cosine
-
-    if s_bar <= 0:
-        raise ValueError(f"balance factor must be positive, got {s_bar}")
-    c = cosine(np.asarray(h_u, dtype=np.float64), np.asarray(h_v, dtype=np.float64))
-    if s_delta >= 1:
-        return (1.0 - c) * float(s_delta)
-    return max(0.0, c) * s_bar
-
-
 def build_positive_samples(g: TemporalGraph, delta: float | None) -> list[TrainSample]:
     """One positive per training event, labeled by its window count.
 
@@ -160,15 +154,12 @@ def build_positive_samples(g: TemporalGraph, delta: float | None) -> list[TrainS
 
 
 def _valid_negative(g: TemporalGraph, u: int, w: int, t: float, delta: float | None) -> bool:
+    """w is a negative for u at t when the pair has no contact in
+    [t, t + delta), or, with no window, no contact at exactly t."""
     if w == u:
         return False
-    if delta is not None:
-        return g.count_in_window(u, w, t, t + delta) == 0
-    ts = g.pair_index.get(_pair_key(u, w))
-    if ts is None:
-        return True
-    i = np.searchsorted(ts, t, side="left")
-    return not (i < ts.shape[0] and ts[i] == t)
+    end = t + delta if delta is not None else np.nextafter(t, np.inf)
+    return g.count_in_window(u, w, t, end) == 0
 
 
 def _draw_negative(
@@ -181,34 +172,8 @@ def _draw_negative(
     return None
 
 
-def sample_negatives(
-    g: TemporalGraph,
-    positives: list[TrainSample],
-    rng: np.random.Generator,
-    delta: float | None = None,
-    tries: int = 100,
-) -> list[TrainSample]:
-    """One negative (u, w, t) per positive (u, v, t), w uniform among nodes
-    with no (u, w) contact inside the positive's window.
-
-    Positives whose negatives cannot be found within ``tries`` draws are
-    skipped with a warning, so the result can be shorter than the input.
-    """
-    out = []
-    skipped = 0
-    for pos in positives:
-        neg = _draw_negative(g, pos, rng, delta, tries)
-        if neg is None:
-            skipped += 1
-        else:
-            out.append(neg)
-    if skipped:
-        logger.warning("skipped %d positive(s): no valid negative found", skipped)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Batch loss and gradients
+# Loss and gradients
 # ---------------------------------------------------------------------------
 
 
@@ -293,49 +258,6 @@ def _forward_backward(
     return loss, grads
 
 
-def _tree_from_graph(batch: list[TrainSample], g: TemporalGraph, config: TrainConfig) -> _FlatBatch:
-    """Build the batch tree with pure (immutable-graph) candidate queries."""
-    tree = _BatchTree(config.m)
-    for s in batch:
-        def query(node, _t=s.t):
-            cl = top_m_neighbors(g, node, _t, config.m, lam=config.lam)
-            return np.asarray(cl.neighbor_ids(), dtype=np.int64), cl.scores()
-
-        ru = tree.add_root(s.u, s.t, query)
-        rv = tree.add_root(s.v, s.t, query)
-        tree.add_sample(ru, rv, s.positive, s.s_delta)
-    return tree.finalize()
-
-
-def batch_loss(
-    batch: list[TrainSample], g: TemporalGraph, feats: np.ndarray, params: ModelParams,
-    config: TrainConfig,
-) -> float:
-    """Mean batch loss under pure candidate queries (no gradients)."""
-    loss, _ = _forward_backward(_tree_from_graph(batch, g, config), params, feats, want_grads=False)
-    return loss
-
-
-def backward(
-    batch: list[TrainSample], g: TemporalGraph, feats: np.ndarray, params: ModelParams,
-    config: TrainConfig, _detach_phi: bool = False,
-) -> ModelParams:
-    """Exact gradients of the mean batch loss for all five tensors.
-
-    Propagates through the cosine, both aggregation layers, the shared
-    softmax rank-weighting (including its Jacobian), and ReLU (zero
-    subgradient at the kink).  Frozen input features get no gradient.
-    """
-    if not batch:
-        raise ValueError("backward over an empty batch")
-    fb = _tree_from_graph(batch, g, config)
-    _, grads = _forward_backward(fb, params, feats, detach_phi=_detach_phi)
-    for name, a in grads.arrays():
-        if not np.all(np.isfinite(a)):
-            raise FloatingPointError(f"non-finite gradient in {name}")
-    return grads
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -354,11 +276,10 @@ def _capture_chunk(
     Samples sharing a timestamp are all captured before any of their
     events enter the index, preserving strictly-before semantics.
     """
-    tree = _BatchTree(config.m)
     if config.use_significant_selection:
-        query_at = lambda t: (lambda node: index.top_m(node, t, config.m))
+        tree = _BatchTree(config.m, index.top_m)
     else:
-        query_at = lambda t: (lambda node: index.random_m(node, t, config.m, sel_rng))
+        tree = _BatchTree(config.m, partial(index.random_m, rng=sel_rng))
 
     i = 0
     n = len(chunk)
@@ -367,14 +288,13 @@ def _capture_chunk(
         t = chunk[i].t
         while j < n and chunk[j].t == t:
             j += 1
-        query = query_at(t)
         for k in range(i, j):
             pos, neg = chunk[k], negs[k]
-            ru = tree.add_root(pos.u, t, query)
-            rv = tree.add_root(pos.v, t, query)
+            ru = tree.add_root(pos.u, t)
+            rv = tree.add_root(pos.v, t)
             tree.add_sample(ru, rv, True, pos.s_delta)
             if neg is not None:
-                rw = tree.add_root(neg.v, t, query)
+                rw = tree.add_root(neg.v, t)
                 tree.add_sample(ru, rw, False, 0.0)
         for k in range(i, j):
             index.add_event(chunk[k].u, chunk[k].v, t)

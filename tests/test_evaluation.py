@@ -11,11 +11,12 @@ from stgnn.evaluation import (
     sample_test_negatives,
     score_pair,
 )
-from stgnn.model import cosine, init_params, random_features
+from stgnn.model import init_params, random_features
 from stgnn.significance import initial_significance
 from stgnn.temporal_graph import Event, from_events, split_train_test
 from stgnn.training import TrainConfig, named_rng
 from conftest import random_stream
+from reference_model import cosine
 
 
 def brute_force_auc(pairs):

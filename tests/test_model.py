@@ -5,7 +5,6 @@ import pytest
 
 from stgnn.model import (
     ModelParams,
-    cosine,
     forward_node,
     init_params,
     load_checkpoint,
@@ -16,8 +15,8 @@ from stgnn.model import (
 from stgnn.significance import top_m_neighbors
 from stgnn.temporal_graph import Event, from_events
 from conftest import random_stream
+from reference_model import cosine, phi, stagg_layer
 from reference_model import forward_node as reference_forward_node
-from reference_model import phi, stagg_layer
 
 
 class TestPhi:
@@ -121,27 +120,23 @@ class TestForwardNode:
         m = 2
 
         def oracle(u):
-            def lists(node):
-                cl = top_m_neighbors(g, node, t, m)
-                return cl.neighbor_ids(), cl.scores()
-
             def weights(scores):
                 z = scores * params.beta[: len(scores)]
                 e = np.exp(z - z.max())
                 return e / e.sum()
 
             def h1(node):
-                ids, scores = lists(node)
+                ids, scores = top_m_neighbors(g, node, t, m)
                 acc = feats[node] @ params.w1_self
-                if ids:
+                if len(ids):
                     w = weights(scores)
                     for wi, vi in zip(w, ids):
                         acc = acc + wi * (feats[vi] @ params.w1_nbr)
                 return np.maximum(acc, 0.0)
 
-            ids, scores = lists(u)
+            ids, scores = top_m_neighbors(g, u, t, m)
             acc = h1(u) @ params.w2_self
-            if ids:
+            if len(ids):
                 w = weights(scores)
                 for wi, vi in zip(w, ids):
                     acc = acc + wi * (h1(vi) @ params.w2_nbr)
@@ -167,7 +162,7 @@ class TestForwardNode:
         forward_node(g, feats, params, nodes, t, selector=counting)
         in_tree = set(nodes)
         for u in set(nodes):
-            in_tree.update(top_m_neighbors(g, u, t, 3).neighbor_ids())
+            in_tree.update(top_m_neighbors(g, u, t, 3)[0].tolist())
         assert sorted(calls) == sorted(in_tree)
 
     def test_random_list_shared_by_root_and_neighbor(self, rng):
@@ -179,7 +174,7 @@ class TestForwardNode:
         params = init_params(rng, 4, 3, 3, m=2)
         params.beta = rng.normal(size=2)
         t = g.t_max
-        assert all(len(top_m_neighbors(g, u, t, 8)) > 2 for u in range(8))
+        assert all(len(top_m_neighbors(g, u, t, 8)[0]) > 2 for u in range(8))
         drawn = {}
         sampler = random_neighbor_selector(np.random.default_rng(7))
 
@@ -201,11 +196,11 @@ class TestForwardNode:
         t1 = g.t_max + 1.0
         t2 = g.t_max + 5.0
         for u in range(8):
-            a = top_m_neighbors(g, u, t1, m=4)
-            b = top_m_neighbors(g, u, t2, m=4)
-            assert a.neighbor_ids() == b.neighbor_ids()
-            if len(a):
-                ratio = b.scores() / a.scores()
+            a_ids, a_scores = top_m_neighbors(g, u, t1, m=4)
+            b_ids, b_scores = top_m_neighbors(g, u, t2, m=4)
+            assert a_ids.tolist() == b_ids.tolist()
+            if len(a_ids):
+                ratio = b_scores / a_scores
                 np.testing.assert_allclose(ratio, math.exp(-(t2 - t1)), rtol=1e-9)
 
     def test_zero_params_zero_embedding(self, rng):
@@ -271,8 +266,10 @@ class TestCheckpoint:
 def test_params_zeros_like_independent(rng):
     p = init_params(rng, 4, 3, 3, m=2)
     z = p.zeros_like()
+    before = p.w1_self.copy()
     z.w1_self += 1.0
-    assert np.all(p.w1_self != 1.0) or True  # no aliasing
+    np.testing.assert_array_equal(p.w1_self, before)
+    assert not np.shares_memory(z.w1_self, p.w1_self)
     assert np.all(z.w2_self == 0.0)
 
 

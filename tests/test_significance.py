@@ -60,25 +60,25 @@ class TestInitialSignificance:
 class TestTopM:
     def test_single_neighbor_any_capacity(self):
         g = from_events([Event(0, 1, 0.0)], num_nodes=3)
-        cl = top_m_neighbors(g, 0, 1.0, m=5)
-        assert cl.neighbor_ids() == [1]
+        ids, _ = top_m_neighbors(g, 0, 1.0, m=5)
+        assert ids.tolist() == [1]
 
     def test_recency_beats_stale_frequency(self):
         # one recent contact outranks five ten-units-old ones
         t = 20.0
         events = [Event(0, 1, t - 0.1)] + [Event(0, 2, t - 10.0 - i * 1e-6) for i in range(5)]
         g = from_events(events, num_nodes=3)
-        cl = top_m_neighbors(g, 0, t, m=2)
-        assert cl.neighbor_ids() == [1, 2]
-        assert cl.entries[0].score == pytest.approx(math.exp(-0.1), rel=1e-9)
-        assert cl.entries[1].score == pytest.approx(5 * math.exp(-10.0), rel=1e-4)
+        ids, scores = top_m_neighbors(g, 0, t, m=2)
+        assert ids.tolist() == [1, 2]
+        assert scores[0] == pytest.approx(math.exp(-0.1), rel=1e-9)
+        assert scores[1] == pytest.approx(5 * math.exp(-10.0), rel=1e-4)
 
     def test_matches_brute_force(self, rng):
         g = random_stream(rng, n_nodes=15, n_events=500)
         for _ in range(100):
             u = int(rng.integers(15))
             t = float(rng.uniform(0, g.t_max * 1.05))
-            cl = top_m_neighbors(g, u, t, m=5)
+            ids, _ = top_m_neighbors(g, u, t, m=5)
             scored = []
             for v in range(15):
                 if v == u:
@@ -87,11 +87,12 @@ class TestTopM:
                 if hist:
                     scored.append((v, initial_significance(hist, t)))
             scored.sort(key=lambda x: (-x[1], x[0]))
-            assert cl.neighbor_ids() == [v for v, _ in scored[:5]]
+            assert ids.tolist() == [v for v, _ in scored[:5]]
 
     def test_isolated_node_empty(self):
         g = from_events([Event(0, 1, 0.0)], num_nodes=4)
-        assert len(top_m_neighbors(g, 3, 1.0, m=3)) == 0
+        ids, scores = top_m_neighbors(g, 3, 1.0, m=3)
+        assert len(ids) == 0 and len(scores) == 0
 
     def test_permutation_invariance(self, rng):
         events = [
@@ -105,10 +106,10 @@ class TestTopM:
         rng.shuffle(perm)
         g2 = from_events(perm, num_nodes=16)
         for u in range(16):
-            a = top_m_neighbors(g1, u, 11.0, m=4)
-            b = top_m_neighbors(g2, u, 11.0, m=4)
-            assert a.neighbor_ids() == b.neighbor_ids()
-            np.testing.assert_allclose(a.scores(), b.scores(), rtol=1e-15)
+            a_ids, a_scores = top_m_neighbors(g1, u, 11.0, m=4)
+            b_ids, b_scores = top_m_neighbors(g2, u, 11.0, m=4)
+            assert a_ids.tolist() == b_ids.tolist()
+            np.testing.assert_allclose(a_scores, b_scores, rtol=1e-15)
 
 
 class TestLabel:
@@ -162,9 +163,9 @@ class TestStreamingIndex:
             if rng.random() < 0.1:
                 u = int(rng.integers(20))
                 ids, scores = idx.top_m(u, t, 6)
-                ref = top_m_neighbors(g, u, t, 6)
-                assert list(ids) == ref.neighbor_ids()
-                np.testing.assert_allclose(scores, ref.scores(), rtol=1e-9)
+                ref_ids, ref_scores = top_m_neighbors(g, u, t, 6)
+                assert list(ids) == ref_ids.tolist()
+                np.testing.assert_allclose(scores, ref_scores, rtol=1e-9)
                 probes += 1
             for k in range(i, j):
                 idx.add_event(evs[k].u, evs[k].v, evs[k].t)

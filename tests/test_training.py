@@ -9,17 +9,21 @@ from stgnn.training import (
     TrainConfig,
     TrainSample,
     adam_step,
-    backward,
-    batch_loss,
     build_positive_samples,
     named_rng,
-    sample_negatives,
-    significance_loss,
     train,
 )
-from stgnn.training import _forward_backward, _tree_from_graph
+from stgnn.training import _valid_negative
 from conftest import random_stream
-from reference_model import forward_node
+from reference_model import (
+    backward,
+    batch_loss,
+    cosine,
+    forward_node,
+    sample_negatives,
+    significance_loss,
+    tree_from_graph,
+)
 
 
 def small_instance(seed, n_nodes=6, n_events=25, d=3, m=2):
@@ -62,14 +66,12 @@ def finite_difference(batch, g, feats, params, cfg, h=1e-5):
 
 def kink_margin(batch, g, feats, params, cfg):
     """Distance of the instance from ReLU and hinge kinks."""
-    pre = forward_batch(_tree_from_graph(batch, g, cfg), params, feats).pre
+    pre = forward_batch(tree_from_graph(batch, g, cfg), params, feats).pre
     margin = float(np.abs(pre).min())
     for s in batch:
         if not s.positive:
             hu = forward_node(g, feats, params, s.u, s.t, m=cfg.m)
             hv = forward_node(g, feats, params, s.v, s.t, m=cfg.m)
-            from stgnn.model import cosine
-
             margin = min(margin, abs(cosine(hu, hv)))
     return margin
 
@@ -164,7 +166,7 @@ class TestEngineConsistency:
 
     def test_s_bar_is_exact_batch_mean(self):
         g, feats, params, cfg, batch = small_instance(4)
-        fb = _tree_from_graph(batch, g, cfg)
+        fb = tree_from_graph(batch, g, cfg)
         pos_sd = [s.s_delta for s in batch if s.positive]
         expected = float(np.mean(pos_sd))
         np.testing.assert_array_equal(fb.weight[~fb.positive], expected)
@@ -263,6 +265,17 @@ class TestNegativeSampling:
             assert not n.positive
             assert n.s_delta == 0
             assert significance_label(g, n.u, n.v, n.t, delta) == 0
+
+    def test_no_window_rejects_only_exact_time_contacts(self):
+        t = 2.0
+        g = from_events(
+            [Event(0, 1, t), Event(0, 2, float(np.nextafter(t, np.inf))), Event(0, 3, 1.0)],
+            num_nodes=4,
+        )
+        assert not _valid_negative(g, 0, 1, t, None)
+        assert _valid_negative(g, 0, 2, t, None)
+        assert _valid_negative(g, 0, 3, t, None)
+        assert not _valid_negative(g, 0, 0, t, None)
 
     def test_one_to_one_contract(self, rng):
         g = random_stream(rng, n_nodes=30, n_events=300)
@@ -368,6 +381,14 @@ class TestConfigValidation:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
+
+    def test_bad_m(self):
+        with pytest.raises(ValueError, match="m "):
+            TrainConfig(m=0)
+
+    def test_bad_batch_size(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=0)
 
 
 def test_named_rng_streams_independent():
