@@ -53,7 +53,6 @@ from stgnn.training import (
     train,
 )
 from stgnn.evaluation import (
-    ScoredPair,
     MetricsReport,
     score_pair,
     auc,

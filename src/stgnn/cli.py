@@ -74,6 +74,10 @@ class ExperimentConfig:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
+        if not self.time_unit > 0:
+            raise ValueError(f"time_unit must be positive, got {self.time_unit}")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
         self.train_config(0)  # TrainConfig checks the training fields
 
     def train_config(self, rep: int) -> training.TrainConfig:

@@ -6,6 +6,13 @@ the data.  Every pair is scored under three similarities (cosine,
 hadamard/dot, negated squared L2) and the best per metric is reported,
 alongside a no-learning reference that ranks pairs by their decayed
 historical contact count.
+
+The held-out set travels as columns: ``labels`` (1 positive, 0
+negative), ``scores``, and the endpoint ids ``u`` and ``v`` are aligned
+1-D arrays with one entry per pair.  Rankings sort by score descending
+and break ties by (u, v), so every metric is deterministic.  The
+list-of-pairs form of these metrics lives on in the tests as their
+oracle (``tests/reference_model.py``).
 """
 
 from __future__ import annotations
@@ -20,14 +27,6 @@ from stgnn.temporal_graph import DataSplit, TemporalGraph, _pair_key
 from stgnn.training import TrainConfig, named_rng
 
 SIMILARITIES = ("Cos", "Had", "L2")
-
-
-@dataclass(frozen=True)
-class ScoredPair:
-    u: int
-    v: int
-    score: float
-    label: int
 
 
 @dataclass
@@ -89,11 +88,12 @@ def _avg_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def auc(pairs: list[ScoredPair]) -> float:
+def auc(labels, scores) -> float:
     """Probability a random positive outranks a random negative, ties at
-    half credit (Mann-Whitney)."""
-    labels = np.asarray([p.label for p in pairs], dtype=np.int64)
-    scores = np.asarray([p.score for p in pairs], dtype=np.float64)
+    half credit (Mann-Whitney).  ``labels`` (1 positive, 0 negative) and
+    ``scores`` are aligned 1-D arrays, one entry per pair."""
+    labels = np.asarray(labels, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
     n_pos = int(labels.sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -110,36 +110,36 @@ def _average_precision(sorted_labels: np.ndarray) -> float:
     return float((hits[at_pos] / ranks[at_pos]).mean())
 
 
-def _rank_sort(pairs: list[ScoredPair]) -> np.ndarray:
-    """Labels sorted by score descending, node-id pair on ties (determinism)."""
-    u = np.asarray([p.u for p in pairs], dtype=np.int64)
-    v = np.asarray([p.v for p in pairs], dtype=np.int64)
-    score = np.asarray([p.score for p in pairs], dtype=np.float64)
-    label = np.asarray([p.label for p in pairs], dtype=np.int64)
-    return label[np.lexsort((v, u, -score))]
-
-
-def mean_average_precision(pairs: list[ScoredPair], per_node: bool = False) -> float:
+def mean_average_precision(labels, scores, u, v, per_node: bool = False) -> float:
     """Average precision of the ranked candidate list.
 
-    The default is the global AP of the single ranked list.  ``per_node``
-    switches to the mean of per-endpoint APs (every pair is listed under
-    both endpoints; nodes without positives are skipped).
+    ``labels``, ``scores`` and the endpoint ids ``u`` and ``v`` are
+    aligned 1-D arrays, one entry per pair; the list ranks by score
+    descending, then by (u, v).  The default is the global AP of that one
+    list.  ``per_node`` switches to the mean of per-endpoint APs in node-id
+    order: every pair is listed under both endpoints, and nodes without a
+    positive are skipped.
     """
-    if not any(p.label == 1 for p in pairs):
+    labels = np.asarray(labels, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if not (labels == 1).any():
         raise ValueError("MAP needs at least one positive")
     if not per_node:
-        return _average_precision(_rank_sort(pairs))
-    by_node: dict[int, list[ScoredPair]] = {}
-    for p in pairs:
-        by_node.setdefault(p.u, []).append(p)
-        by_node.setdefault(p.v, []).append(p)
-    aps = [
-        _average_precision(_rank_sort(group))
-        for _, group in sorted(by_node.items())
-        if any(q.label == 1 for q in group)
-    ]
-    return float(np.mean(aps))
+        return _average_precision(labels[np.lexsort((v, u, -scores))])
+    # Every pair once under each endpoint, grouped by node, ranked within it.
+    node = np.concatenate([u, v])
+    order = np.lexsort((np.tile(v, 2), np.tile(u, 2), -np.tile(scores, 2), node))
+    node, lab = node[order], np.tile(labels, 2)[order]
+    first = np.r_[True, node[1:] != node[:-1]]
+    seg = np.cumsum(first) - 1  # the node group of each entry
+    start = np.flatnonzero(first)[seg]  # where that group begins
+    hits = np.cumsum(lab)
+    hits -= (hits - lab)[start]
+    at_pos = lab == 1
+    precision = hits[at_pos] / (np.flatnonzero(at_pos) - start[at_pos] + 1)
+    n_hit = np.bincount(seg[at_pos])
+    ap_sum = np.bincount(seg[at_pos], weights=precision)
+    return float(np.mean(ap_sum[n_hit > 0] / n_hit[n_hit > 0]))
 
 
 def sample_test_negatives(
@@ -168,12 +168,17 @@ def sample_test_negatives(
 
 
 def heuristic_reference(
-    g_train: TemporalGraph, pairs: list[tuple[int, int]], t0: float, lam: float = 1.0
-) -> list[float]:
-    """No-learning reference: decayed historical contact count at t0."""
-    return [
-        initial_significance(g_train.pair_history(u, v, t0), t0, lam=lam) for u, v in pairs
-    ]
+    g_train: TemporalGraph, u, v, t0: float, lam: float = 1.0
+) -> np.ndarray:
+    """No-learning reference: decayed historical contact count at t0 of
+    each pair (u[i], v[i])."""
+    return np.array(
+        [
+            initial_significance(g_train.pair_history(a, b, t0), t0, lam=lam)
+            for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist())
+        ],
+        dtype=np.float64,
+    )
 
 
 def node_embeddings(
@@ -210,33 +215,23 @@ def evaluate(
     positives = sorted(split.test_pairs.keys())
     rng = named_rng(config.seed, "eval-negatives")
     negatives = sample_test_negatives(split, len(positives), rng)
-    labeled = [(u, v, 1) for u, v in positives] + [(u, v, 0) for u, v in negatives]
+    u, v = np.array(positives + negatives, dtype=np.int64).reshape(-1, 2).T
+    label = np.repeat([1, 0], [len(positives), len(negatives)])
 
-    involved = sorted({x for u, v, _ in labeled for x in (u, v)})
+    involved, row = np.unique(np.concatenate([u, v]), return_inverse=True)
     emb = node_embeddings(split.train, params, feats, involved, split.t_split, config)
-    h_u = emb[np.searchsorted(involved, [u for u, _, _ in labeled])]
-    h_v = emb[np.searchsorted(involved, [v for _, v, _ in labeled])]
-    scores = {kind: score_pair(h_u, h_v, kind) for kind in SIMILARITIES}
-    del h_u, h_v  # pair-sized; freed before the per-pair lists below raise peak memory
+    h_u, h_v = emb[row[: u.shape[0]]], emb[row[u.shape[0] :]]
 
     per_sim: dict[str, dict[str, float]] = {}
     for kind in SIMILARITIES:
-        scored = [
-            ScoredPair(u, v, s, lab) for (u, v, lab), s in zip(labeled, scores[kind].tolist())
-        ]
-        per_sim[kind] = {"auc": auc(scored), "map": mean_average_precision(scored)}
+        scores = score_pair(h_u, h_v, kind)
+        per_sim[kind] = {"auc": auc(label, scores), "map": mean_average_precision(label, scores, u, v)}
         if per_node_map:
-            per_sim[kind]["map_per_node"] = mean_average_precision(scored, per_node=True)
+            per_sim[kind]["map_per_node"] = mean_average_precision(label, scores, u, v, per_node=True)
 
     best_auc_sim = max(SIMILARITIES, key=lambda k: per_sim[k]["auc"])
     best_map_sim = max(SIMILARITIES, key=lambda k: per_sim[k]["map"])
-
-    ref_scores = heuristic_reference(
-        split.train, [(u, v) for u, v, _ in labeled], split.t_split, lam=config.lam
-    )
-    ref_pairs = [
-        ScoredPair(u, v, s, lab) for (u, v, lab), s in zip(labeled, ref_scores)
-    ]
+    ref_scores = heuristic_reference(split.train, u, v, split.t_split, lam=config.lam)
 
     return MetricsReport(
         per_similarity=per_sim,
@@ -246,5 +241,5 @@ def evaluate(
         best_map_similarity=best_map_sim,
         n_pos=len(positives),
         n_neg=len(negatives),
-        reference_auc=auc(ref_pairs),
+        reference_auc=auc(label, ref_scores),
     )

@@ -33,11 +33,6 @@ class PowerLawFit:
     n_tail: int
     ks_distance: float
 
-    def ccdf(self, x) -> np.ndarray:
-        """P(X >= x) for the fitted tail, clipped to [0, 1]."""
-        x = np.asarray(x, dtype=np.float64)
-        return np.minimum((x / self.xmin) ** (1.0 - self.alpha), 1.0)
-
 
 class DegenerateFitError(ValueError):
     """Raised when the sample admits no power-law fit (e.g. all equal)."""

@@ -88,6 +88,8 @@ class TrainConfig:
             raise ValueError(f"m (neighbors per node) must be at least 1, got {self.m}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not self.lam > 0:
+            raise ValueError(f"lam (decay rate) must be positive, got {self.lam}")
 
 
 @dataclass
@@ -181,10 +183,9 @@ def _forward_backward(
     fb: _FlatBatch,
     params: ModelParams,
     feats: np.ndarray,
-    want_grads: bool = True,
     detach_phi: bool = False,
-) -> tuple[float, ModelParams | None]:
-    """Mean batch loss and (optionally) its exact parameter gradients."""
+) -> tuple[float, ModelParams]:
+    """Mean batch loss and its exact parameter gradients."""
     phi_e, nbr_gather, pre, h1, phi_r, h1_nbr, agg, h2 = forward_batch(fb, params, feats)
 
     hu, hv = h2[fb.su], h2[fb.sv]
@@ -199,8 +200,6 @@ def _forward_backward(
     )
     n_samples = per_sample.shape[0]
     loss = float(per_sample.mean())
-    if not want_grads:
-        return loss, None
 
     # d loss / d cos, including the hinge subgradient (zero at the kink)
     dcos = np.where(fb.positive, -fb.weight, np.where(cos > 0.0, fb.weight, 0.0))

@@ -11,18 +11,33 @@
   ``top_m_neighbors`` queries on an immutable graph, used by the
   gradient checks (training itself uses the streaming index).
 * ``sample_negatives``, one negative draw per positive.
+* The small random instances and the finite-difference helpers of the
+  gradient checks.
+* ``ScoredPair`` with the list-of-pairs ``auc`` and
+  ``mean_average_precision``, the oracle for the column metrics of
+  ``stgnn.evaluation``, plus brute-force AUC and AP over such lists.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from stgnn.model import NORM_EPS, ModelParams, _BatchTree, _FlatBatch
+from stgnn.evaluation import _average_precision, _avg_ranks
+from stgnn.model import (
+    NORM_EPS,
+    ModelParams,
+    _BatchTree,
+    _FlatBatch,
+    forward_batch,
+    init_params,
+    random_features,
+)
 from stgnn.significance import top_m_neighbors
-from stgnn.temporal_graph import TemporalGraph
+from stgnn.temporal_graph import Event, TemporalGraph, from_events
 from stgnn.training import TrainConfig, TrainSample, _draw_negative, _forward_backward
 
 logger = logging.getLogger(__name__)
@@ -187,8 +202,8 @@ def batch_loss(
     batch: list[TrainSample], g: TemporalGraph, feats: np.ndarray, params: ModelParams,
     config: TrainConfig,
 ) -> float:
-    """Mean batch loss under pure candidate queries (no gradients)."""
-    loss, _ = _forward_backward(tree_from_graph(batch, g, config), params, feats, want_grads=False)
+    """Mean batch loss under pure candidate queries (gradients discarded)."""
+    loss, _ = _forward_backward(tree_from_graph(batch, g, config), params, feats)
     return loss
 
 
@@ -210,3 +225,150 @@ def backward(
         if not np.all(np.isfinite(a)):
             raise FloatingPointError(f"non-finite gradient in {name}")
     return grads
+
+
+def small_instance(seed, n_nodes=6, n_events=25, d=3, m=2):
+    rng = np.random.default_rng(seed)
+    events = []
+    t = 0.0
+    for _ in range(n_events):
+        t += float(rng.exponential(0.3))
+        u, v = rng.choice(n_nodes, size=2, replace=False)
+        events.append(Event(int(u), int(v), t))
+    g = from_events(events, num_nodes=n_nodes)
+    cfg = TrainConfig(m=m, d0=d, d1=d, d2=d, seed=seed)
+    feats = random_features(n_nodes, d, rng)
+    params = init_params(rng, d, d, d, m)
+    params.beta = rng.normal(0, 0.5, size=m)
+    batch = []
+    for e in g.events[n_events // 2 : n_events // 2 + 6]:
+        batch.append(TrainSample(e.u, e.v, e.t, True, int(rng.integers(1, 5))))
+        w = int(rng.choice([x for x in range(n_nodes) if x not in (e.u, e.v)]))
+        batch.append(TrainSample(e.u, w, e.t, False, 0))
+    return g, feats, params, cfg, batch
+
+
+def finite_difference(batch, g, feats, params, cfg, h=1e-5):
+    grads = params.zeros_like()
+    for name, arr in params.arrays():
+        garr = getattr(grads, name)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            old = arr[idx]
+            arr[idx] = old + h
+            lp = batch_loss(batch, g, feats, params, cfg)
+            arr[idx] = old - h
+            lm = batch_loss(batch, g, feats, params, cfg)
+            arr[idx] = old
+            garr[idx] = (lp - lm) / (2.0 * h)
+    return grads
+
+
+def kink_margin(batch, g, feats, params, cfg):
+    """Distance of the instance from ReLU and hinge kinks."""
+    pre = forward_batch(tree_from_graph(batch, g, cfg), params, feats).pre
+    margin = float(np.abs(pre).min())
+    for s in batch:
+        if not s.positive:
+            hu = forward_node(g, feats, params, s.u, s.t, m=cfg.m)
+            hv = forward_node(g, feats, params, s.v, s.t, m=cfg.m)
+            margin = min(margin, abs(cosine(hu, hv)))
+    return margin
+
+
+def max_relative_error(analytic, numeric, floor=1e-3):
+    worst = 0.0
+    for (_, a), (_, b) in zip(analytic.arrays(), numeric.arrays()):
+        denom = np.maximum.reduce([np.abs(a), np.abs(b), np.full_like(a, floor)])
+        worst = max(worst, float((np.abs(a - b) / denom).max()))
+    return worst
+
+
+@dataclass(frozen=True)
+class ScoredPair:
+    u: int
+    v: int
+    score: float
+    label: int
+
+
+def auc(pairs: list[ScoredPair]) -> float:
+    """Probability a random positive outranks a random negative, ties at
+    half credit (Mann-Whitney)."""
+    labels = np.asarray([p.label for p in pairs], dtype=np.int64)
+    scores = np.asarray([p.score for p in pairs], dtype=np.float64)
+    n_pos = int(labels.sum())
+    n_neg = labels.shape[0] - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs at least one positive and one negative")
+    ranks = _avg_ranks(scores)
+    pos_rank_sum = float(ranks[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _rank_sort(pairs: list[ScoredPair]) -> np.ndarray:
+    """Labels sorted by score descending, node-id pair on ties (determinism)."""
+    u = np.asarray([p.u for p in pairs], dtype=np.int64)
+    v = np.asarray([p.v for p in pairs], dtype=np.int64)
+    score = np.asarray([p.score for p in pairs], dtype=np.float64)
+    label = np.asarray([p.label for p in pairs], dtype=np.int64)
+    return label[np.lexsort((v, u, -score))]
+
+
+def mean_average_precision(pairs: list[ScoredPair], per_node: bool = False) -> float:
+    """Average precision of the ranked candidate list.
+
+    The default is the global AP of the single ranked list.  ``per_node``
+    switches to the mean of per-endpoint APs (every pair is listed under
+    both endpoints; nodes without positives are skipped).
+    """
+    if not any(p.label == 1 for p in pairs):
+        raise ValueError("MAP needs at least one positive")
+    if not per_node:
+        return _average_precision(_rank_sort(pairs))
+    by_node: dict[int, list[ScoredPair]] = {}
+    for p in pairs:
+        by_node.setdefault(p.u, []).append(p)
+        by_node.setdefault(p.v, []).append(p)
+    aps = [
+        _average_precision(_rank_sort(group))
+        for _, group in sorted(by_node.items())
+        if any(q.label == 1 for q in group)
+    ]
+    return float(np.mean(aps))
+
+
+def columns(pairs: list[ScoredPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, scores, u, v) arrays of a pair list, in the argument order
+    of ``stgnn.evaluation.mean_average_precision``."""
+    return (
+        np.array([p.label for p in pairs], dtype=np.int64),
+        np.array([p.score for p in pairs], dtype=np.float64),
+        np.array([p.u for p in pairs], dtype=np.int64),
+        np.array([p.v for p in pairs], dtype=np.int64),
+    )
+
+
+def brute_force_auc(pairs):
+    pos = [p.score for p in pairs if p.label == 1]
+    neg = [p.score for p in pairs if p.label == 0]
+    total = 0.0
+    for a in pos:
+        for b in neg:
+            total += 1.0 if a > b else (0.5 if a == b else 0.0)
+    return total / (len(pos) * len(neg))
+
+
+def brute_force_ap(pairs):
+    ranked = sorted(pairs, key=lambda p: (-p.score, p.u, p.v))
+    hits, out = 0, []
+    for r, p in enumerate(ranked, start=1):
+        if p.label == 1:
+            hits += 1
+            out.append(hits / r)
+    return sum(out) / len(out)
+
+
+def make_pairs(scores, labels):
+    return [ScoredPair(i, i + 1000, float(s), int(l)) for i, (s, l) in enumerate(zip(scores, labels))]

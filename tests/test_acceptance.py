@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stgnn.cli import ABLATION_FLAGS, ExperimentConfig, run_ablation_grid, run_single_rep
-from stgnn.evaluation import ScoredPair, auc, mean_average_precision
+from stgnn.evaluation import auc, mean_average_precision
 from stgnn.model import init_params, random_features
 from stgnn.powerlaw import PowerLawFit, fit_power_law, intimate_window_size, sample_power_law
 from stgnn.significance import SignificanceIndex, initial_significance, top_m_neighbors
@@ -23,9 +23,17 @@ from stgnn.temporal_graph import Event, from_events, load_edge_list, split_train
 from stgnn.training import TrainConfig, train
 
 from conftest import random_stream
-from reference_model import backward
-from test_evaluation import brute_force_ap, brute_force_auc, make_pairs
-from test_training import finite_difference, kink_margin, max_relative_error, small_instance
+from reference_model import (
+    backward,
+    brute_force_ap,
+    brute_force_auc,
+    columns,
+    finite_difference,
+    kink_margin,
+    make_pairs,
+    max_relative_error,
+    small_instance,
+)
 
 # The planted-ties stream used by criteria 5, 6, and 8: 100 nodes,
 # 20 planted pairs, 2000 events (20 x 50 planted + 1000 background).
@@ -142,8 +150,8 @@ class TestCriterion3:
             # coarse score grid makes ties common
             scores = rng.choice(np.linspace(0, 1, 7), size=n)
             pairs = make_pairs(scores, labels)
-            assert auc(pairs) == pytest.approx(brute_force_auc(pairs), abs=1e-12)
-            assert mean_average_precision(pairs) == pytest.approx(
+            assert auc(*columns(pairs)[:2]) == pytest.approx(brute_force_auc(pairs), abs=1e-12)
+            assert mean_average_precision(*columns(pairs)) == pytest.approx(
                 brute_force_ap(pairs), abs=1e-12
             )
             trials += 1

@@ -79,11 +79,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="edges.txt", time_unit=1.0, p=1.0)
 
-    @pytest.mark.parametrize("field", ["m", "batch_size"])
+    @pytest.mark.parametrize("field", ["m", "batch_size", "lam", "time_unit", "split_ratio"])
     def test_bad_training_field_fails_before_load(self, tmp_path, field):
         # the dataset does not exist, so only the config check can raise
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(dataset=str(tmp_path / "missing.txt"), time_unit=1.0, **{field: 0})
+            ExperimentConfig(dataset=str(tmp_path / "missing.txt"), **{"time_unit": 1.0, field: 0})
 
 
 def equal_gap_stream():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from stgnn.evaluation import (
+    SIMILARITIES,
     MetricsReport,
-    ScoredPair,
     auc,
     evaluate,
     heuristic_reference,
     mean_average_precision,
+    node_embeddings,
     sample_test_negatives,
     score_pair,
 )
@@ -16,31 +17,16 @@ from stgnn.significance import initial_significance
 from stgnn.temporal_graph import Event, from_events, split_train_test
 from stgnn.training import TrainConfig, named_rng
 from conftest import random_stream
-from reference_model import cosine
-
-
-def brute_force_auc(pairs):
-    pos = [p.score for p in pairs if p.label == 1]
-    neg = [p.score for p in pairs if p.label == 0]
-    total = 0.0
-    for a in pos:
-        for b in neg:
-            total += 1.0 if a > b else (0.5 if a == b else 0.0)
-    return total / (len(pos) * len(neg))
-
-
-def brute_force_ap(pairs):
-    ranked = sorted(pairs, key=lambda p: (-p.score, p.u, p.v))
-    hits, out = 0, []
-    for r, p in enumerate(ranked, start=1):
-        if p.label == 1:
-            hits += 1
-            out.append(hits / r)
-    return sum(out) / len(out)
-
-
-def make_pairs(scores, labels):
-    return [ScoredPair(i, i + 1000, float(s), int(l)) for i, (s, l) in enumerate(zip(scores, labels))]
+from reference_model import (
+    ScoredPair,
+    brute_force_ap,
+    brute_force_auc,
+    columns,
+    cosine,
+    make_pairs,
+)
+from reference_model import auc as list_auc
+from reference_model import mean_average_precision as list_map
 
 
 class TestScorePair:
@@ -79,20 +65,17 @@ class TestScorePair:
 
 class TestAuc:
     def test_perfect_separation(self):
-        pairs = make_pairs([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        assert auc(pairs) == 1.0
+        assert auc([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1]) == 1.0
 
     def test_hand_case(self):
-        pairs = make_pairs([0.9, 0.3, 0.5, 0.1], [1, 1, 0, 0])
-        assert auc(pairs) == pytest.approx(0.75)
+        assert auc([1, 1, 0, 0], [0.9, 0.3, 0.5, 0.1]) == pytest.approx(0.75)
 
     def test_all_ties(self):
-        pairs = make_pairs([0.5] * 6, [1, 1, 1, 0, 0, 0])
-        assert auc(pairs) == pytest.approx(0.5)
+        assert auc([1, 1, 1, 0, 0, 0], [0.5] * 6) == pytest.approx(0.5)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            auc(make_pairs([0.1, 0.2], [1, 1]))
+            auc([1, 1], [0.1, 0.2])
 
     def test_matches_brute_force(self, rng):
         for _ in range(200):
@@ -102,41 +85,40 @@ class TestAuc:
                 continue
             scores = rng.choice([0.1, 0.25, 0.5, 0.75], size=n)  # ties likely
             pairs = make_pairs(scores, labels)
-            assert auc(pairs) == pytest.approx(brute_force_auc(pairs), abs=1e-12)
+            assert auc(labels, scores) == pytest.approx(brute_force_auc(pairs), abs=1e-12)
 
     def test_invariant_to_monotone_transform(self, rng):
         labels = rng.integers(0, 2, size=50)
         labels[0], labels[1] = 0, 1
         scores = rng.normal(size=50)
-        pairs = make_pairs(scores, labels)
-        transformed = make_pairs(np.exp(3.0 * scores) + 5.0, labels)
-        assert auc(pairs) == pytest.approx(auc(transformed), abs=1e-12)
+        transformed = np.exp(3.0 * scores) + 5.0
+        assert auc(labels, scores) == pytest.approx(auc(labels, transformed), abs=1e-12)
 
     def test_label_inversion_complements(self, rng):
         scores = rng.permutation(np.arange(40, dtype=float))  # tie-free
         labels = rng.integers(0, 2, size=40)
         labels[:2] = [0, 1]
-        pairs = make_pairs(scores, labels)
-        inverted = make_pairs(scores, 1 - labels)
-        assert auc(pairs) + auc(inverted) == pytest.approx(1.0, abs=1e-12)
+        assert auc(labels, scores) + auc(1 - labels, scores) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMap:
     def test_positives_first(self):
         pairs = make_pairs([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        assert mean_average_precision(pairs) == 1.0
+        assert mean_average_precision(*columns(pairs)) == 1.0
 
     def test_interleaved(self):
         pairs = make_pairs([0.9, 0.7, 0.5, 0.3], [1, 0, 1, 0])
-        assert mean_average_precision(pairs) == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-5)
+        assert mean_average_precision(*columns(pairs)) == pytest.approx(
+            (1.0 + 2.0 / 3.0) / 2.0, abs=1e-5
+        )
 
     def test_positive_last(self):
         pairs = make_pairs([0.9, 0.7, 0.5], [0, 0, 1])
-        assert mean_average_precision(pairs) == pytest.approx(1.0 / 3.0)
+        assert mean_average_precision(*columns(pairs)) == pytest.approx(1.0 / 3.0)
 
     def test_no_positive_rejected(self):
         with pytest.raises(ValueError):
-            mean_average_precision(make_pairs([0.5], [0]))
+            mean_average_precision(*columns(make_pairs([0.5], [0])))
 
     def test_matches_brute_force(self, rng):
         for _ in range(200):
@@ -146,7 +128,7 @@ class TestMap:
                 continue
             scores = rng.choice([0.2, 0.4, 0.6], size=n)
             pairs = make_pairs(scores, labels)
-            assert mean_average_precision(pairs) == pytest.approx(
+            assert mean_average_precision(*columns(pairs)) == pytest.approx(
                 brute_force_ap(pairs), abs=1e-12
             )
 
@@ -156,16 +138,49 @@ class TestMap:
             ScoredPair(0, 2, 0.8, 0),
             ScoredPair(3, 4, 0.7, 1),
         ]
-        global_map = mean_average_precision(pairs)
-        per_node = mean_average_precision(pairs, per_node=True)
+        global_map = mean_average_precision(*columns(pairs))
+        per_node = mean_average_precision(*columns(pairs), per_node=True)
         assert 0.0 < global_map <= 1.0
         assert 0.0 < per_node <= 1.0
+
+    def test_matches_list_oracle(self):
+        """Column AUC and MAP against the ScoredPair oracle on inputs with
+        common ties, hub nodes, nodes without a positive, and -0.0 beside
+        0.0 among the scores."""
+        rng = np.random.default_rng(11)
+        grid = np.array([-0.5, -0.0, 0.0, 0.25, 0.5])
+        cases = hub_cases = no_pos_cases = signed_zero_cases = 0
+        while cases < 300:
+            n_nodes = int(rng.integers(2, 20))
+            n = int(rng.integers(2, 120))
+            u = rng.integers(n_nodes, size=n)
+            v = (u + rng.integers(1, n_nodes, size=n)) % n_nodes  # never u
+            labels = (rng.random(n) < rng.uniform(0.02, 0.4)).astype(np.int64)
+            if labels.sum() in (0, n):
+                continue
+            scores = rng.choice(grid, size=n)
+            pairs = [
+                ScoredPair(int(a), int(b), float(x), int(lab))
+                for a, b, x, lab in zip(u, v, scores, labels)
+            ]
+            assert auc(labels, scores) == list_auc(pairs)
+            assert mean_average_precision(labels, scores, u, v) == list_map(pairs)
+            assert mean_average_precision(labels, scores, u, v, per_node=True) == pytest.approx(
+                list_map(pairs, per_node=True), abs=1e-12
+            )
+            cases += 1
+            ends = np.concatenate([u, v])
+            hub_cases += np.bincount(ends).max() >= 10
+            no_pos_cases += np.setdiff1d(ends, ends[np.tile(labels, 2) == 1]).size > 0
+            zeros = scores[scores == 0.0]
+            signed_zero_cases += np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert min(hub_cases, no_pos_cases, signed_zero_cases) >= 100
 
 
 class TestHeuristic:
     def test_history_beats_none(self):
         g = from_events([Event(0, 1, 5.0)], num_nodes=4)
-        scores = heuristic_reference(g, [(0, 1), (2, 3)], t0=6.0)
+        scores = heuristic_reference(g, [0, 2], [1, 3], t0=6.0)
         assert scores[0] > scores[1] == 0.0
 
     def test_equals_initial_significance(self, rng):
@@ -173,7 +188,7 @@ class TestHeuristic:
         t0 = g.t_max * 0.9
         for _ in range(20):
             u, v = rng.choice(10, size=2, replace=False)
-            (score,) = heuristic_reference(g, [(int(u), int(v))], t0)
+            (score,) = heuristic_reference(g, [int(u)], [int(v)], t0)
             assert score == initial_significance(g.pair_history(int(u), int(v), t0), t0)
 
 
@@ -231,6 +246,36 @@ class TestEvaluate:
         report = evaluate(split, params, feats, cfg, per_node_map=True)
         for d in report.per_similarity.values():
             assert "map_per_node" in d
+
+    @pytest.mark.parametrize("selection", [True, False])
+    def test_matches_scored_pair_oracle(self, selection):
+        split = self.planted_split(seed=3)
+        cfg = TrainConfig(m=4, d0=16, d1=8, d2=8, seed=6, use_significant_selection=selection)
+        feats = random_features(20, 16, named_rng(6, "features"))
+        params = init_params(named_rng(6, "params"), 16, 8, 8, 4)
+        report = evaluate(split, params, feats, cfg, per_node_map=True)
+
+        # the same held-out pairs as a list of ScoredPair, scored row by row
+        positives = sorted(split.test_pairs.keys())
+        negatives = sample_test_negatives(split, len(positives), named_rng(6, "eval-negatives"))
+        labeled = [(u, v, 1) for u, v in positives] + [(u, v, 0) for u, v in negatives]
+        involved = sorted({x for u, v, _ in labeled for x in (u, v)})
+        emb = node_embeddings(split.train, params, feats, involved, split.t_split, cfg)
+        h_u = emb[np.searchsorted(involved, [u for u, _, _ in labeled])]
+        h_v = emb[np.searchsorted(involved, [v for _, v, _ in labeled])]
+        for kind in SIMILARITIES:
+            scores = score_pair(h_u, h_v, kind).tolist()
+            pairs = [ScoredPair(u, v, s, lab) for (u, v, lab), s in zip(labeled, scores)]
+            got = report.per_similarity[kind]
+            assert got["auc"] == list_auc(pairs)
+            assert got["map"] == list_map(pairs)
+            assert got["map_per_node"] == pytest.approx(list_map(pairs, per_node=True), abs=1e-15)
+        t0 = split.t_split
+        ref = [
+            ScoredPair(u, v, initial_significance(split.train.pair_history(u, v, t0), t0, lam=cfg.lam), lab)
+            for u, v, lab in labeled
+        ]
+        assert report.reference_auc == list_auc(ref)
 
 
 class TestNegativeSampling:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stgnn.model import forward_batch, init_params, random_features
+from stgnn.model import init_params, random_features
 from stgnn.significance import significance_label
 from stgnn.temporal_graph import Event, from_events
 from stgnn.training import (
@@ -19,69 +19,15 @@ from reference_model import (
     backward,
     batch_loss,
     cosine,
+    finite_difference,
     forward_node,
+    kink_margin,
+    max_relative_error,
     sample_negatives,
     significance_loss,
+    small_instance,
     tree_from_graph,
 )
-
-
-def small_instance(seed, n_nodes=6, n_events=25, d=3, m=2):
-    rng = np.random.default_rng(seed)
-    events = []
-    t = 0.0
-    for _ in range(n_events):
-        t += float(rng.exponential(0.3))
-        u, v = rng.choice(n_nodes, size=2, replace=False)
-        events.append(Event(int(u), int(v), t))
-    g = from_events(events, num_nodes=n_nodes)
-    cfg = TrainConfig(m=m, d0=d, d1=d, d2=d, seed=seed)
-    feats = random_features(n_nodes, d, rng)
-    params = init_params(rng, d, d, d, m)
-    params.beta = rng.normal(0, 0.5, size=m)
-    batch = []
-    for e in g.events[n_events // 2 : n_events // 2 + 6]:
-        batch.append(TrainSample(e.u, e.v, e.t, True, int(rng.integers(1, 5))))
-        w = int(rng.choice([x for x in range(n_nodes) if x not in (e.u, e.v)]))
-        batch.append(TrainSample(e.u, w, e.t, False, 0))
-    return g, feats, params, cfg, batch
-
-
-def finite_difference(batch, g, feats, params, cfg, h=1e-5):
-    grads = params.zeros_like()
-    for name, arr in params.arrays():
-        garr = getattr(grads, name)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            old = arr[idx]
-            arr[idx] = old + h
-            lp = batch_loss(batch, g, feats, params, cfg)
-            arr[idx] = old - h
-            lm = batch_loss(batch, g, feats, params, cfg)
-            arr[idx] = old
-            garr[idx] = (lp - lm) / (2.0 * h)
-    return grads
-
-
-def kink_margin(batch, g, feats, params, cfg):
-    """Distance of the instance from ReLU and hinge kinks."""
-    pre = forward_batch(tree_from_graph(batch, g, cfg), params, feats).pre
-    margin = float(np.abs(pre).min())
-    for s in batch:
-        if not s.positive:
-            hu = forward_node(g, feats, params, s.u, s.t, m=cfg.m)
-            hv = forward_node(g, feats, params, s.v, s.t, m=cfg.m)
-            margin = min(margin, abs(cosine(hu, hv)))
-    return margin
-
-
-def max_relative_error(analytic, numeric, floor=1e-3):
-    worst = 0.0
-    for (_, a), (_, b) in zip(analytic.arrays(), numeric.arrays()):
-        denom = np.maximum.reduce([np.abs(a), np.abs(b), np.full_like(a, floor)])
-        worst = max(worst, float((np.abs(a - b) / denom).max()))
-    return worst
 
 
 class TestGradients:
@@ -389,6 +335,11 @@ class TestConfigValidation:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    def test_bad_lam(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            TrainConfig(lam=lam)
 
 
 def test_named_rng_streams_independent():
