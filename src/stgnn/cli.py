@@ -358,6 +358,8 @@ def main(argv=None) -> int:
     p_synth.add_argument("--events-per-pair", type=int, default=70)
     p_synth.add_argument("--communities", type=int, default=10)
     p_synth.add_argument("--within-prob", type=float, default=0.9)
+    p_synth.add_argument("--background-recurrence", type=float, default=0.5)
+    p_synth.add_argument("--gap-alpha", type=float, default=2.2)
 
     p_fit = subs.add_parser("fit", help="power-law fit and window size only")
     p_fit.add_argument("--dataset", required=True)
@@ -392,6 +394,8 @@ def main(argv=None) -> int:
                 events_per_significant_pair=args.events_per_pair,
                 n_communities=args.communities,
                 within_community_prob=args.within_prob,
+                gap_alpha=args.gap_alpha,
+                background_recurrence=args.background_recurrence,
             )
             print(json.dumps({"edge_list": str(out), "planted_pairs": str(pairs)}))
         elif args.verb == "fit":

@@ -14,16 +14,21 @@ pass exists once, batched over a flattened computation tree
 and backpropagates through the returned activations, and evaluation
 embeds all of its nodes at the split time through ``forward_node``.
 
-The tree takes its candidate lists from a query ``(node, t, m) -> (ids,
-scores)`` returning the arrays of stgnn.significance: the streaming index
-in training, ``top_m_neighbors`` or a selector in evaluation.
+One builder, ``build_batch``, makes every tree with array operations: it
+deduplicates roots and their candidates on (time, node) keys and takes
+the candidate lists from a batched ``lookup(nodes, ts) -> (ids, scores,
+mask)``.  STGNN training looks them up in the top-m table of
+stgnn.significance.  Per-node queries (``top_m_neighbors`` or a random
+selector in evaluation, the streaming index's ``random_m`` in ablated
+training) go through ``CandidateLists``, which takes each list once and
+in a fixed order, so seeded draws do not depend on the builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,94 +100,6 @@ def random_features(num_nodes: int, dim: int, rng: np.random.Generator) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-class _BatchTree:
-    """Flattened two-hop computation trees for one batch of roots.
-
-    An *entry* is one (time, node) layer-1 unit: the node plus its
-    candidate list.  A *root* is an entry used at layer 2, carrying the
-    entry indices of its candidate neighbors.  Training samples reference
-    two roots each.  Entries are deduplicated, so every (time, node)
-    candidate list is queried once per tree, and positives and their
-    attached negatives share the anchor-node subtree.
-
-    ``query(node, t, m)`` returns a node's candidate list as ``(ids,
-    scores)`` arrays of length <= m, score-descending.
-    """
-
-    def __init__(self, m: int, query):
-        self.m = m
-        self.query = query
-        self._entry_ids: dict[tuple[float, int], int] = {}
-        self.owner: list[int] = []
-        self.nbr_ids: list[np.ndarray] = []
-        self.nbr_scores: list[np.ndarray] = []
-        self._root_ids: dict[tuple[float, int], int] = {}
-        self.root_entry: list[int] = []
-        self.root_nbr_entries: list[np.ndarray] = []
-        self.sample_roots: list[tuple[int, int]] = []
-        self.sample_positive: list[bool] = []
-        self.sample_sdelta: list[float] = []
-
-    def add_entry(self, node: int, t: float) -> int:
-        key = (t, node)
-        idx = self._entry_ids.get(key)
-        if idx is not None:
-            return idx
-        ids, scores = self.query(node, t, self.m)
-        idx = len(self.owner)
-        self._entry_ids[key] = idx
-        self.owner.append(node)
-        self.nbr_ids.append(ids)
-        self.nbr_scores.append(scores)
-        return idx
-
-    def add_root(self, node: int, t: float) -> int:
-        key = (t, node)
-        idx = self._root_ids.get(key)
-        if idx is not None:
-            return idx
-        e = self.add_entry(node, t)
-        nbr_entries = np.asarray(
-            [self.add_entry(int(v), t) for v in self.nbr_ids[e]], dtype=np.int64
-        )
-        idx = len(self.root_entry)
-        self._root_ids[key] = idx
-        self.root_entry.append(e)
-        self.root_nbr_entries.append(nbr_entries)
-        return idx
-
-    def add_sample(self, root_u: int, root_v: int, positive: bool, s_delta: float) -> None:
-        self.sample_roots.append((root_u, root_v))
-        self.sample_positive.append(positive)
-        self.sample_sdelta.append(float(s_delta))
-
-    def finalize(self) -> "_FlatBatch":
-        m = self.m
-        n_e = len(self.owner)
-        n_r = len(self.root_entry)
-        owner = np.asarray(self.owner, dtype=np.int64)
-        nbrs = np.zeros((n_e, m), dtype=np.int64)
-        scores = np.zeros((n_e, m), dtype=np.float64)
-        mask = np.zeros((n_e, m), dtype=bool)
-        for i, (ids, sc) in enumerate(zip(self.nbr_ids, self.nbr_scores)):
-            k = ids.shape[0]
-            nbrs[i, :k] = ids
-            scores[i, :k] = sc
-            mask[i, :k] = True
-        root_entry = np.asarray(self.root_entry, dtype=np.int64)
-        root_nbrs = np.zeros((n_r, m), dtype=np.int64)
-        for i, es in enumerate(self.root_nbr_entries):
-            root_nbrs[i, : es.shape[0]] = es
-        su = np.asarray([r[0] for r in self.sample_roots], dtype=np.int64)
-        sv = np.asarray([r[1] for r in self.sample_roots], dtype=np.int64)
-        positive = np.asarray(self.sample_positive, dtype=bool)
-        sdelta = np.asarray(self.sample_sdelta, dtype=np.float64)
-        pos_sd = sdelta[positive]
-        s_bar = float(pos_sd.mean()) if pos_sd.size else 1.0
-        weight = np.where(positive, sdelta, s_bar)
-        return _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs, su, sv, positive, weight)
-
-
 @dataclass
 class _FlatBatch:
     owner: np.ndarray       # (E,)
@@ -195,6 +112,110 @@ class _FlatBatch:
     sv: np.ndarray          # (S,)
     positive: np.ndarray    # (S,) bool
     weight: np.ndarray      # (S,) s_delta for positives, s_bar for negatives
+
+
+Lookup = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _first_unique(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the distinct keys in order of first appearance, and
+    the index of each key among them."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return first[order], rank[inverse]
+
+
+def build_batch(
+    node, t, lookup: Lookup, m: int, su=(), sv=(), positive=(), s_delta=()
+) -> tuple[_FlatBatch, np.ndarray]:
+    """Flattened two-hop computation trees rooted at (node[i], t[i]).
+
+    An *entry* is one (time, node) layer-1 unit: the node plus its
+    candidate list.  A *root* is an entry used at layer 2, carrying the
+    entry indices of its candidates.  Both are deduplicated on their
+    (time, node) key, so each candidate list is looked up once per tree
+    and samples sharing an anchor share its subtree.  Roots keep their
+    order of first appearance, and entries that of a walk over each root
+    followed by its candidates.
+
+    ``lookup(nodes, ts)`` returns zero-padded (k, m) candidate ids,
+    scores and mask, score-descending; it is called once for the roots
+    and once for the other entries.  Sample j pairs the roots at input
+    positions su[j] and sv[j].  Returns the batch and the root index of
+    each input position.
+    """
+    node = np.asarray(node, dtype=np.int64)
+    t = np.asarray(t, dtype=np.float64)
+    t_rank = np.unique(t, return_inverse=True)[1].astype(np.int64) << 32
+    root_pos, root_of = _first_unique(t_rank + node)
+    r_node, r_t, r_rank = node[root_pos], t[root_pos], t_rank[root_pos]
+    r_ids, r_scores, r_mask = lookup(r_node, r_t)
+
+    # the walk: each root, then its candidates
+    walk = np.column_stack([np.ones(r_node.shape[0], dtype=bool), r_mask])
+    w_node = np.column_stack([r_node, r_ids])[walk]
+    w_row = np.nonzero(walk)[0]
+    entry_pos, entry_of = _first_unique(r_rank[w_row] + w_node)
+    owner, e_t = w_node[entry_pos], r_t[w_row[entry_pos]]
+    slots = np.zeros(walk.shape, dtype=np.int64)
+    slots[walk] = entry_of
+    root_entry, root_nbrs = slots[:, 0], slots[:, 1:]
+
+    nbrs = np.zeros((owner.shape[0], m), dtype=np.int64)
+    scores = np.zeros((owner.shape[0], m), dtype=np.float64)
+    mask = np.zeros((owner.shape[0], m), dtype=bool)
+    nbrs[root_entry], scores[root_entry], mask[root_entry] = r_ids, r_scores, r_mask
+    rest = np.ones(owner.shape[0], dtype=bool)
+    rest[root_entry] = False
+    nbrs[rest], scores[rest], mask[rest] = lookup(owner[rest], e_t[rest])
+
+    positive = np.asarray(positive, dtype=bool)
+    s_delta = np.asarray(s_delta, dtype=np.float64)
+    pos_sd = s_delta[positive]
+    s_bar = float(pos_sd.mean()) if pos_sd.size else 1.0
+    su = root_of[np.asarray(su, dtype=np.int64)]
+    sv = root_of[np.asarray(sv, dtype=np.int64)]
+    weight = np.where(positive, s_delta, s_bar)
+    fb = _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs, su, sv, positive, weight)
+    return fb, root_of
+
+
+class CandidateLists:
+    """Candidate lists from a per-node query, taken once per (time, node).
+
+    ``query(node, t, m) -> (ids, scores)`` returns one list as arrays of
+    length <= m, score-descending.  ``walk(nodes, ts)`` takes the lists
+    of the trees rooted there: each root's, then each of its candidates'.
+    Seeded random selectors therefore draw in an order fixed by the
+    roots alone.  ``lookup`` serves the taken lists to ``build_batch``.
+    """
+
+    def __init__(self, query, m: int):
+        self.query = query
+        self.m = m
+        self.lists: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def _take(self, node: int, t: float) -> np.ndarray:
+        got = self.lists.get((t, node))
+        if got is None:
+            got = self.lists[(t, node)] = self.query(node, t, self.m)
+        return got[0]
+
+    def walk(self, nodes, ts) -> None:
+        for u, t in zip(np.asarray(nodes).tolist(), np.asarray(ts).tolist()):
+            for v in self._take(u, t).tolist():
+                self._take(v, t)
+
+    def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ids = np.zeros((len(nodes), self.m), dtype=np.int64)
+        scores = np.zeros((len(nodes), self.m), dtype=np.float64)
+        mask = np.zeros((len(nodes), self.m), dtype=bool)
+        for i, key in enumerate(zip(np.asarray(ts).tolist(), np.asarray(nodes).tolist())):
+            a, s = self.lists[key]
+            ids[i, : a.shape[0]], scores[i, : a.shape[0]], mask[i, : a.shape[0]] = a, s, True
+        return ids, scores, mask
 
 
 def _masked_phi(scores: np.ndarray, mask: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -273,9 +294,12 @@ def forward_node(
         m = params.m
     if selector is None:
         selector = partial(top_m_neighbors, lam=lam)
-    tree = _BatchTree(m, partial(selector, g))
-    roots = [tree.add_root(int(u), t) for u in nodes]
-    return forward_batch(tree.finalize(), params, feats).h2[roots]
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    ts = np.full(nodes.shape[0], float(t))
+    lists = CandidateLists(partial(selector, g), m)
+    lists.walk(nodes, ts)
+    fb, root = build_batch(nodes, ts, lists.lookup, m)
+    return forward_batch(fb, params, feats).h2[root]
 
 
 def random_neighbor_selector(rng: np.random.Generator, lam: float = 1.0):

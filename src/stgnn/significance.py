@@ -7,19 +7,24 @@ for aggregation.  A forward window [t, t + delta) turns each event into
 a graded label: the number of contacts the pair produces inside it.
 
 A candidate list is a pair of arrays ``(ids: int64[k], scores:
-float64[k])``, score-descending with the smaller id first on ties.  Both
-routes return it: the pure ``top_m_neighbors`` queries an immutable
-TemporalGraph (evaluation embeds at one fixed time, and tests pin the
-streaming route against it), and ``SignificanceIndex`` sweeps events
-chronologically and rescales scores lazily (training queries every event
-time, at O(degree) per event instead of a full recomputation).
-``sample_m`` draws the uniform subset that the selection-ablated
-variants use on either route.
+float64[k])``, score-descending with the smaller id first on ties, and
+only contacts strictly before the query time count.  The pure
+``top_m_neighbors`` answers one query on an immutable TemporalGraph
+(evaluation embeds at one fixed time, and tests pin the other routes
+against it).  ``SignificanceIndex`` sweeps events chronologically and
+keeps each neighbor's score up to date in O(1) per contact.  One sweep
+of it over the training stream builds the ``TopMTable``, which answers
+any batch of training-time top-m queries with array operations: a
+node's ranking changes only at its own events, and between them every
+score decays by the same factor.  ``sample_m`` draws the uniform subset
+that the selection-ablated variants use, from the index in training and
+from the pure route in evaluation.
 """
 
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +80,8 @@ def top_m_neighbors(
     """
     if m < 1:
         raise ValueError(f"capacity must be at least 1, got {m}")
+    if not lam > 0:
+        raise ValueError(f"decay rate must be positive, got {lam}")
     ids: list[int] = []
     scores: list[float] = []
     for v, ts in g.neighbors(u).items():
@@ -110,14 +117,14 @@ class SignificanceIndex:
     timestamp that exactly matches pending contacts still see the strict
     "before t" semantics of the pure route.
 
-    Scores at a later time are the stored ones rescaled by a common
-    exp(-lam * dt) factor, which also preserves the ranking; top-m lists
-    are therefore cached per node and invalidated only when the node
-    gains an event.
+    Two consumers sweep it: ``TopMTable.build`` reads each node's scores
+    just after each of its event times, and the selection-ablated
+    training draws ``random_m`` lists while the index stands at each
+    sample's time.
     """
 
     def __init__(self, num_nodes: int, lam: float = DEFAULT_DECAY):
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError(f"decay rate must be positive, got {lam}")
         self.num_nodes = num_nodes
         self.lam = lam
@@ -128,9 +135,6 @@ class SignificanceIndex:
         self._n_last: list[list[float]] = [[] for _ in range(num_nodes)]
         self._n_total: list[list[float]] = [[] for _ in range(num_nodes)]
         self._last_t: list[list[float]] = [[] for _ in range(num_nodes)]
-        self._version = [0] * num_nodes
-        # node -> (version, m, t_ref, ids, scores_at_t_ref)
-        self._topm_cache: dict[int, tuple[int, int, float, np.ndarray, np.ndarray]] = {}
 
     def add_event(self, u: int, v: int, t: float) -> None:
         """Record a contact; time must not run backwards."""
@@ -139,8 +143,6 @@ class SignificanceIndex:
         self.t_frontier = t
         self._add_directed(u, v, t)
         self._add_directed(v, u, t)
-        self._version[u] += 1
-        self._version[v] += 1
 
     def _add_directed(self, u: int, v: int, t: float) -> None:
         slots = self._slot[u]
@@ -189,6 +191,15 @@ class SignificanceIndex:
         qualified = ~at_t | (n_total > n_last)
         return ids[qualified], scores[qualified]
 
+    def frontier_scores(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """All neighbors of u with scores at the insertion frontier,
+        counting the contacts at exactly that time."""
+        ids = np.asarray(self._nbr[u], dtype=np.int64)
+        s_strict = np.asarray(self._s_strict[u], dtype=np.float64)
+        n_last = np.asarray(self._n_last[u], dtype=np.float64)
+        last_t = np.asarray(self._last_t[u], dtype=np.float64)
+        return ids, (s_strict + n_last) * np.exp(-self.lam * (self.t_frontier - last_t))
+
     def score(self, u: int, v: int, t: float) -> float:
         """Streaming counterpart of initial_significance for one pair."""
         self._check_query_time(t)
@@ -202,26 +213,6 @@ class SignificanceIndex:
             np.exp(-self.lam * (t - last))
         )
 
-    def top_m(self, u: int, t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and scores of u's m most significant neighbors at time t.
-
-        Returns arrays of length <= m, score-descending with id tie-break,
-        matching top_m_neighbors on the equivalent graph.
-        """
-        self._check_query_time(t)
-        cached = self._topm_cache.get(u)
-        if cached is not None:
-            version, cm, t_ref, ids, scores = cached
-            if version == self._version[u] and cm == m:
-                if t == t_ref:
-                    return ids.copy(), scores.copy()
-                return ids.copy(), scores * float(np.exp(-self.lam * (t - t_ref)))
-        ids_all, scores_all = self.neighbor_scores(u, t)
-        order = _rank_order(ids_all, scores_all)[:m]
-        ids, scores = ids_all[order], scores_all[order]
-        self._topm_cache[u] = (self._version[u], m, t, ids, scores)
-        return ids.copy(), scores.copy()
-
     def random_m(
         self, u: int, t: float, m: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -229,3 +220,76 @@ class SignificanceIndex:
         see ``sample_m``."""
         ids_all, scores_all = self.neighbor_scores(u, t)
         return sample_m(ids_all, scores_all, m, rng)
+
+
+@dataclass(frozen=True)
+class TopMTable:
+    """Every node's top-m list just after each of its event times.
+
+    Row r holds the ``lens[r]`` most significant neighbors of one node and
+    their scores at ``row_t[r]``, counting the contacts at that time.
+    Rows are sorted by the int64 key node * len(times) + time rank, where
+    ``times`` are the distinct event times.  A query (u, t) reads u's last
+    row strictly before t and rescales its scores by exp(-lam * (t -
+    row_t)): the ranking changes only at u's own events, and between them
+    every score decays by the same factor, so the stored rows are exact.
+    """
+
+    m: int
+    lam: float
+    times: np.ndarray   # (T,) distinct event times, ascending
+    keys: np.ndarray    # (rows,) node * T + time rank, ascending
+    row_t: np.ndarray   # (rows,)
+    ids: np.ndarray     # (rows, m) zero-padded
+    scores: np.ndarray  # (rows, m) zero-padded
+    lens: np.ndarray    # (rows,)
+
+    @classmethod
+    def build(cls, g: TemporalGraph, m: int, lam: float = DEFAULT_DECAY) -> "TopMTable":
+        """One chronological sweep of a SignificanceIndex over g's events."""
+        if m < 1:
+            raise ValueError(f"capacity must be at least 1, got {m}")
+        if not g.events:
+            raise ValueError("a top-m table needs at least one event")
+        index = SignificanceIndex(g.num_nodes, lam=lam)
+        ev = np.array(g.events, dtype=np.float64)
+        times, rank = np.unique(ev[:, 2], return_inverse=True)
+        n_t = times.shape[0]
+        keys = np.unique(ev[:, :2].astype(np.int64).T * n_t + rank)
+        # a node's rows are consecutive and in time order: fill them in sweep order
+        cursor = np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * n_t).tolist()
+        ids = np.zeros((keys.shape[0], m), dtype=np.int64)
+        scores = np.zeros((keys.shape[0], m), dtype=np.float64)
+        lens = np.zeros(keys.shape[0], dtype=np.int64)
+        bounds = np.flatnonzero(np.diff(rank)) + 1
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(g.events)]):
+            touched = set()
+            for u, v, t in g.events[lo:hi]:
+                index.add_event(u, v, t)
+                touched.update((u, v))
+            for u in touched:
+                nbr, sc = index.frontier_scores(u)
+                order = _rank_order(nbr, sc)[:m]
+                row = cursor[u]
+                cursor[u] += 1
+                lens[row] = k = order.shape[0]
+                ids[row, :k] = nbr[order]
+                scores[row, :k] = sc[order]
+        return cls(m, lam, times, keys, times[keys % n_t], ids, scores, lens)
+
+    def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidate lists of nodes[i] at ts[i], as (k, m) ids, scores and
+        mask, zero-padded; the mask comes from the stored list lengths, so
+        a score that underflows to 0 keeps its slot."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        ts = np.asarray(ts, dtype=np.float64)
+        n_t = self.times.shape[0]
+        first = np.searchsorted(self.keys, nodes * n_t)
+        row = np.searchsorted(self.keys, nodes * n_t + np.searchsorted(self.times, ts)) - 1
+        found = row >= first  # u has an event-time group strictly before t
+        row = np.where(found, row, 0)
+        mask = np.arange(self.m) < np.where(found, self.lens[row], 0)[:, None]
+        decay = np.exp(-self.lam * np.where(found, ts - self.row_t[row], 0.0))
+        ids = np.where(mask, self.ids[row], 0)
+        scores = np.where(mask, self.scores[row] * decay[:, None], 0.0)
+        return ids, scores, mask

@@ -5,10 +5,13 @@ forward-window significance label and pairs it with one uniformly drawn
 non-interacting negative per positive, weighted by the batch mean of the
 positive labels.
 
-Training reaches significance only through the streaming
-SignificanceIndex: each chronological chunk becomes one computation tree
-whose candidate lists are the index's ``(ids, scores)`` arrays, taken
-before the chunk's events are inserted.  The forward pass is
+Each chronological chunk of samples becomes one computation tree
+(stgnn.model.build_batch), whose candidate lists see only the contacts
+strictly before each sample's time.  STGNN takes them from a top-m table
+built once per ``train`` call by one sweep of the streaming
+SignificanceIndex, two batched lookups per chunk.  The selection-ablated
+variants draw ``random_m`` lists from an index swept along with the
+epoch, while it stands at each sample's time.  The forward pass is
 stgnn.model.forward_batch, shared with evaluation.  Gradients of the full
 loss -> output layer -> hidden layer -> softmax rank-weighting
 composition are derived by hand from its activations and evaluated in
@@ -28,14 +31,15 @@ import numpy as np
 
 from stgnn.model import (
     NORM_EPS,
+    CandidateLists,
     ModelParams,
-    _BatchTree,
     _FlatBatch,
+    build_batch,
     forward_batch,
     init_params,
     random_features,
 )
-from stgnn.significance import SignificanceIndex, significance_label
+from stgnn.significance import SignificanceIndex, TopMTable, significance_label
 from stgnn.temporal_graph import TemporalGraph
 
 logger = logging.getLogger(__name__)
@@ -179,6 +183,14 @@ def _draw_negative(
 # ---------------------------------------------------------------------------
 
 
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) sums of ``rows`` by target row ``index``, added in input
+    order: bitwise the result of ``np.add.at`` into zeros."""
+    d = rows.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
+
+
 def _forward_backward(
     fb: _FlatBatch,
     params: ModelParams,
@@ -208,36 +220,33 @@ def _forward_backward(
     dhu = dcos[:, None] * (hv / denom[:, None] - cos[:, None] * hu / np.where(ok, nu * nu, 1.0)[:, None])
     dhv = dcos[:, None] * (hu / denom[:, None] - cos[:, None] * hv / np.where(ok, nv * nv, 1.0)[:, None])
 
-    d_h2 = np.zeros_like(h2)
-    np.add.at(d_h2, fb.su, dhu)
-    np.add.at(d_h2, fb.sv, dhv)
+    d_h2 = _scatter_rows(np.concatenate([fb.su, fb.sv]), np.concatenate([dhu, dhv]), h2.shape[0])
 
     g_w2_self = h1[fb.root_entry].T @ d_h2
     g_w2_nbr = agg.T @ d_h2
 
-    d_h1 = np.zeros_like(h1)
-    np.add.at(d_h1, fb.root_entry, d_h2 @ params.w2_self.T)
     d_agg = d_h2 @ params.w2_nbr.T  # (R, d1)
-    mask_r = fb.mask[fb.root_entry]
-    d_phi = np.zeros_like(phi_e)
-    np.add.at(
-        d_phi, fb.root_entry, np.einsum("rd,rmd->rm", d_agg, h1_nbr) * mask_r
+    d_h1 = _scatter_rows(
+        np.concatenate([fb.root_entry, fb.root_nbrs.reshape(-1)]),
+        np.concatenate(
+            [d_h2 @ params.w2_self.T, (phi_r[:, :, None] * d_agg[:, None, :]).reshape(-1, h1.shape[1])]
+        ),
+        h1.shape[0],
     )
-    np.add.at(
-        d_h1,
-        fb.root_nbrs.ravel(),
-        (phi_r[:, :, None] * d_agg[:, None, :]).reshape(-1, h1.shape[1]),
+    mask_r = fb.mask[fb.root_entry]
+    d_phi = _scatter_rows(
+        fb.root_entry, np.einsum("rd,rmd->rm", d_agg, h1_nbr) * mask_r, phi_e.shape[0]
     )
 
     d_pre = d_h1 * (pre > 0.0)
-    d_xw1s = np.zeros((feats.shape[0], pre.shape[1]))
-    np.add.at(d_xw1s, fb.owner, d_pre)
+    n_nodes = feats.shape[0]
+    d_xw1s = _scatter_rows(fb.owner, d_pre, n_nodes)
     d_phi += np.einsum("ed,emd->em", d_pre, nbr_gather) * fb.mask
-    d_xw1n = np.zeros_like(d_xw1s)
-    np.add.at(
-        d_xw1n,
-        fb.nbrs.ravel(),
-        (phi_e[:, :, None] * d_pre[:, None, :]).reshape(-1, pre.shape[1]),
+    # the (E * m, d1) weighted rows, eight columns at a time to bound memory
+    nbr_rows = lambda c: (phi_e[:, :, None] * d_pre[:, None, c : c + 8]).reshape(fb.nbrs.size, -1)
+    d_xw1n = np.concatenate(
+        [_scatter_rows(fb.nbrs.reshape(-1), nbr_rows(c), n_nodes) for c in range(0, pre.shape[1], 8)],
+        axis=1,
     )
 
     if detach_phi:
@@ -263,42 +272,52 @@ def _forward_backward(
 
 
 def _capture_chunk(
-    index: SignificanceIndex,
-    chunk: list[TrainSample],
-    negs: list[TrainSample | None],
+    u: np.ndarray,
+    v: np.ndarray,
+    t: np.ndarray,
+    s_delta: np.ndarray,
+    w: np.ndarray,
     config: TrainConfig,
+    table: TopMTable | None,
+    index: SignificanceIndex | None,
     sel_rng: np.random.Generator,
 ) -> _FlatBatch:
-    """Advance the streaming index over one chronological chunk, recording
-    each sample's computation tree before its event is inserted.
+    """The computation tree of one chronological chunk.
 
-    Samples sharing a timestamp are all captured before any of their
-    events enter the index, preserving strictly-before semantics.
+    Positive k is (u[k], v[k]) at t[k] with label s_delta[k]; its
+    negative is (u[k], w[k]), absent where w[k] is -1.  Every candidate
+    list sees only contacts strictly before its sample's time: the top-m
+    table answers that directly, and the streaming ``index`` (selection
+    ablated) receives a timestamp's events only after every list at that
+    timestamp is drawn.
     """
-    if config.use_significant_selection:
-        tree = _BatchTree(config.m, index.top_m)
-    else:
-        tree = _BatchTree(config.m, partial(index.random_m, rng=sel_rng))
+    n = u.shape[0]
+    # roots in sample order: u[k], v[k], then w[k] where present
+    keep = np.column_stack([np.ones((n, 2), dtype=bool), w >= 0])
+    per_sample = keep.sum(axis=1)
+    node = np.column_stack([u, v, w])[keep]
+    root_t = np.repeat(t, per_sample)
+    pos = (np.cumsum(keep) - 1).reshape(n, 3)
+    # samples: each positive (u, v), then its negative (u, w)
+    pair = keep[:, 1:]
+    su = np.repeat(pos[:, 0], per_sample - 1)
+    sv = pos[:, 1:][pair]
+    positive = np.broadcast_to([True, False], (n, 2))[pair]
+    sd = np.column_stack([s_delta, np.zeros(n)])[pair]
 
-    i = 0
-    n = len(chunk)
-    while i < n:
-        j = i
-        t = chunk[i].t
-        while j < n and chunk[j].t == t:
-            j += 1
-        for k in range(i, j):
-            pos, neg = chunk[k], negs[k]
-            ru = tree.add_root(pos.u, t)
-            rv = tree.add_root(pos.v, t)
-            tree.add_sample(ru, rv, True, pos.s_delta)
-            if neg is not None:
-                rw = tree.add_root(neg.v, t)
-                tree.add_sample(ru, rw, False, 0.0)
-        for k in range(i, j):
-            index.add_event(chunk[k].u, chunk[k].v, t)
-        i = j
-    return tree.finalize()
+    if table is not None:
+        lookup = table.lookup
+    else:
+        lists = CandidateLists(partial(index.random_m, rng=sel_rng), config.m)
+        bounds = np.flatnonzero(t[1:] != t[:-1]) + 1
+        first_root = [*pos[:, 0].tolist(), node.shape[0]]
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), n]):
+            roots = slice(first_root[lo], first_root[hi])
+            lists.walk(node[roots], root_t[roots])
+            for a, b, tk in zip(u[lo:hi].tolist(), v[lo:hi].tolist(), t[lo:hi].tolist()):
+                index.add_event(a, b, tk)
+        lookup = lists.lookup
+    return build_batch(node, root_t, lookup, config.m, su, sv, positive, sd)[0]
 
 
 def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> TrainResult:
@@ -322,6 +341,11 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
 
     label_delta = delta if config.use_intimate_window else None
     positives = build_positive_samples(g_train, label_delta)
+    pos_u = np.array([p.u for p in positives], dtype=np.int64)
+    pos_v = np.array([p.v for p in positives], dtype=np.int64)
+    pos_t = np.array([p.t for p in positives], dtype=np.float64)
+    pos_s = np.array([p.s_delta for p in positives], dtype=np.float64)
+    table = TopMTable.build(g_train, config.m, config.lam) if config.use_significant_selection else None
 
     history: list[float] = []
     epoch_seconds: list[float] = []
@@ -332,18 +356,20 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
     for epoch in range(config.epochs):
         tic = time.perf_counter()
         negs = [_draw_negative(g_train, p, neg_rng, delta, config.negative_tries) for p in positives]
-        n_skip = sum(1 for x in negs if x is None)
+        neg_w = np.array([-1 if x is None else x.v for x in negs], dtype=np.int64)
+        n_skip = int(np.count_nonzero(neg_w < 0))
         skipped_total += n_skip
         if n_skip and epoch == 0:
             logger.warning("epoch 0: %d positive(s) have no valid negative", n_skip)
 
-        index = SignificanceIndex(g_train.num_nodes, lam=config.lam)
+        index = SignificanceIndex(g_train.num_nodes, lam=config.lam) if table is None else None
         loss_sum = 0.0
         n_seen = 0
         for start in range(0, len(positives), config.batch_size):
-            chunk = positives[start : start + config.batch_size]
-            chunk_negs = negs[start : start + config.batch_size]
-            fb = _capture_chunk(index, chunk, chunk_negs, config, sel_rng)
+            c = slice(start, start + config.batch_size)
+            fb = _capture_chunk(
+                pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], config, table, index, sel_rng
+            )
             loss, grads = _forward_backward(fb, params, feats)
             if not np.isfinite(loss):
                 raise TrainingDiverged(

@@ -7,9 +7,11 @@
   embedding batched over a flattened tree.
 * The scalar per-sample loss and ``cosine``, the oracle for the batched
   loss.
+* ``BatchTree``, the dict-based tree builder that builds one entry at a
+  time, the oracle for the array builder ``stgnn.model.build_batch``.
 * The batch loss and its gradients over a tree built from pure
   ``top_m_neighbors`` queries on an immutable graph, used by the
-  gradient checks (training itself uses the streaming index).
+  gradient checks (training itself uses the top-m table).
 * ``sample_negatives``, one negative draw per positive.
 * The small random instances and the finite-difference helpers of the
   gradient checks.
@@ -30,7 +32,6 @@ from stgnn.evaluation import _average_precision, _avg_ranks
 from stgnn.model import (
     NORM_EPS,
     ModelParams,
-    _BatchTree,
     _FlatBatch,
     forward_batch,
     init_params,
@@ -188,9 +189,97 @@ def sample_negatives(
     return out
 
 
+class BatchTree:
+    """Flattened two-hop computation trees for one batch of roots.
+
+    An *entry* is one (time, node) layer-1 unit: the node plus its
+    candidate list.  A *root* is an entry used at layer 2, carrying the
+    entry indices of its candidate neighbors.  Training samples reference
+    two roots each.  Entries are deduplicated, so every (time, node)
+    candidate list is queried once per tree, and positives and their
+    attached negatives share the anchor-node subtree.
+
+    ``query(node, t, m)`` returns a node's candidate list as ``(ids,
+    scores)`` arrays of length <= m, score-descending.
+    """
+
+    def __init__(self, m: int, query):
+        self.m = m
+        self.query = query
+        self._entry_ids: dict[tuple[float, int], int] = {}
+        self.owner: list[int] = []
+        self.nbr_ids: list[np.ndarray] = []
+        self.nbr_scores: list[np.ndarray] = []
+        self._root_ids: dict[tuple[float, int], int] = {}
+        self.root_entry: list[int] = []
+        self.root_nbr_entries: list[np.ndarray] = []
+        self.sample_roots: list[tuple[int, int]] = []
+        self.sample_positive: list[bool] = []
+        self.sample_sdelta: list[float] = []
+
+    def add_entry(self, node: int, t: float) -> int:
+        key = (t, node)
+        idx = self._entry_ids.get(key)
+        if idx is not None:
+            return idx
+        ids, scores = self.query(node, t, self.m)
+        idx = len(self.owner)
+        self._entry_ids[key] = idx
+        self.owner.append(node)
+        self.nbr_ids.append(ids)
+        self.nbr_scores.append(scores)
+        return idx
+
+    def add_root(self, node: int, t: float) -> int:
+        key = (t, node)
+        idx = self._root_ids.get(key)
+        if idx is not None:
+            return idx
+        e = self.add_entry(node, t)
+        nbr_entries = np.asarray(
+            [self.add_entry(int(v), t) for v in self.nbr_ids[e]], dtype=np.int64
+        )
+        idx = len(self.root_entry)
+        self._root_ids[key] = idx
+        self.root_entry.append(e)
+        self.root_nbr_entries.append(nbr_entries)
+        return idx
+
+    def add_sample(self, root_u: int, root_v: int, positive: bool, s_delta: float) -> None:
+        self.sample_roots.append((root_u, root_v))
+        self.sample_positive.append(positive)
+        self.sample_sdelta.append(float(s_delta))
+
+    def finalize(self) -> "_FlatBatch":
+        m = self.m
+        n_e = len(self.owner)
+        n_r = len(self.root_entry)
+        owner = np.asarray(self.owner, dtype=np.int64)
+        nbrs = np.zeros((n_e, m), dtype=np.int64)
+        scores = np.zeros((n_e, m), dtype=np.float64)
+        mask = np.zeros((n_e, m), dtype=bool)
+        for i, (ids, sc) in enumerate(zip(self.nbr_ids, self.nbr_scores)):
+            k = ids.shape[0]
+            nbrs[i, :k] = ids
+            scores[i, :k] = sc
+            mask[i, :k] = True
+        root_entry = np.asarray(self.root_entry, dtype=np.int64)
+        root_nbrs = np.zeros((n_r, m), dtype=np.int64)
+        for i, es in enumerate(self.root_nbr_entries):
+            root_nbrs[i, : es.shape[0]] = es
+        su = np.asarray([r[0] for r in self.sample_roots], dtype=np.int64)
+        sv = np.asarray([r[1] for r in self.sample_roots], dtype=np.int64)
+        positive = np.asarray(self.sample_positive, dtype=bool)
+        sdelta = np.asarray(self.sample_sdelta, dtype=np.float64)
+        pos_sd = sdelta[positive]
+        s_bar = float(pos_sd.mean()) if pos_sd.size else 1.0
+        weight = np.where(positive, sdelta, s_bar)
+        return _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs, su, sv, positive, weight)
+
+
 def tree_from_graph(batch: list[TrainSample], g: TemporalGraph, config: TrainConfig) -> _FlatBatch:
     """Build the batch tree with pure (immutable-graph) candidate queries."""
-    tree = _BatchTree(config.m, partial(top_m_neighbors, g, lam=config.lam))
+    tree = BatchTree(config.m, partial(top_m_neighbors, g, lam=config.lam))
     for s in batch:
         ru = tree.add_root(s.u, s.t)
         rv = tree.add_root(s.v, s.t)

@@ -17,7 +17,7 @@ from stgnn.cli import ABLATION_FLAGS, ExperimentConfig, run_ablation_grid, run_s
 from stgnn.evaluation import auc, mean_average_precision
 from stgnn.model import init_params, random_features
 from stgnn.powerlaw import PowerLawFit, fit_power_law, intimate_window_size, sample_power_law
-from stgnn.significance import SignificanceIndex, initial_significance, top_m_neighbors
+from stgnn.significance import SignificanceIndex, TopMTable, initial_significance, top_m_neighbors
 from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import Event, from_events, load_edge_list, split_train_test
 from stgnn.training import TrainConfig, train
@@ -164,6 +164,7 @@ class TestCriterion4:
         g = random_stream(rng, n_nodes=40, n_events=10_000, mean_gap=0.02)
         probe_times = np.sort(rng.uniform(0, g.t_max, size=100))
 
+        table = TopMTable.build(g, 10)
         idx = SignificanceIndex(40)
         worst = 0.0
         topm_checked = 0
@@ -176,17 +177,17 @@ class TestCriterion4:
                 j += 1
             while next_probe < 100 and probe_times[next_probe] <= t:
                 pt = float(probe_times[next_probe])
-                if pt >= idx.t_frontier:
-                    u = int(rng.integers(40))
-                    ids, scores = idx.top_m(u, pt, 10)
-                    ref_ids, ref_scores = top_m_neighbors(g, u, pt, 10)
-                    assert list(ids) == ref_ids.tolist()
-                    if len(ids):
-                        worst = max(
-                            worst,
-                            float(np.max(np.abs(scores - ref_scores) / ref_scores)),
-                        )
-                    topm_checked += 1
+                u = int(rng.integers(40))
+                ids, scores, mask = table.lookup([u], [pt])
+                ids, scores = ids[0][mask[0]], scores[0][mask[0]]
+                ref_ids, ref_scores = top_m_neighbors(g, u, pt, 10)
+                assert list(ids) == ref_ids.tolist()
+                if len(ids):
+                    worst = max(
+                        worst,
+                        float(np.max(np.abs(scores - ref_scores) / ref_scores)),
+                    )
+                topm_checked += 1
                 next_probe += 1
             for k in range(i, j):
                 e = events[k]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,24 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert (tmp_path / "s.txt").exists()
         assert out["planted_pairs"].endswith("_planted.csv")
+
+    def test_synth_verb_writes_acceptance_stream(self, tmp_path, capsys):
+        # the stream of criteria 5, 6 and 8 (tests/test_acceptance.py STREAM_SPEC)
+        spec = dict(
+            n_nodes=100, n_significant_pairs=20, n_background_events=1000,
+            events_per_significant_pair=50, horizon=100.0, seed=0, n_communities=10,
+            within_community_prob=0.85, gap_alpha=2.0, background_recurrence=0.4,
+        )
+        rc = main(["synth", "--out", str(tmp_path / "cli.txt"), "--nodes", "100",
+                   "--pairs", "20", "--background-events", "1000", "--events-per-pair", "50",
+                   "--horizon", "100", "--seed", "0", "--communities", "10",
+                   "--within-prob", "0.85", "--gap-alpha", "2.0",
+                   "--background-recurrence", "0.4"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        edges, planted = generate_synthetic(tmp_path / "lib.txt", **spec)
+        assert Path(out["edge_list"]).read_bytes() == edges.read_bytes()
+        assert Path(out["planted_pairs"]).read_bytes() == planted.read_bytes()
 
     def test_fit_verb(self, dataset, capsys):
         rc = main(["fit", "--dataset", str(dataset), "--time-unit", "1.0", "--p", "0.5"])

@@ -5,6 +5,7 @@ import pytest
 
 from stgnn.significance import (
     SignificanceIndex,
+    TopMTable,
     initial_significance,
     significance_label,
     top_m_neighbors,
@@ -94,6 +95,12 @@ class TestTopM:
         ids, scores = top_m_neighbors(g, 3, 1.0, m=3)
         assert len(ids) == 0 and len(scores) == 0
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    def test_bad_decay_rejected(self, lam):
+        g = from_events([Event(0, 1, 0.0)], num_nodes=2)
+        with pytest.raises(ValueError, match="decay rate"):
+            top_m_neighbors(g, 0, 1.0, m=2, lam=lam)
+
     def test_permutation_invariance(self, rng):
         events = [
             Event(int(u), int(v), float(t))
@@ -145,7 +152,13 @@ class TestLabel:
             significance_label(g, 0, 1, 0.0, 0.0)
 
 
-class TestStreamingIndex:
+def table_list(table: TopMTable, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """One table lookup cut to its valid slots."""
+    ids, scores, mask = table.lookup([u], [t])
+    return ids[0][mask[0]], scores[0][mask[0]]
+
+
+class TestTopMTable:
     def test_matches_pure_route_with_ties(self, rng):
         g = random_stream(rng, n_nodes=20, n_events=1500)
         # force simultaneous events into the stream
@@ -153,7 +166,7 @@ class TestStreamingIndex:
         events += [Event(0, 1, 5.0), Event(0, 1, 5.0), Event(2, 0, 5.0)]
         g = from_events(events, num_nodes=20)
 
-        idx = SignificanceIndex(20)
+        table = TopMTable.build(g, 6)
         probes = 0
         i, evs = 0, g.events
         while i < len(evs):
@@ -162,15 +175,94 @@ class TestStreamingIndex:
                 j += 1
             if rng.random() < 0.1:
                 u = int(rng.integers(20))
-                ids, scores = idx.top_m(u, t, 6)
+                ids, scores = table_list(table, u, t)
                 ref_ids, ref_scores = top_m_neighbors(g, u, t, 6)
                 assert list(ids) == ref_ids.tolist()
                 np.testing.assert_allclose(scores, ref_scores, rtol=1e-9)
                 probes += 1
-            for k in range(i, j):
-                idx.add_event(evs[k].u, evs[k].v, evs[k].t)
             i = j
         assert probes > 20
+
+    def test_rescale_is_exact(self):
+        g = from_events([Event(0, 1, 0.0), Event(0, 2, 1.0)], num_nodes=3)
+        table = TopMTable.build(g, 2)
+        ids1, s1 = table_list(table, 0, 2.0)
+        ids2, s2 = table_list(table, 0, 4.0)
+        np.testing.assert_array_equal(ids1, ids2)
+        np.testing.assert_allclose(s2, s1 * math.exp(-2.0), rtol=1e-15)
+
+    def test_query_at_event_time_is_strictly_before(self):
+        g = from_events(
+            [Event(0, 1, 1.0), Event(0, 2, 2.0), Event(2, 0, 2.0), Event(0, 1, 2.0)],
+            num_nodes=3,
+        )
+        table = TopMTable.build(g, 3)
+        ids, scores = table_list(table, 0, 2.0)
+        assert ids.tolist() == [1]
+        np.testing.assert_allclose(scores, [math.exp(-1.0)], rtol=1e-15)
+        ids, scores = table_list(table, 2, 2.0)
+        assert ids.size == 0
+        ids, scores = table_list(table, 0, 3.0)
+        assert ids.tolist() == [2, 1]
+        np.testing.assert_allclose(
+            scores, [2 * math.exp(-1.0), math.exp(-1.0) + math.exp(-2.0)], rtol=1e-15
+        )
+
+    def test_query_before_first_event_is_empty(self):
+        g = from_events([Event(0, 1, 1.0), Event(2, 3, 0.5)], num_nodes=5)
+        table = TopMTable.build(g, 2)
+        ids, scores, mask = table.lookup([0, 1, 4, 2], [0.5, 1.0, 9.0, 0.4])
+        assert not mask.any()
+        assert not ids.any() and not scores.any()
+
+    def test_query_after_last_event(self, rng):
+        g = random_stream(rng, n_nodes=10, n_events=200)
+        table = TopMTable.build(g, 4)
+        t = g.t_max + 3.0
+        for u in range(10):
+            ids, scores = table_list(table, u, t)
+            ref_ids, ref_scores = top_m_neighbors(g, u, t, 4)
+            assert ids.tolist() == ref_ids.tolist()
+            np.testing.assert_allclose(scores, ref_scores, rtol=1e-12)
+
+    def test_ties_beyond_capacity_keep_smaller_ids(self):
+        g = from_events([Event(0, v, 1.0) for v in (5, 3, 4, 1, 2)], num_nodes=6)
+        table = TopMTable.build(g, 3)
+        ids, scores = table_list(table, 0, 2.0)
+        assert ids.tolist() == [1, 2, 3]
+        np.testing.assert_array_equal(scores, np.full(3, math.exp(-1.0)))
+
+    def test_underflowed_score_keeps_its_slot(self):
+        g = from_events([Event(0, 1, 0.0), Event(0, 2, 1.0)], num_nodes=3)
+        table = TopMTable.build(g, 2)
+        ids, scores, mask = table.lookup([0], [2000.0])
+        assert mask.tolist() == [[True, True]]
+        assert ids.tolist() == [[2, 1]]  # the order just after t = 1
+        np.testing.assert_array_equal(scores, 0.0)
+
+    def test_batched_rows_match_single_queries(self, rng):
+        g = random_stream(rng, n_nodes=12, n_events=300)
+        table = TopMTable.build(g, 3)
+        nodes = rng.integers(12, size=50)
+        ts = rng.uniform(-0.5, g.t_max + 1.0, size=50)
+        ids, scores, mask = table.lookup(nodes, ts)
+        for i in range(50):
+            one = table.lookup(nodes[i : i + 1], ts[i : i + 1])
+            np.testing.assert_array_equal(ids[i], one[0][0])
+            np.testing.assert_array_equal(scores[i], one[1][0])
+            np.testing.assert_array_equal(mask[i], one[2][0])
+
+    def test_rejects_bad_input(self):
+        g = from_events([Event(0, 1, 0.0)], num_nodes=2)
+        with pytest.raises(ValueError):
+            TopMTable.build(g, 0)
+        with pytest.raises(ValueError):
+            TopMTable.build(g, 2, lam=0.0)
+        with pytest.raises(ValueError):
+            TopMTable.build(from_events([], num_nodes=2), 2)
+
+
+class TestStreamingIndex:
 
     def test_pair_score_matches_direct(self, rng):
         g = random_stream(rng, n_nodes=8, n_events=300)
@@ -187,16 +279,7 @@ class TestStreamingIndex:
         with pytest.raises(ValueError):
             idx.add_event(1, 2, 4.0)
         with pytest.raises(ValueError):
-            idx.top_m(0, 4.0, 3)
-
-    def test_cache_rescale_is_exact(self):
-        idx = SignificanceIndex(3)
-        idx.add_event(0, 1, 0.0)
-        idx.add_event(0, 2, 1.0)
-        ids1, s1 = idx.top_m(0, 2.0, 2)  # populates cache
-        ids2, s2 = idx.top_m(0, 4.0, 2)  # rescale path
-        np.testing.assert_array_equal(ids1, ids2)
-        np.testing.assert_allclose(s2, s1 * math.exp(-2.0), rtol=1e-15)
+            idx.neighbor_scores(0, 4.0)
 
     def test_random_m_subset_ordered(self, rng):
         idx = SignificanceIndex(30)

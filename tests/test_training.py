@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from functools import partial
+
 from stgnn.model import init_params, random_features
-from stgnn.significance import significance_label
+from stgnn.significance import SignificanceIndex, TopMTable, significance_label
 from stgnn.temporal_graph import Event, from_events
 from stgnn.training import (
     AdamState,
@@ -13,9 +15,10 @@ from stgnn.training import (
     named_rng,
     train,
 )
-from stgnn.training import _valid_negative
+from stgnn.training import _capture_chunk, _draw_negative, _scatter_rows, _valid_negative
 from conftest import random_stream
 from reference_model import (
+    BatchTree,
     backward,
     batch_loss,
     cosine,
@@ -119,6 +122,89 @@ class TestEngineConsistency:
         np.testing.assert_array_equal(
             fb.weight[fb.positive], [float(s.s_delta) for s in batch if s.positive]
         )
+
+
+def tied_stream(batch_size: int):
+    """A random stream whose events batch_size - 2 .. batch_size + 1 share
+    one timestamp, so a tie straddles the first chunk boundary."""
+    g = random_stream(np.random.default_rng(8), n_nodes=15, n_events=4 * batch_size)
+    events = list(g.events)
+    t_tie = events[batch_size - 2].t
+    for k in range(batch_size - 2, batch_size + 2):
+        events[k] = Event(events[k].u, events[k].v, t_tie)
+    return from_events(events, num_nodes=15)
+
+
+def chunks_with_negatives(g, cfg, delta, seed=3):
+    """Per chunk: the sample columns of _capture_chunk and the same
+    samples as a list (each positive, then its negative)."""
+    rng = named_rng(seed, "neg")
+    positives = build_positive_samples(g, delta)
+    for start in range(0, len(positives), cfg.batch_size):
+        chunk = positives[start : start + cfg.batch_size]
+        negs = [_draw_negative(g, p, rng, delta, 100) for p in chunk]
+        negs[1] = None  # a positive left without a negative
+        cols = (
+            np.array([p.u for p in chunk]),
+            np.array([p.v for p in chunk]),
+            np.array([p.t for p in chunk]),
+            np.array([p.s_delta for p in chunk], dtype=np.float64),
+            np.array([-1 if n is None else n.v for n in negs]),
+        )
+        samples = [s for p, n in zip(chunk, negs) for s in (p, n) if s is not None]
+        yield cols, samples
+
+
+def assert_same_batch(got, want, score_rtol=0.0):
+    for name in ("owner", "nbrs", "mask", "root_entry", "root_nbrs", "su", "sv", "positive", "weight"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    np.testing.assert_allclose(got.scores, want.scores, rtol=score_rtol, atol=0.0)
+
+
+class TestCaptureChunk:
+    def test_table_capture_matches_pure_route_oracle(self):
+        cfg = TrainConfig(m=4, batch_size=32)
+        g = tied_stream(cfg.batch_size)
+        pos_t = [e.t for e in g.events]
+        assert pos_t[cfg.batch_size - 1] == pos_t[cfg.batch_size]
+        table = TopMTable.build(g, cfg.m, cfg.lam)
+        n_chunks = 0
+        for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
+            got = _capture_chunk(*cols, cfg, table, None, None)
+            assert_same_batch(got, tree_from_graph(samples, g, cfg), score_rtol=1e-12)
+            n_chunks += 1
+        assert n_chunks == 4
+
+    def test_random_capture_matches_entry_at_a_time_oracle(self):
+        # same draws, same order: the old streaming capture, one entry at a time
+        cfg = TrainConfig(m=3, batch_size=32, use_significant_selection=False)
+        g = tied_stream(cfg.batch_size)
+        index, ref_index = SignificanceIndex(15), SignificanceIndex(15)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
+            got = _capture_chunk(*cols, cfg, None, index, rng)
+            tree = BatchTree(cfg.m, partial(ref_index.random_m, rng=ref_rng))
+            for t in sorted({s.t for s in samples}):
+                group = [s for s in samples if s.t == t]
+                for s in group:
+                    tree.add_sample(tree.add_root(s.u, t), tree.add_root(s.v, t), s.positive, s.s_delta)
+                for s in group:
+                    if s.positive:
+                        ref_index.add_event(s.u, s.v, t)
+            assert_same_batch(got, tree.finalize())
+        assert rng.random() == ref_rng.random()
+
+
+class TestScatterRows:
+    def test_bitwise_equal_to_add_at(self, rng):
+        for n_rows, n_targets in ((1, 1), (50, 3), (400, 40), (0, 5)):
+            index = rng.integers(n_targets, size=n_rows)
+            rows = rng.normal(size=(n_rows, 6)) * rng.choice([1e-8, 1.0, 1e8], size=(n_rows, 1))
+            want = np.zeros((n_targets, 6))
+            np.add.at(want, index, rows)
+            got = _scatter_rows(index, rows, n_targets)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 class TestSignificanceLoss:
