@@ -189,7 +189,8 @@ class CandidateLists:
     length <= m, score-descending.  ``walk(nodes, ts)`` takes the lists
     of the trees rooted there: each root's, then each of its candidates'.
     Seeded random selectors therefore draw in an order fixed by the
-    roots alone.  ``lookup`` serves the taken lists to ``build_batch``.
+    roots alone.  ``lookup`` serves the taken lists to ``build_batch``;
+    it never queries, so ``walk`` must first run over the same roots.
     """
 
     def __init__(self, query, m: int):
@@ -213,7 +214,10 @@ class CandidateLists:
         scores = np.zeros((len(nodes), self.m), dtype=np.float64)
         mask = np.zeros((len(nodes), self.m), dtype=bool)
         for i, key in enumerate(zip(np.asarray(ts).tolist(), np.asarray(nodes).tolist())):
-            a, s = self.lists[key]
+            got = self.lists.get(key)
+            if got is None:
+                raise KeyError(f"no list taken for node {key[1]} at t={key[0]}; walk first")
+            a, s = got
             ids[i, : a.shape[0]], scores[i, : a.shape[0]], mask[i, : a.shape[0]] = a, s, True
         return ids, scores, mask
 

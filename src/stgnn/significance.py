@@ -13,7 +13,8 @@ only contacts strictly before the query time count.  The pure
 (evaluation embeds at one fixed time, and tests pin the other routes
 against it).  ``SignificanceIndex`` sweeps events chronologically and
 keeps each neighbor's score up to date in O(1) per contact.  One sweep
-of it over the training stream builds the ``TopMTable``, which answers
+of it over the training stream builds the ``TopMTable`` from its
+``top_m`` lists at each event time, and the table answers
 any batch of training-time top-m queries with array operations: a
 node's ranking changes only at its own events, and between them every
 score decays by the same factor.  ``sample_m`` draws the uniform subset
@@ -117,8 +118,8 @@ class SignificanceIndex:
     timestamp that exactly matches pending contacts still see the strict
     "before t" semantics of the pure route.
 
-    Two consumers sweep it: ``TopMTable.build`` reads each node's scores
-    just after each of its event times, and the selection-ablated
+    Two consumers sweep it: ``TopMTable.build`` stores each node's
+    ``top_m`` list at each of its event times, and the selection-ablated
     training draws ``random_m`` lists while the index stands at each
     sample's time.
     """
@@ -171,11 +172,15 @@ class SignificanceIndex:
                 f"query at t={t} behind insertion frontier {self.t_frontier}"
             )
 
-    def neighbor_scores(self, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Historical neighbors of u with scores at time t (strict).
+    def neighbor_scores(
+        self, u: int, t: float, strict: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbors of u with their scores at time t.
 
-        Neighbors whose every recorded contact sits at exactly t are not
-        yet historical and are omitted, mirroring the pure route.
+        With ``strict`` only contacts strictly before t count, mirroring
+        the pure route: a neighbor whose every recorded contact sits at
+        exactly t is omitted.  Otherwise every contact the index holds
+        counts, those at exactly t included.
         """
         self._check_query_time(t)
         ids = np.asarray(self._nbr[u], dtype=np.int64)
@@ -183,22 +188,26 @@ class SignificanceIndex:
             return ids, np.empty(0, dtype=np.float64)
         s_strict = np.asarray(self._s_strict[u], dtype=np.float64)
         n_last = np.asarray(self._n_last[u], dtype=np.float64)
-        n_total = np.asarray(self._n_total[u], dtype=np.float64)
         last_t = np.asarray(self._last_t[u], dtype=np.float64)
-        at_t = last_t == t
         scores = (s_strict + n_last) * np.exp(-self.lam * (t - last_t))
+        if not strict:
+            return ids, scores
+        at_t = last_t == t
         scores[at_t] = s_strict[at_t]
-        qualified = ~at_t | (n_total > n_last)
+        qualified = ~at_t | (np.asarray(self._n_total[u], dtype=np.float64) > n_last)
         return ids[qualified], scores[qualified]
 
-    def frontier_scores(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """All neighbors of u with scores at the insertion frontier,
-        counting the contacts at exactly that time."""
-        ids = np.asarray(self._nbr[u], dtype=np.int64)
-        s_strict = np.asarray(self._s_strict[u], dtype=np.float64)
-        n_last = np.asarray(self._n_last[u], dtype=np.float64)
-        last_t = np.asarray(self._last_t[u], dtype=np.float64)
-        return ids, (s_strict + n_last) * np.exp(-self.lam * (self.t_frontier - last_t))
+    def top_m(self, u: int, t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and scores of u's m most significant neighbors at time t,
+        counting every contact the index holds (those at t included).
+
+        At the insertion frontier this is the list any later query sees
+        until u's next contact, up to the common decay factor; it is the
+        row ``TopMTable.build`` stores.  Nothing is cached.
+        """
+        ids, scores = self.neighbor_scores(u, t, strict=False)
+        order = _rank_order(ids, scores)[:m]
+        return ids[order], scores[order]
 
     def score(self, u: int, v: int, t: float) -> float:
         """Streaming counterpart of initial_significance for one pair."""
@@ -232,7 +241,10 @@ class TopMTable:
     ``times`` are the distinct event times.  A query (u, t) reads u's last
     row strictly before t and rescales its scores by exp(-lam * (t -
     row_t)): the ranking changes only at u's own events, and between them
-    every score decays by the same factor, so the stored rows are exact.
+    every score decays by the same factor.  The rows are therefore exact
+    while no score underflows.  Once the rescaled scores reach 0, a row
+    keeps its order from row_t, where the pure route falls back to id
+    order over the zero scores.
     """
 
     m: int
@@ -268,13 +280,11 @@ class TopMTable:
                 index.add_event(u, v, t)
                 touched.update((u, v))
             for u in touched:
-                nbr, sc = index.frontier_scores(u)
-                order = _rank_order(nbr, sc)[:m]
+                nbr, sc = index.top_m(u, index.t_frontier, m)
                 row = cursor[u]
                 cursor[u] += 1
-                lens[row] = k = order.shape[0]
-                ids[row, :k] = nbr[order]
-                scores[row, :k] = sc[order]
+                lens[row] = k = nbr.shape[0]
+                ids[row, :k], scores[row, :k] = nbr, sc
         return cls(m, lam, times, keys, times[keys % n_t], ids, scores, lens)
 
     def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

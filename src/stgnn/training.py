@@ -32,6 +32,7 @@ import numpy as np
 from stgnn.model import (
     NORM_EPS,
     CandidateLists,
+    Lookup,
     ModelParams,
     _FlatBatch,
     build_batch,
@@ -271,53 +272,69 @@ def _forward_backward(
 # ---------------------------------------------------------------------------
 
 
+def _chunk_roots(
+    u: np.ndarray, v: np.ndarray, t: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The roots of a chunk in sample order, u[k], v[k], then w[k] where
+    a negative was found (w[k] >= 0); their times; and the (n, 3) mask of
+    which of the three each sample has."""
+    keep = np.column_stack([np.ones((u.shape[0], 2), dtype=bool), w >= 0])
+    return np.column_stack([u, v, w])[keep], np.repeat(t, keep.sum(axis=1)), keep
+
+
+def _random_lookup(
+    u: np.ndarray,
+    v: np.ndarray,
+    t: np.ndarray,
+    w: np.ndarray,
+    m: int,
+    index: SignificanceIndex,
+    rng: np.random.Generator,
+) -> Lookup:
+    """The selection-ablated candidate lists of one chronological chunk.
+
+    Per time group, the ``random_m`` lists of the group's trees are
+    drawn while ``index`` stands at that time, and only then do the
+    group's events enter it, so every list sees only contacts strictly
+    before its sample's time.
+    """
+    node, root_t, keep = _chunk_roots(u, v, t, w)
+    first_root = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).tolist()
+    lists = CandidateLists(partial(index.random_m, rng=rng), m)
+    bounds = (np.flatnonzero(t[1:] != t[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *bounds], [*bounds, t.shape[0]]):
+        roots = slice(first_root[lo], first_root[hi])
+        lists.walk(node[roots], root_t[roots])
+        for a, b, tk in zip(u[lo:hi].tolist(), v[lo:hi].tolist(), t[lo:hi].tolist()):
+            index.add_event(a, b, tk)
+    return lists.lookup
+
+
 def _capture_chunk(
     u: np.ndarray,
     v: np.ndarray,
     t: np.ndarray,
     s_delta: np.ndarray,
     w: np.ndarray,
-    config: TrainConfig,
-    table: TopMTable | None,
-    index: SignificanceIndex | None,
-    sel_rng: np.random.Generator,
+    m: int,
+    lookup: Lookup,
 ) -> _FlatBatch:
     """The computation tree of one chronological chunk.
 
     Positive k is (u[k], v[k]) at t[k] with label s_delta[k]; its
-    negative is (u[k], w[k]), absent where w[k] is -1.  Every candidate
-    list sees only contacts strictly before its sample's time: the top-m
-    table answers that directly, and the streaming ``index`` (selection
-    ablated) receives a timestamp's events only after every list at that
-    timestamp is drawn.
+    negative is (u[k], w[k]), absent where w[k] is -1.  ``lookup``
+    answers every candidate list of the chunk (see build_batch).
     """
     n = u.shape[0]
-    # roots in sample order: u[k], v[k], then w[k] where present
-    keep = np.column_stack([np.ones((n, 2), dtype=bool), w >= 0])
-    per_sample = keep.sum(axis=1)
-    node = np.column_stack([u, v, w])[keep]
-    root_t = np.repeat(t, per_sample)
+    node, root_t, keep = _chunk_roots(u, v, t, w)
     pos = (np.cumsum(keep) - 1).reshape(n, 3)
     # samples: each positive (u, v), then its negative (u, w)
     pair = keep[:, 1:]
-    su = np.repeat(pos[:, 0], per_sample - 1)
+    su = np.repeat(pos[:, 0], keep.sum(axis=1) - 1)
     sv = pos[:, 1:][pair]
     positive = np.broadcast_to([True, False], (n, 2))[pair]
     sd = np.column_stack([s_delta, np.zeros(n)])[pair]
-
-    if table is not None:
-        lookup = table.lookup
-    else:
-        lists = CandidateLists(partial(index.random_m, rng=sel_rng), config.m)
-        bounds = np.flatnonzero(t[1:] != t[:-1]) + 1
-        first_root = [*pos[:, 0].tolist(), node.shape[0]]
-        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), n]):
-            roots = slice(first_root[lo], first_root[hi])
-            lists.walk(node[roots], root_t[roots])
-            for a, b, tk in zip(u[lo:hi].tolist(), v[lo:hi].tolist(), t[lo:hi].tolist()):
-                index.add_event(a, b, tk)
-        lookup = lists.lookup
-    return build_batch(node, root_t, lookup, config.m, su, sv, positive, sd)[0]
+    return build_batch(node, root_t, lookup, m, su, sv, positive, sd)[0]
 
 
 def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> TrainResult:
@@ -345,7 +362,9 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
     pos_v = np.array([p.v for p in positives], dtype=np.int64)
     pos_t = np.array([p.t for p in positives], dtype=np.float64)
     pos_s = np.array([p.s_delta for p in positives], dtype=np.float64)
-    table = TopMTable.build(g_train, config.m, config.lam) if config.use_significant_selection else None
+    table = None
+    if config.use_significant_selection and positives:  # no events, no chunks, no table
+        table = TopMTable.build(g_train, config.m, config.lam)
 
     history: list[float] = []
     epoch_seconds: list[float] = []
@@ -362,14 +381,21 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
         if n_skip and epoch == 0:
             logger.warning("epoch 0: %d positive(s) have no valid negative", n_skip)
 
-        index = SignificanceIndex(g_train.num_nodes, lam=config.lam) if table is None else None
+        index = None
+        if not config.use_significant_selection:
+            index = SignificanceIndex(g_train.num_nodes, lam=config.lam)
         loss_sum = 0.0
         n_seen = 0
         for start in range(0, len(positives), config.batch_size):
             c = slice(start, start + config.batch_size)
-            fb = _capture_chunk(
-                pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], config, table, index, sel_rng
-            )
+            if index is None:
+                lookup = table.lookup
+            else:
+                lookup = _random_lookup(
+                    pos_u[c], pos_v[c], pos_t[c], neg_w[c], config.m, index, sel_rng
+                )
+            fb = _capture_chunk(pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], config.m, lookup)
+            del lookup  # free the chunk's random lists before the backward pass
             loss, grads = _forward_backward(fb, params, feats)
             if not np.isfinite(loss):
                 raise TrainingDiverged(

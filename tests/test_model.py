@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stgnn.model import (
+    CandidateLists,
     ModelParams,
     forward_node,
     init_params,
@@ -218,6 +219,18 @@ class TestForwardNode:
         a = forward_node(g, feats, params, [1, 4], 4.2)
         b = forward_node(g, feats, params, [1, 4], 4.2)
         np.testing.assert_array_equal(a, b)
+
+
+class TestCandidateLists:
+    def test_lookup_serves_walked_lists_only(self):
+        g = from_events([Event(0, 1, 1.0), Event(1, 2, 2.0)], num_nodes=3)
+        lists = CandidateLists(lambda u, t, m: top_m_neighbors(g, u, t, m), 2)
+        lists.walk([0], [3.0])
+        ids, scores, mask = lists.lookup([0, 1], [3.0, 3.0])
+        assert ids.tolist() == [[1, 0], [2, 0]]
+        assert mask.tolist() == [[True, False], [True, True]]
+        with pytest.raises(KeyError, match="walk"):
+            lists.lookup([2], [3.0])
 
 
 class TestCosine:

@@ -237,7 +237,9 @@ class TestTopMTable:
         table = TopMTable.build(g, 2)
         ids, scores, mask = table.lookup([0], [2000.0])
         assert mask.tolist() == [[True, True]]
-        assert ids.tolist() == [[2, 1]]  # the order just after t = 1
+        # pins the table's behaviour today: the order just after t = 1,
+        # where top_m_neighbors ranks the zero scores by id ([1, 2])
+        assert ids.tolist() == [[2, 1]]
         np.testing.assert_array_equal(scores, 0.0)
 
     def test_batched_rows_match_single_queries(self, rng):
@@ -280,6 +282,21 @@ class TestStreamingIndex:
             idx.add_event(1, 2, 4.0)
         with pytest.raises(ValueError):
             idx.neighbor_scores(0, 4.0)
+
+    def test_top_m_counts_contacts_at_the_query_time(self):
+        g = from_events([Event(0, 1, 1.0), Event(0, 2, 2.0), Event(2, 0, 2.0)], num_nodes=3)
+        idx = SignificanceIndex(3)
+        for e in g.events:
+            idx.add_event(e.u, e.v, e.t)
+        ids, scores = idx.top_m(0, 2.0, 2)
+        assert ids.tolist() == [2, 1]
+        np.testing.assert_allclose(scores, [2.0, math.exp(-1.0)], rtol=1e-15)
+        ids, scores = idx.top_m(0, 3.0, 2)
+        ref_ids, ref_scores = top_m_neighbors(g, 0, 3.0, 2)
+        assert ids.tolist() == ref_ids.tolist()
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-15)
+        with pytest.raises(ValueError):
+            idx.top_m(0, 1.5, 2)
 
     def test_random_m_subset_ordered(self, rng):
         idx = SignificanceIndex(30)

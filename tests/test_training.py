@@ -15,7 +15,13 @@ from stgnn.training import (
     named_rng,
     train,
 )
-from stgnn.training import _capture_chunk, _draw_negative, _scatter_rows, _valid_negative
+from stgnn.training import (
+    _capture_chunk,
+    _draw_negative,
+    _random_lookup,
+    _scatter_rows,
+    _valid_negative,
+)
 from conftest import random_stream
 from reference_model import (
     BatchTree,
@@ -170,7 +176,7 @@ class TestCaptureChunk:
         table = TopMTable.build(g, cfg.m, cfg.lam)
         n_chunks = 0
         for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
-            got = _capture_chunk(*cols, cfg, table, None, None)
+            got = _capture_chunk(*cols, cfg.m, table.lookup)
             assert_same_batch(got, tree_from_graph(samples, g, cfg), score_rtol=1e-12)
             n_chunks += 1
         assert n_chunks == 4
@@ -182,7 +188,9 @@ class TestCaptureChunk:
         index, ref_index = SignificanceIndex(15), SignificanceIndex(15)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
-            got = _capture_chunk(*cols, cfg, None, index, rng)
+            u, v, t, _, w = cols
+            lookup = _random_lookup(u, v, t, w, cfg.m, index, rng)
+            got = _capture_chunk(*cols, cfg.m, lookup)
             tree = BatchTree(cfg.m, partial(ref_index.random_m, rng=ref_rng))
             for t in sorted({s.t for s in samples}):
                 group = [s for s in samples if s.t == t]
@@ -390,6 +398,13 @@ class TestTrainLoop:
         )
         result = train(g, cfg, delta=1.0)
         assert all(np.isfinite(result.loss_history))
+
+    @pytest.mark.parametrize("selection", [True, False])
+    def test_empty_stream_trains_no_batches(self, selection):
+        cfg = TrainConfig(epochs=3, m=3, d0=8, d1=4, d2=4, use_significant_selection=selection)
+        result = train(from_events([], num_nodes=4), cfg, delta=1.0)
+        assert result.loss_history == [0.0, 0.0, 0.0]
+        assert result.skipped_negatives == 0
 
     def test_window_required_unless_ablated(self):
         g = self.make_stream()
