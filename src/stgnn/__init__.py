@@ -30,7 +30,6 @@ from stgnn.powerlaw import (
 )
 from stgnn.significance import (
     SignificanceIndex,
-    initial_significance,
     top_m_neighbors,
     significance_label,
 )

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from stgnn.model import NORM_EPS, ModelParams, forward_node, random_neighbor_selector
-from stgnn.significance import initial_significance
 from stgnn.temporal_graph import DataSplit, TemporalGraph, _pair_key
 from stgnn.training import TrainConfig, named_rng
 
@@ -171,14 +170,21 @@ def heuristic_reference(
     g_train: TemporalGraph, u, v, t0: float, lam: float = 1.0
 ) -> np.ndarray:
     """No-learning reference: decayed historical contact count at t0 of
-    each pair (u[i], v[i])."""
-    return np.array(
-        [
-            initial_significance(g_train.pair_history(a, b, t0), t0, lam=lam)
-            for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist())
-        ],
-        dtype=np.float64,
-    )
+    each pair (u[i], v[i]), over its training contacts strictly before t0."""
+    hist = list(g_train.pair_index.values())
+    ts = np.concatenate([np.empty(0), *hist])
+    past = ts < t0
+    pair = np.repeat(np.arange(len(hist)), [h.shape[0] for h in hist])[past]
+    sums = np.bincount(pair, weights=np.exp(-lam * (t0 - ts[past])), minlength=len(hist))
+    ends = np.array(list(g_train.pair_index), dtype=np.int64).reshape(-1, 2)
+    key = ends[:, 0] * g_train.num_nodes + ends[:, 1]
+    order = np.argsort(key)
+    # the pairs by key, then a sentinel above every key, which scores 0
+    key, sums = np.append(key[order], np.iinfo(np.int64).max), np.append(sums[order], 0.0)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    query = np.minimum(u, v) * g_train.num_nodes + np.maximum(u, v)
+    at = np.searchsorted(key, query)
+    return np.where(key[at] == query, sums[at], 0.0)
 
 
 def node_embeddings(

@@ -17,11 +17,12 @@ embeds all of its nodes at the split time through ``forward_node``.
 One builder, ``build_batch``, makes every tree with array operations: it
 deduplicates roots and their candidates on (time, node) keys and takes
 the candidate lists from a batched ``lookup(nodes, ts) -> (ids, scores,
-mask)``.  STGNN training looks them up in the top-m table of
-stgnn.significance.  Per-node queries (``top_m_neighbors`` or a random
-selector in evaluation, the streaming index's ``random_m`` in ablated
-training) go through ``CandidateLists``, which takes each list once and
-in a fixed order, so seeded draws do not depend on the builder.
+mask)``.  Training looks them up in a TopMTable of stgnn.significance
+(top-m lists for STGNN, uniform draws for the selection-ablated
+variants).  Evaluation's per-node queries (``top_m_neighbors`` or a
+random selector) go through ``CandidateLists``, which takes each list
+once and in a fixed order, so seeded draws do not depend on the
+builder.
 """
 
 from __future__ import annotations

@@ -13,13 +13,13 @@ only contacts strictly before the query time count.  The pure
 (evaluation embeds at one fixed time, and tests pin the other routes
 against it).  ``SignificanceIndex`` sweeps events chronologically and
 keeps each neighbor's score up to date in O(1) per contact.  One sweep
-of it over the training stream builds the ``TopMTable`` from its
-``top_m`` lists at each event time, and the table answers
-any batch of training-time top-m queries with array operations: a
-node's ranking changes only at its own events, and between them every
-score decays by the same factor.  ``sample_m`` draws the uniform subset
-that the selection-ablated variants use, from the index in training and
-from the pure route in evaluation.
+of it over the training stream builds a ``TopMTable`` from its lists at
+each event time, and the table answers any batch of training-time
+queries with array operations: a node's candidate set changes only at
+its own events, and between them every score decays by the same factor.
+STGNN's table stores the ``top_m`` lists; the selection-ablated variants
+build one per epoch from ``random_m``, the uniform subsets of
+``sample_m``, which evaluation draws from the pure route.
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ import numpy as np
 from stgnn.temporal_graph import TemporalGraph
 
 DEFAULT_DECAY = 1.0
-
-
-def initial_significance(history, t: float, lam: float = DEFAULT_DECAY) -> float:
-    """Decayed contact count sum_i exp(-lam * (t - t_i)) over past events.
-
-    Every historical timestamp must precede ``t`` strictly; an empty
-    history scores 0.
-    """
-    if lam <= 0:
-        raise ValueError(f"decay rate must be positive, got {lam}")
-    h = np.asarray(history, dtype=np.float64)
-    if h.size == 0:
-        return 0.0
-    if h.max() >= t:
-        raise ValueError(f"history contains timestamps at or after t={t}")
-    return float(np.exp(-lam * (t - h)).sum())
 
 
 def _rank_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -114,14 +98,13 @@ class SignificanceIndex:
     Events are inserted in non-decreasing time order and queries must not
     run behind the insertion frontier.  Per neighbor the index stores the
     score decayed to the last contact time, split into the part strictly
-    before that time and the count at exactly that time, so queries at a
-    timestamp that exactly matches pending contacts still see the strict
-    "before t" semantics of the pure route.
+    before that time and the count at exactly that time.  The candidate
+    lists (``neighbor_scores``, ``top_m``, ``random_m``) count every
+    contact held; ``score`` keeps the strict "before t" semantics of the
+    pure route, also at a timestamp that matches pending contacts.
 
-    Two consumers sweep it: ``TopMTable.build`` stores each node's
-    ``top_m`` list at each of its event times, and the selection-ablated
-    training draws ``random_m`` lists while the index stands at each
-    sample's time.
+    ``TopMTable.build`` sweeps it and stores each node's ``top_m`` list,
+    or a ``random_m`` draw, at each of the node's event times.
     """
 
     def __init__(self, num_nodes: int, lam: float = DEFAULT_DECAY):
@@ -172,16 +155,9 @@ class SignificanceIndex:
                 f"query at t={t} behind insertion frontier {self.t_frontier}"
             )
 
-    def neighbor_scores(
-        self, u: int, t: float, strict: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbors of u with their scores at time t.
-
-        With ``strict`` only contacts strictly before t count, mirroring
-        the pure route: a neighbor whose every recorded contact sits at
-        exactly t is omitted.  Otherwise every contact the index holds
-        counts, those at exactly t included.
-        """
+    def neighbor_scores(self, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbors of u with their scores at time t, counting every
+        contact the index holds, those at exactly t included."""
         self._check_query_time(t)
         ids = np.asarray(self._nbr[u], dtype=np.int64)
         if ids.size == 0:
@@ -189,13 +165,7 @@ class SignificanceIndex:
         s_strict = np.asarray(self._s_strict[u], dtype=np.float64)
         n_last = np.asarray(self._n_last[u], dtype=np.float64)
         last_t = np.asarray(self._last_t[u], dtype=np.float64)
-        scores = (s_strict + n_last) * np.exp(-self.lam * (t - last_t))
-        if not strict:
-            return ids, scores
-        at_t = last_t == t
-        scores[at_t] = s_strict[at_t]
-        qualified = ~at_t | (np.asarray(self._n_total[u], dtype=np.float64) > n_last)
-        return ids[qualified], scores[qualified]
+        return ids, (s_strict + n_last) * np.exp(-self.lam * (t - last_t))
 
     def top_m(self, u: int, t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and scores of u's m most significant neighbors at time t,
@@ -205,12 +175,12 @@ class SignificanceIndex:
         until u's next contact, up to the common decay factor; it is the
         row ``TopMTable.build`` stores.  Nothing is cached.
         """
-        ids, scores = self.neighbor_scores(u, t, strict=False)
+        ids, scores = self.neighbor_scores(u, t)
         order = _rank_order(ids, scores)[:m]
         return ids[order], scores[order]
 
     def score(self, u: int, v: int, t: float) -> float:
-        """Streaming counterpart of initial_significance for one pair."""
+        """Decayed count of the (u, v) contacts strictly before t."""
         self._check_query_time(t)
         slot = self._slot[u].get(v)
         if slot is None:
@@ -225,26 +195,29 @@ class SignificanceIndex:
     def random_m(
         self, u: int, t: float, m: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Uniformly sampled (not ranked) historical neighbors at time t;
-        see ``sample_m``."""
-        ids_all, scores_all = self.neighbor_scores(u, t)
-        return sample_m(ids_all, scores_all, m, rng)
+        """Up to m neighbors drawn uniformly (not ranked) at time t,
+        counting every contact the index holds as ``top_m`` does; see
+        ``sample_m``.  It is the row of a table built with an ``rng``."""
+        return sample_m(*self.neighbor_scores(u, t), m, rng)
 
 
 @dataclass(frozen=True)
 class TopMTable:
-    """Every node's top-m list just after each of its event times.
+    """Every node's candidate list just after each of its event times.
 
-    Row r holds the ``lens[r]`` most significant neighbors of one node and
-    their scores at ``row_t[r]``, counting the contacts at that time.
-    Rows are sorted by the int64 key node * len(times) + time rank, where
+    Row r holds ``lens[r]`` neighbors of one node and their scores at
+    ``row_t[r]``, counting the contacts at that time: the m most
+    significant ones or, in a table built with an ``rng``, a uniform draw
+    of up to m of them, new in each build and ranked the same way.  Rows
+    are sorted by the int64 key node * len(times) + time rank, where
     ``times`` are the distinct event times.  A query (u, t) reads u's last
     row strictly before t and rescales its scores by exp(-lam * (t -
-    row_t)): the ranking changes only at u's own events, and between them
-    every score decays by the same factor.  The rows are therefore exact
-    while no score underflows.  Once the rescaled scores reach 0, a row
-    keeps its order from row_t, where the pure route falls back to id
-    order over the zero scores.
+    row_t)): u's candidates change only at u's own events, and between
+    them every score decays by the same factor.  The rows are therefore
+    exact (a drawn row is a uniform subset of the pure route's candidates,
+    with their exact scores) while no score underflows.  Once the
+    rescaled scores reach 0, a row keeps its order from row_t, where the
+    pure route falls back to id order over the zero scores.
     """
 
     m: int
@@ -257,8 +230,15 @@ class TopMTable:
     lens: np.ndarray    # (rows,)
 
     @classmethod
-    def build(cls, g: TemporalGraph, m: int, lam: float = DEFAULT_DECAY) -> "TopMTable":
-        """One chronological sweep of a SignificanceIndex over g's events."""
+    def build(
+        cls, g: TemporalGraph, m: int, lam: float = DEFAULT_DECAY, rng: np.random.Generator | None = None
+    ) -> "TopMTable":
+        """One chronological sweep of a SignificanceIndex over g's events.
+
+        Each row is the index's ``top_m`` list, or with ``rng`` its
+        ``random_m`` draw; within one event time the rows are drawn in
+        node order.
+        """
         if m < 1:
             raise ValueError(f"capacity must be at least 1, got {m}")
         if not g.events:
@@ -279,8 +259,11 @@ class TopMTable:
             for u, v, t in g.events[lo:hi]:
                 index.add_event(u, v, t)
                 touched.update((u, v))
-            for u in touched:
-                nbr, sc = index.top_m(u, index.t_frontier, m)
+            for u in sorted(touched):
+                if rng is None:
+                    nbr, sc = index.top_m(u, index.t_frontier, m)
+                else:
+                    nbr, sc = index.random_m(u, index.t_frontier, m, rng)
                 row = cursor[u]
                 cursor[u] += 1
                 lens[row] = k = nbr.shape[0]

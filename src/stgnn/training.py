@@ -7,11 +7,12 @@ positive labels.
 
 Each chronological chunk of samples becomes one computation tree
 (stgnn.model.build_batch), whose candidate lists see only the contacts
-strictly before each sample's time.  STGNN takes them from a top-m table
-built once per ``train`` call by one sweep of the streaming
-SignificanceIndex, two batched lookups per chunk.  The selection-ablated
-variants draw ``random_m`` lists from an index swept along with the
-epoch, while it stands at each sample's time.  The forward pass is
+strictly before each sample's time.  They come from a
+stgnn.significance.TopMTable, two batched lookups per chunk: STGNN's
+table holds the top-m lists and is built once per ``train`` call, and
+the selection-ablated variants build a table of uniform ``random_m``
+draws in each epoch, so the draws are new in every epoch and shared
+within one, per node and inter-event interval.  The forward pass is
 stgnn.model.forward_batch, shared with evaluation.  Gradients of the full
 loss -> output layer -> hidden layer -> softmax rank-weighting
 composition are derived by hand from its activations and evaluated in
@@ -25,13 +26,11 @@ import logging
 import time
 import zlib
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from stgnn.model import (
     NORM_EPS,
-    CandidateLists,
     Lookup,
     ModelParams,
     _FlatBatch,
@@ -40,7 +39,7 @@ from stgnn.model import (
     init_params,
     random_features,
 )
-from stgnn.significance import SignificanceIndex, TopMTable, significance_label
+from stgnn.significance import TopMTable, significance_label
 from stgnn.temporal_graph import TemporalGraph
 
 logger = logging.getLogger(__name__)
@@ -272,44 +271,6 @@ def _forward_backward(
 # ---------------------------------------------------------------------------
 
 
-def _chunk_roots(
-    u: np.ndarray, v: np.ndarray, t: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The roots of a chunk in sample order, u[k], v[k], then w[k] where
-    a negative was found (w[k] >= 0); their times; and the (n, 3) mask of
-    which of the three each sample has."""
-    keep = np.column_stack([np.ones((u.shape[0], 2), dtype=bool), w >= 0])
-    return np.column_stack([u, v, w])[keep], np.repeat(t, keep.sum(axis=1)), keep
-
-
-def _random_lookup(
-    u: np.ndarray,
-    v: np.ndarray,
-    t: np.ndarray,
-    w: np.ndarray,
-    m: int,
-    index: SignificanceIndex,
-    rng: np.random.Generator,
-) -> Lookup:
-    """The selection-ablated candidate lists of one chronological chunk.
-
-    Per time group, the ``random_m`` lists of the group's trees are
-    drawn while ``index`` stands at that time, and only then do the
-    group's events enter it, so every list sees only contacts strictly
-    before its sample's time.
-    """
-    node, root_t, keep = _chunk_roots(u, v, t, w)
-    first_root = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).tolist()
-    lists = CandidateLists(partial(index.random_m, rng=rng), m)
-    bounds = (np.flatnonzero(t[1:] != t[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *bounds], [*bounds, t.shape[0]]):
-        roots = slice(first_root[lo], first_root[hi])
-        lists.walk(node[roots], root_t[roots])
-        for a, b, tk in zip(u[lo:hi].tolist(), v[lo:hi].tolist(), t[lo:hi].tolist()):
-            index.add_event(a, b, tk)
-    return lists.lookup
-
-
 def _capture_chunk(
     u: np.ndarray,
     v: np.ndarray,
@@ -326,7 +287,9 @@ def _capture_chunk(
     answers every candidate list of the chunk (see build_batch).
     """
     n = u.shape[0]
-    node, root_t, keep = _chunk_roots(u, v, t, w)
+    # the roots in sample order: u[k], v[k], then w[k] where a negative was found
+    keep = np.column_stack([np.ones((n, 2), dtype=bool), w >= 0])
+    node, root_t = np.column_stack([u, v, w])[keep], np.repeat(t, keep.sum(axis=1))
     pos = (np.cumsum(keep) - 1).reshape(n, 3)
     # samples: each positive (u, v), then its negative (u, w)
     pair = keep[:, 1:]
@@ -381,21 +344,14 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
         if n_skip and epoch == 0:
             logger.warning("epoch 0: %d positive(s) have no valid negative", n_skip)
 
-        index = None
-        if not config.use_significant_selection:
-            index = SignificanceIndex(g_train.num_nodes, lam=config.lam)
+        if not config.use_significant_selection and positives:
+            table = None  # free the last epoch's draws before drawing the next
+            table = TopMTable.build(g_train, config.m, config.lam, rng=sel_rng)
         loss_sum = 0.0
         n_seen = 0
         for start in range(0, len(positives), config.batch_size):
             c = slice(start, start + config.batch_size)
-            if index is None:
-                lookup = table.lookup
-            else:
-                lookup = _random_lookup(
-                    pos_u[c], pos_v[c], pos_t[c], neg_w[c], config.m, index, sel_rng
-                )
-            fb = _capture_chunk(pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], config.m, lookup)
-            del lookup  # free the chunk's random lists before the backward pass
+            fb = _capture_chunk(pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], config.m, table.lookup)
             loss, grads = _forward_backward(fb, params, feats)
             if not np.isfinite(loss):
                 raise TrainingDiverged(

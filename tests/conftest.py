@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stgnn.significance import TopMTable
 from stgnn.temporal_graph import Event, from_events
 
 
@@ -13,6 +14,23 @@ def random_stream(rng, n_nodes=20, n_events=300, mean_gap=0.1):
         u, v = rng.choice(n_nodes, size=2, replace=False)
         events.append(Event(int(u), int(v), t))
     return from_events(events, num_nodes=n_nodes)
+
+
+def tied_stream(batch_size: int):
+    """A random stream whose events batch_size - 2 .. batch_size + 1 share
+    one timestamp, so a tie straddles the first chunk boundary."""
+    g = random_stream(np.random.default_rng(8), n_nodes=15, n_events=4 * batch_size)
+    events = list(g.events)
+    t_tie = events[batch_size - 2].t
+    for k in range(batch_size - 2, batch_size + 2):
+        events[k] = Event(events[k].u, events[k].v, t_tie)
+    return from_events(events, num_nodes=15)
+
+
+def table_list(table: TopMTable, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """One table lookup cut to its valid slots."""
+    ids, scores, mask = table.lookup([u], [t])
+    return ids[0][mask[0]], scores[0][mask[0]]
 
 
 @pytest.fixture

@@ -13,6 +13,9 @@
   ``top_m_neighbors`` queries on an immutable graph, used by the
   gradient checks (training itself uses the top-m table).
 * ``sample_negatives``, one negative draw per positive.
+* ``initial_significance``, the decayed contact count of one pair
+  history, and the per-pair ``heuristic_reference`` built on it, the
+  oracle for the one-pass reference of ``stgnn.evaluation``.
 * The small random instances and the finite-difference helpers of the
   gradient checks.
 * ``ScoredPair`` with the list-of-pairs ``auc`` and
@@ -187,6 +190,34 @@ def sample_negatives(
     if skipped:
         logger.warning("skipped %d positive(s): no valid negative found", skipped)
     return out
+
+
+def initial_significance(history, t: float, lam: float = 1.0) -> float:
+    """Decayed contact count sum_i exp(-lam * (t - t_i)) over past events.
+
+    Every historical timestamp must precede ``t`` strictly; an empty
+    history scores 0.
+    """
+    if lam <= 0:
+        raise ValueError(f"decay rate must be positive, got {lam}")
+    h = np.asarray(history, dtype=np.float64)
+    if h.size == 0:
+        return 0.0
+    if h.max() >= t:
+        raise ValueError(f"history contains timestamps at or after t={t}")
+    return float(np.exp(-lam * (t - h)).sum())
+
+
+def heuristic_reference(g_train: TemporalGraph, u, v, t0: float, lam: float = 1.0) -> np.ndarray:
+    """The no-learning reference one pair at a time: the decayed count of
+    each pair's contacts strictly before t0."""
+    return np.array(
+        [
+            initial_significance(g_train.pair_history(a, b, t0), t0, lam=lam)
+            for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist())
+        ],
+        dtype=np.float64,
+    )
 
 
 class BatchTree:

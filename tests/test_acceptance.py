@@ -17,7 +17,7 @@ from stgnn.cli import ABLATION_FLAGS, ExperimentConfig, run_ablation_grid, run_s
 from stgnn.evaluation import auc, mean_average_precision
 from stgnn.model import init_params, random_features
 from stgnn.powerlaw import PowerLawFit, fit_power_law, intimate_window_size, sample_power_law
-from stgnn.significance import SignificanceIndex, TopMTable, initial_significance, top_m_neighbors
+from stgnn.significance import SignificanceIndex, TopMTable, top_m_neighbors
 from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import Event, from_events, load_edge_list, split_train_test
 from stgnn.training import TrainConfig, train
@@ -29,6 +29,7 @@ from reference_model import (
     brute_force_auc,
     columns,
     finite_difference,
+    initial_significance,
     kink_margin,
     make_pairs,
     max_relative_error,

@@ -13,7 +13,6 @@ from stgnn.evaluation import (
     score_pair,
 )
 from stgnn.model import init_params, random_features
-from stgnn.significance import initial_significance
 from stgnn.temporal_graph import Event, from_events, split_train_test
 from stgnn.training import TrainConfig, named_rng
 from conftest import random_stream
@@ -23,8 +22,10 @@ from reference_model import (
     brute_force_auc,
     columns,
     cosine,
+    initial_significance,
     make_pairs,
 )
+from reference_model import heuristic_reference as pairwise_reference
 from reference_model import auc as list_auc
 from reference_model import mean_average_precision as list_map
 
@@ -184,12 +185,18 @@ class TestHeuristic:
         assert scores[0] > scores[1] == 0.0
 
     def test_equals_initial_significance(self, rng):
-        g = random_stream(rng, n_nodes=10, n_events=200)
-        t0 = g.t_max * 0.9
-        for _ in range(20):
-            u, v = rng.choice(10, size=2, replace=False)
-            (score,) = heuristic_reference(g, [int(u)], [int(v)], t0)
-            assert score == initial_significance(g.pair_history(int(u), int(v), t0), t0)
+        # the one-pass reference against the per-pair loop; the sums run in
+        # another order, hence the tolerance
+        g = random_stream(rng, n_nodes=10, n_events=400)
+        u, v = np.triu_indices(10, k=1)
+        u, v = np.concatenate([u, v[:7]]), np.concatenate([v, u[:7]])  # both orientations
+        for t0, lam in ((g.t_max * 0.9, 1.0), (g.events[150].t, 0.3), (g.t_max + 1.0, 2.0), (0.0, 1.0)):
+            got = heuristic_reference(g, u, v, t0, lam=lam)
+            want = pairwise_reference(g, u, v, t0, lam=lam)
+            assert (got > 0).tolist() == (want > 0).tolist()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert heuristic_reference(g, [], [], 1.0).shape == (0,)
+        assert heuristic_reference(from_events([], num_nodes=3), [0], [1], 1.0).tolist() == [0.0]
 
 
 class TestEvaluate:

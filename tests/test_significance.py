@@ -6,12 +6,12 @@ import pytest
 from stgnn.significance import (
     SignificanceIndex,
     TopMTable,
-    initial_significance,
     significance_label,
     top_m_neighbors,
 )
 from stgnn.temporal_graph import Event, from_events
-from conftest import random_stream
+from conftest import random_stream, table_list, tied_stream
+from reference_model import initial_significance
 
 
 class TestInitialSignificance:
@@ -152,12 +152,6 @@ class TestLabel:
             significance_label(g, 0, 1, 0.0, 0.0)
 
 
-def table_list(table: TopMTable, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One table lookup cut to its valid slots."""
-    ids, scores, mask = table.lookup([u], [t])
-    return ids[0][mask[0]], scores[0][mask[0]]
-
-
 class TestTopMTable:
     def test_matches_pure_route_with_ties(self, rng):
         g = random_stream(rng, n_nodes=20, n_events=1500)
@@ -264,6 +258,67 @@ class TestTopMTable:
             TopMTable.build(from_events([], num_nodes=2), 2)
 
 
+def coarse_tied_stream(rng):
+    """A random stream on a coarse time grid: most event times are shared."""
+    g = random_stream(rng, n_nodes=12, n_events=400)
+    return from_events([Event(e.u, e.v, round(e.t, 1)) for e in g.events], num_nodes=12)
+
+
+class TestRandomTable:
+    """A TopMTable built with an rng: each row a uniform draw of the node's
+    candidates just after one of its event times."""
+
+    @pytest.mark.parametrize("stream", ["tied", "coarse"])
+    def test_rows_are_ranked_subsets_of_the_pure_route(self, stream, rng):
+        g = tied_stream(32) if stream == "tied" else coarse_tied_stream(rng)
+        m, n = 3, g.num_nodes
+        assert len({e.t for e in g.events}) < g.num_events  # exact-time ties
+        table = TopMTable.build(g, m, rng=np.random.default_rng(5))
+        times = sorted({e.t for e in g.events})[::3] + [g.t_max + 1.0]
+        nodes, ts = np.repeat(np.arange(n), len(times)), np.tile(times, n)
+        ids, scores, mask = table.lookup(nodes, ts)
+        drawn = 0
+        for u, t, a, s, ok in zip(nodes.tolist(), ts.tolist(), ids, scores, mask):
+            ref_ids, ref_scores = top_m_neighbors(g, u, t, m=n)
+            a, s = a[ok], s[ok]
+            assert ok.tolist() == sorted(ok.tolist(), reverse=True)
+            assert a.shape[0] == min(m, ref_ids.shape[0])
+            assert set(a.tolist()) <= set(ref_ids.tolist())
+            assert all(s[i] > s[i + 1] or (s[i] == s[i + 1] and a[i] < a[i + 1]) for i in range(len(a) - 1))
+            by_id = dict(zip(ref_ids.tolist(), ref_scores.tolist()))
+            np.testing.assert_allclose(s, [by_id[x] for x in a.tolist()], rtol=1e-9)
+            drawn += ref_ids.shape[0] > m
+        assert drawn > 50
+
+    def test_draws_are_uniform(self):
+        # node 0 has k = 6 neighbors of unequal significance; m = 2
+        events = [Event(0, v, 0.1 * i) for i, v in enumerate([1, 1, 1, 2, 2, 3, 4, 5, 6, 6, 6, 6])]
+        g = from_events(events + [Event(0, 3, 2.0), Event(1, 2, 2.0)], num_nodes=7)
+        m, k, builds = 2, 6, 600
+        counts = np.zeros(7)
+        for seed in range(builds):
+            table = TopMTable.build(g, m, rng=np.random.default_rng(seed))
+            counts[table_list(table, 0, 3.0)[0]] += 1
+        # each neighbor is drawn with probability m / k per build; allow 4.5
+        # binomial standard deviations (two-sided p < 1e-5 per neighbor)
+        p = m / k
+        bound = 4.5 * np.sqrt(builds * p * (1 - p))
+        assert counts[0] == 0 and counts.sum() == m * builds
+        assert np.all(np.abs(counts[1:] - builds * p) <= bound), counts
+
+    def test_equal_seeds_build_equal_tables(self, rng):
+        g = random_stream(rng, n_nodes=12, n_events=300)
+        a = TopMTable.build(g, 3, rng=np.random.default_rng(9))
+        b = TopMTable.build(g, 3, rng=np.random.default_rng(9))
+        for name in ("times", "keys", "row_t", "ids", "scores", "lens"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        gen = np.random.default_rng(9)
+        first, second = TopMTable.build(g, 3, rng=gen), TopMTable.build(g, 3, rng=gen)
+        assert first.ids.tobytes() == a.ids.tobytes()
+        assert not np.array_equal(first.ids, second.ids)
+        np.testing.assert_array_equal(first.lens, second.lens)
+
+
 class TestStreamingIndex:
 
     def test_pair_score_matches_direct(self, rng):
@@ -297,6 +352,21 @@ class TestStreamingIndex:
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-15)
         with pytest.raises(ValueError):
             idx.top_m(0, 1.5, 2)
+
+    def test_random_m_counts_contacts_at_the_query_time(self, rng):
+        g = from_events([Event(0, 1, 1.0), Event(0, 2, 2.0), Event(2, 0, 2.0)], num_nodes=3)
+        idx = SignificanceIndex(3)
+        for e in g.events:
+            idx.add_event(e.u, e.v, e.t)
+        ids, scores = idx.random_m(0, 2.0, 2, rng)
+        assert ids.tolist() == [2, 1]
+        np.testing.assert_allclose(scores, [2.0, math.exp(-1.0)], rtol=1e-15)
+        ids, scores = idx.random_m(0, 3.0, 2, rng)
+        ref_ids, ref_scores = top_m_neighbors(g, 0, 3.0, 2)
+        assert ids.tolist() == ref_ids.tolist()
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-15)
+        with pytest.raises(ValueError):
+            idx.random_m(0, 1.5, 2, rng)
 
     def test_random_m_subset_ordered(self, rng):
         idx = SignificanceIndex(30)

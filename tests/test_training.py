@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from functools import partial
-
-from stgnn.model import init_params, random_features
-from stgnn.significance import SignificanceIndex, TopMTable, significance_label
+from stgnn.model import CandidateLists, init_params, random_features
+from stgnn.significance import TopMTable, significance_label
 from stgnn.temporal_graph import Event, from_events
 from stgnn.training import (
     AdamState,
@@ -18,11 +16,10 @@ from stgnn.training import (
 from stgnn.training import (
     _capture_chunk,
     _draw_negative,
-    _random_lookup,
     _scatter_rows,
     _valid_negative,
 )
-from conftest import random_stream
+from conftest import random_stream, table_list, tied_stream
 from reference_model import (
     BatchTree,
     backward,
@@ -130,17 +127,6 @@ class TestEngineConsistency:
         )
 
 
-def tied_stream(batch_size: int):
-    """A random stream whose events batch_size - 2 .. batch_size + 1 share
-    one timestamp, so a tie straddles the first chunk boundary."""
-    g = random_stream(np.random.default_rng(8), n_nodes=15, n_events=4 * batch_size)
-    events = list(g.events)
-    t_tie = events[batch_size - 2].t
-    for k in range(batch_size - 2, batch_size + 2):
-        events[k] = Event(events[k].u, events[k].v, t_tie)
-    return from_events(events, num_nodes=15)
-
-
 def chunks_with_negatives(g, cfg, delta, seed=3):
     """Per chunk: the sample columns of _capture_chunk and the same
     samples as a list (each positive, then its negative)."""
@@ -181,26 +167,26 @@ class TestCaptureChunk:
             n_chunks += 1
         assert n_chunks == 4
 
-    def test_random_capture_matches_entry_at_a_time_oracle(self):
-        # same draws, same order: the old streaming capture, one entry at a time
+    def test_random_table_capture_matches_per_node_lists(self):
+        # the batch of the ablated variants' table equals the one built from
+        # the same rows taken a node at a time, by CandidateLists and by the
+        # entry-at-a-time oracle
         cfg = TrainConfig(m=3, batch_size=32, use_significant_selection=False)
         g = tied_stream(cfg.batch_size)
-        index, ref_index = SignificanceIndex(15), SignificanceIndex(15)
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        table = TopMTable.build(g, cfg.m, cfg.lam, rng=np.random.default_rng(4))
+        row = lambda u, t, m: table_list(table, u, t)
+        n_chunks = 0
         for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
-            u, v, t, _, w = cols
-            lookup = _random_lookup(u, v, t, w, cfg.m, index, rng)
-            got = _capture_chunk(*cols, cfg.m, lookup)
-            tree = BatchTree(cfg.m, partial(ref_index.random_m, rng=ref_rng))
-            for t in sorted({s.t for s in samples}):
-                group = [s for s in samples if s.t == t]
-                for s in group:
-                    tree.add_sample(tree.add_root(s.u, t), tree.add_root(s.v, t), s.positive, s.s_delta)
-                for s in group:
-                    if s.positive:
-                        ref_index.add_event(s.u, s.v, t)
+            got = _capture_chunk(*cols, cfg.m, table.lookup)
+            lists = CandidateLists(row, cfg.m)
+            lists.walk([s.u for s in samples] + [s.v for s in samples], [s.t for s in samples] * 2)
+            assert_same_batch(got, _capture_chunk(*cols, cfg.m, lists.lookup))
+            tree = BatchTree(cfg.m, row)
+            for s in samples:
+                tree.add_sample(tree.add_root(s.u, s.t), tree.add_root(s.v, s.t), s.positive, s.s_delta)
             assert_same_batch(got, tree.finalize())
-        assert rng.random() == ref_rng.random()
+            n_chunks += 1
+        assert n_chunks == 4
 
 
 class TestScatterRows:
@@ -382,6 +368,24 @@ class TestTrainLoop:
         r1 = train(g, TrainConfig(seed=1, **base), delta=1.0)
         r2 = train(g, TrainConfig(seed=2, **base), delta=1.0)
         assert r1.loss_history != r2.loss_history
+
+    def test_ablated_selection_draws_a_table_per_epoch(self, monkeypatch):
+        builds = []
+        build = TopMTable.build
+
+        def spy(g, m, lam=1.0, rng=None):
+            builds.append(rng)
+            return build(g, m, lam, rng=rng)
+
+        monkeypatch.setattr(TopMTable, "build", spy)
+        g = self.make_stream()
+        base = dict(epochs=3, batch_size=32, m=3, d0=8, d1=4, d2=4, seed=2)
+        train(g, TrainConfig(**base), delta=1.0)
+        assert builds == [None]  # STGNN: one top-m table per run
+        builds.clear()
+        train(g, TrainConfig(use_significant_selection=False, **base), delta=1.0)
+        assert len(builds) == 3 and builds[0] is not None
+        assert all(rng is builds[0] for rng in builds)  # one stream, new draws each epoch
 
     def test_window_ablation_uses_flat_labels(self):
         g = self.make_stream()
