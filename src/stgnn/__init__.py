@@ -4,8 +4,9 @@ Continuous-time temporal link prediction built around three ideas:
 
 * exponentially decayed interaction significance ranks each node's
   neighbors, and only the top-m most significant ones are aggregated
-  (a candidate list is a pair of arrays: neighbor ids and their scores,
-  score-descending);
+  (candidate lists are zero-padded rows of neighbor ids, scores and a
+  validity mask, score-descending; ``top_m_neighbors`` gives every
+  node's row at one time);
 * a forward-looking "intimate window", sized from a power-law fit of
   inter-event times, turns each event into a graded significance label;
 * a cosine embedding loss weighted by those labels trains a small

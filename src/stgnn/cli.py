@@ -294,9 +294,19 @@ def run_sweep(config: ExperimentConfig, parameter: str, values: list) -> Path:
 def eval_checkpoint(
     checkpoint: str, config: ExperimentConfig, rep: int = 0
 ) -> evaluation.MetricsReport:
-    """Score a saved checkpoint against the configured dataset split."""
+    """Score a saved checkpoint against the configured dataset split.
+
+    The checkpoint must match the configured m and the dataset's node
+    count; a mismatch raises before anything is evaluated.
+    """
     params, feats, seed = model.load_checkpoint(checkpoint)
     g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
+    if params.m != config.m or feats.shape[0] != g.num_nodes:
+        raise ValueError(
+            f"checkpoint {checkpoint} has beta of length {params.m} and {feats.shape[0]} "
+            f"feature rows, but the config sets m = {config.m} and {config.dataset} has "
+            f"{g.num_nodes} nodes"
+        )
     split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
     tc = config.train_config(rep)
     tc = dataclasses.replace(tc, seed=seed)

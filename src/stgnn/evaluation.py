@@ -5,7 +5,10 @@ negatives are uniformly sampled pairs that never interact anywhere in
 the data.  Every pair is scored under three similarities (cosine,
 hadamard/dot, negated squared L2) and the best per metric is reported,
 alongside a no-learning reference that ranks pairs by their decayed
-historical contact count.
+historical contact count.  Every involved node is embedded once at the
+split time from one ``top_m_neighbors`` pass over the training graph,
+and the reference reads the same decayed pair counts
+(``significance.pair_significance``).
 
 The held-out set travels as columns: ``labels`` (1 positive, 0
 negative), ``scores``, and the endpoint ids ``u`` and ``v`` are aligned
@@ -21,7 +24,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from stgnn.model import NORM_EPS, ModelParams, forward_node, random_neighbor_selector
+from stgnn.model import NORM_EPS, ModelParams, forward_node
+from stgnn.significance import pair_significance
 from stgnn.temporal_graph import DataSplit, TemporalGraph, _pair_key
 from stgnn.training import TrainConfig, named_rng
 
@@ -171,12 +175,7 @@ def heuristic_reference(
 ) -> np.ndarray:
     """No-learning reference: decayed historical contact count at t0 of
     each pair (u[i], v[i]), over its training contacts strictly before t0."""
-    hist = list(g_train.pair_index.values())
-    ts = np.concatenate([np.empty(0), *hist])
-    past = ts < t0
-    pair = np.repeat(np.arange(len(hist)), [h.shape[0] for h in hist])[past]
-    sums = np.bincount(pair, weights=np.exp(-lam * (t0 - ts[past])), minlength=len(hist))
-    ends = np.array(list(g_train.pair_index), dtype=np.int64).reshape(-1, 2)
+    ends, sums = pair_significance(g_train, t0, lam)
     key = ends[:, 0] * g_train.num_nodes + ends[:, 1]
     order = np.argsort(key)
     # the pairs by key, then a sentinel above every key, which scores 0
@@ -200,12 +199,8 @@ def node_embeddings(
     Selection-ablated variants keep their uniform neighbor sampling here
     too, fed by a seeded stream so reports stay reproducible.
     """
-    selector = None
-    if not config.use_significant_selection:
-        selector = random_neighbor_selector(named_rng(config.seed, "eval-selection"), lam=config.lam)
-    return forward_node(
-        g_train, feats, params, nodes, t0, m=config.m, lam=config.lam, selector=selector
-    )
+    rng = None if config.use_significant_selection else named_rng(config.seed, "eval-selection")
+    return forward_node(g_train, feats, params, nodes, t0, lam=config.lam, rng=rng)
 
 
 def evaluate(

@@ -19,21 +19,18 @@ deduplicates roots and their candidates on (time, node) keys and takes
 the candidate lists from a batched ``lookup(nodes, ts) -> (ids, scores,
 mask)``.  Training looks them up in a TopMTable of stgnn.significance
 (top-m lists for STGNN, uniform draws for the selection-ablated
-variants).  Evaluation's per-node queries (``top_m_neighbors`` or a
-random selector) go through ``CandidateLists``, which takes each list
-once and in a fixed order, so seeded draws do not depend on the
-builder.
+variants); ``forward_node`` indexes the rows of one
+``top_m_neighbors`` pass at its single query time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from stgnn.significance import sample_m, top_m_neighbors
+from stgnn.significance import top_m_neighbors
 from stgnn.temporal_graph import TemporalGraph
 
 NORM_EPS = 1e-12
@@ -183,46 +180,6 @@ def build_batch(
     return fb, root_of
 
 
-class CandidateLists:
-    """Candidate lists from a per-node query, taken once per (time, node).
-
-    ``query(node, t, m) -> (ids, scores)`` returns one list as arrays of
-    length <= m, score-descending.  ``walk(nodes, ts)`` takes the lists
-    of the trees rooted there: each root's, then each of its candidates'.
-    Seeded random selectors therefore draw in an order fixed by the
-    roots alone.  ``lookup`` serves the taken lists to ``build_batch``;
-    it never queries, so ``walk`` must first run over the same roots.
-    """
-
-    def __init__(self, query, m: int):
-        self.query = query
-        self.m = m
-        self.lists: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def _take(self, node: int, t: float) -> np.ndarray:
-        got = self.lists.get((t, node))
-        if got is None:
-            got = self.lists[(t, node)] = self.query(node, t, self.m)
-        return got[0]
-
-    def walk(self, nodes, ts) -> None:
-        for u, t in zip(np.asarray(nodes).tolist(), np.asarray(ts).tolist()):
-            for v in self._take(u, t).tolist():
-                self._take(v, t)
-
-    def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ids = np.zeros((len(nodes), self.m), dtype=np.int64)
-        scores = np.zeros((len(nodes), self.m), dtype=np.float64)
-        mask = np.zeros((len(nodes), self.m), dtype=bool)
-        for i, key in enumerate(zip(np.asarray(ts).tolist(), np.asarray(nodes).tolist())):
-            got = self.lists.get(key)
-            if got is None:
-                raise KeyError(f"no list taken for node {key[1]} at t={key[0]}; walk first")
-            a, s = got
-            ids[i, : a.shape[0]], scores[i, : a.shape[0]], mask[i, : a.shape[0]] = a, s, True
-        return ids, scores, mask
-
-
 def _masked_phi(scores: np.ndarray, mask: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of score * beta over the valid ranks.
 
@@ -281,44 +238,21 @@ def forward_node(
     params: ModelParams,
     nodes,
     t: float,
-    m: int | None = None,
     lam: float = 1.0,
-    selector=None,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Embeddings of ``nodes`` at time t; row i embeds nodes[i].
 
-    All roots share one computation tree, so each distinct node's
-    candidate list is taken once at the query time t, whether the node
-    appears as a root, as a neighbor, or both.
-
-    ``selector(g, node, t, m) -> (ids, scores)`` overrides neighbor
-    selection (used by the selection-ablated variants); it defaults to
-    significance top-m.
+    Every candidate list comes from one ``top_m_neighbors`` pass at t
+    with m = params.m, so a node's list is the same whether it appears
+    as a root, as a neighbor, or both.  ``rng`` draws uniform lists
+    instead (the selection-ablated variants).
     """
-    if m is None:
-        m = params.m
-    if selector is None:
-        selector = partial(top_m_neighbors, lam=lam)
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    ts = np.full(nodes.shape[0], float(t))
-    lists = CandidateLists(partial(selector, g), m)
-    lists.walk(nodes, ts)
-    fb, root = build_batch(nodes, ts, lists.lookup, m)
+    ids, scores, mask = top_m_neighbors(g, float(t), params.m, lam, rng)
+    rows = lambda u, _: (ids[u], scores[u], mask[u])
+    fb, root = build_batch(nodes, np.full(nodes.shape[0], float(t)), rows, params.m)
     return forward_batch(fb, params, feats).h2[root]
-
-
-def random_neighbor_selector(rng: np.random.Generator, lam: float = 1.0):
-    """Selector drawing up to m historical neighbors uniformly at random.
-
-    The sampled neighbors keep their true significance scores and are
-    ordered score-descending so rank corrections stay aligned.
-    """
-
-    def select(g: TemporalGraph, u: int, t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-        ids, scores = top_m_neighbors(g, u, t, m=max(m, g.num_nodes), lam=lam)
-        return sample_m(ids, scores, m, rng)
-
-    return select
 
 
 def save_checkpoint(path, params: ModelParams, feats: np.ndarray, seed: int) -> None:

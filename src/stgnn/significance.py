@@ -6,25 +6,26 @@ node's neighbors are ranked by this score and only the top m are kept
 for aggregation.  A forward window [t, t + delta) turns each event into
 a graded label: the number of contacts the pair produces inside it.
 
-A candidate list is a pair of arrays ``(ids: int64[k], scores:
-float64[k])``, score-descending with the smaller id first on ties, and
-only contacts strictly before the query time count.  The pure
-``top_m_neighbors`` answers one query on an immutable TemporalGraph
-(evaluation embeds at one fixed time, and tests pin the other routes
-against it).  ``SignificanceIndex`` sweeps events chronologically and
-keeps each neighbor's score up to date in O(1) per contact.  One sweep
-of it over the training stream builds a ``TopMTable`` from its lists at
-each event time, and the table answers any batch of training-time
-queries with array operations: a node's candidate set changes only at
-its own events, and between them every score decays by the same factor.
-STGNN's table stores the ``top_m`` lists; the selection-ablated variants
-build one per epoch from ``random_m``, the uniform subsets of
-``sample_m``, which evaluation draws from the pure route.
+Candidate lists reach the model as zero-padded (k, m) arrays ``ids``,
+``scores`` and ``mask``, each row score-descending with the smaller id first on
+ties, counting only contacts strictly before the query time.  Two
+routes produce them:
+
+* ``top_m_neighbors`` gives every node's list at one time t in a single
+  array pass over the pair index (evaluation embeds at one fixed time).
+* ``SignificanceIndex`` sweeps events chronologically and keeps each
+  neighbor's score up to date in O(1) per contact.  One sweep of it over
+  the training stream builds a ``TopMTable`` from its lists at each
+  event time, and the table answers any batch of training-time queries:
+  a node's candidate set changes only at its own events, and between
+  them every score decays by the same factor.
+
+Given an ``rng``, both routes replace each list by a uniform draw of up
+to m candidates from ``sample_m`` (the selection-ablated variants).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,30 +56,54 @@ def sample_m(
     return ids[order], scores[order]
 
 
+def pair_significance(g: TemporalGraph, t: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of g with a contact strictly before t, as (P, 2) endpoint
+    ids (smaller first), and each pair's decayed contact count at t."""
+    hist = list(g.pair_index.values())
+    ts = np.concatenate([np.empty(0), *hist])
+    past = ts < t
+    pair = np.repeat(np.arange(len(hist)), [h.shape[0] for h in hist])[past]
+    sums = np.bincount(pair, weights=np.exp(-lam * (t - ts[past])), minlength=len(hist))
+    live = np.bincount(pair, minlength=len(hist)) > 0
+    ends = np.array(list(g.pair_index), dtype=np.int64).reshape(-1, 2)
+    return ends[live], sums[live]
+
+
 def top_m_neighbors(
-    g: TemporalGraph, u: int, t: float, m: int, lam: float = DEFAULT_DECAY
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ids and scores of u's m most significant neighbors at time t.
+    g: TemporalGraph, t: float, m: int, lam: float = DEFAULT_DECAY, rng: np.random.Generator | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node's m most significant neighbors at time t, as
+    (num_nodes, m) ids, scores and mask; row u is node u's list.
 
     A neighbor qualifies once it has at least one contact with u strictly
-    before t.  Isolated nodes yield empty arrays.
+    before t; isolated nodes get an empty row.  With ``rng`` each row is
+    instead a ``sample_m`` draw from all of the node's candidates, the
+    nodes drawn in id order.
     """
     if m < 1:
         raise ValueError(f"capacity must be at least 1, got {m}")
     if not lam > 0:
         raise ValueError(f"decay rate must be positive, got {lam}")
-    ids: list[int] = []
-    scores: list[float] = []
-    for v, ts in g.neighbors(u).items():
-        hist = ts[: bisect.bisect_left(ts, t)]
-        if hist.shape[0] == 0:
-            continue
-        ids.append(v)
-        scores.append(float(np.exp(-lam * (t - hist)).sum()))
-    ids_a = np.asarray(ids, dtype=np.int64)
-    sc_a = np.asarray(scores, dtype=np.float64)
-    order = _rank_order(ids_a, sc_a)[:m]
-    return ids_a[order], sc_a[order]
+    ends, sums = pair_significance(g, t, lam)
+    # each pair from both ends, ranked within each node
+    node, nbr, score = ends.T.reshape(-1), ends[:, ::-1].T.reshape(-1), np.tile(sums, 2)
+    order = np.lexsort((nbr, -score, node))
+    node, nbr, score = node[order], nbr[order], score[order]
+    n = g.num_nodes
+    deg = np.bincount(node, minlength=n)
+    start = np.cumsum(deg) - deg
+    rank = np.arange(node.shape[0]) - start[node]
+    keep = rank < m
+    ids = np.zeros((n, m), dtype=np.int64)
+    scores = np.zeros((n, m), dtype=np.float64)
+    ids[node[keep], rank[keep]] = nbr[keep]
+    scores[node[keep], rank[keep]] = score[keep]
+    if rng is not None:
+        for u in np.flatnonzero(deg > m).tolist():
+            seg = slice(start[u], start[u] + deg[u])
+            ids[u], scores[u] = sample_m(nbr[seg], score[seg], m, rng)
+    mask = np.arange(m) < np.minimum(deg, m)[:, None]
+    return ids, scores, mask
 
 
 def significance_label(g: TemporalGraph, u: int, v: int, t: float, delta: float) -> int:
@@ -100,8 +125,8 @@ class SignificanceIndex:
     score decayed to the last contact time, split into the part strictly
     before that time and the count at exactly that time.  The candidate
     lists (``neighbor_scores``, ``top_m``, ``random_m``) count every
-    contact held; ``score`` keeps the strict "before t" semantics of the
-    pure route, also at a timestamp that matches pending contacts.
+    contact held, so a query at a time t ahead of the frontier sees the
+    contacts strictly before t.
 
     ``TopMTable.build`` sweeps it and stores each node's ``top_m`` list,
     or a ``random_m`` draw, at each of the node's event times.
@@ -117,7 +142,6 @@ class SignificanceIndex:
         self._nbr: list[list[int]] = [[] for _ in range(num_nodes)]
         self._s_strict: list[list[float]] = [[] for _ in range(num_nodes)]
         self._n_last: list[list[float]] = [[] for _ in range(num_nodes)]
-        self._n_total: list[list[float]] = [[] for _ in range(num_nodes)]
         self._last_t: list[list[float]] = [[] for _ in range(num_nodes)]
 
     def add_event(self, u: int, v: int, t: float) -> None:
@@ -136,10 +160,8 @@ class SignificanceIndex:
             self._nbr[u].append(v)
             self._s_strict[u].append(0.0)
             self._n_last[u].append(1.0)
-            self._n_total[u].append(1.0)
             self._last_t[u].append(t)
             return
-        self._n_total[u][slot] += 1.0
         last = self._last_t[u][slot]
         if t == last:
             self._n_last[u][slot] += 1.0
@@ -178,19 +200,6 @@ class SignificanceIndex:
         ids, scores = self.neighbor_scores(u, t)
         order = _rank_order(ids, scores)[:m]
         return ids[order], scores[order]
-
-    def score(self, u: int, v: int, t: float) -> float:
-        """Decayed count of the (u, v) contacts strictly before t."""
-        self._check_query_time(t)
-        slot = self._slot[u].get(v)
-        if slot is None:
-            return 0.0
-        last = self._last_t[u][slot]
-        if last == t:
-            return self._s_strict[u][slot] if self._n_total[u][slot] > self._n_last[u][slot] else 0.0
-        return (self._s_strict[u][slot] + self._n_last[u][slot]) * float(
-            np.exp(-self.lam * (t - last))
-        )
 
     def random_m(
         self, u: int, t: float, m: int, rng: np.random.Generator

@@ -2,8 +2,7 @@
 
 An interaction stream is a multiset of undirected timestamped contacts
 (u, v, t).  This module normalizes raw edge lists (dense node ids,
-rescaled timestamps), builds per-pair and per-node timestamp indices,
-and performs the chronological train/test split used for temporal link
+rescaled timestamps), builds a per-pair timestamp index, and performs the chronological train/test split used for temporal link
 prediction.
 """
 
@@ -40,21 +39,18 @@ def _pair_key(u: int, v: int) -> tuple[int, int]:
 
 @dataclass
 class TemporalGraph:
-    """Immutable, time-sorted contact stream with pair and node indices.
+    """Immutable, time-sorted contact stream with a pair index.
 
     Attributes:
         num_nodes: node count; ids are dense integers 0..num_nodes-1.
         events: list of Event sorted by timestamp (stable).
         pair_index: (min(u,v), max(u,v)) -> sorted numpy array of timestamps.
-        node_index: u -> {neighbor -> sorted numpy array of timestamps};
-            arrays are shared with pair_index.
         raw_ids: original node label per dense id (for report emission).
     """
 
     num_nodes: int
     events: list[Event]
     pair_index: dict[tuple[int, int], np.ndarray] = field(repr=False)
-    node_index: dict[int, dict[int, np.ndarray]] = field(repr=False)
     raw_ids: list[str] = field(default_factory=list, repr=False)
 
     @property
@@ -64,10 +60,6 @@ class TemporalGraph:
     @property
     def t_max(self) -> float:
         return self.events[-1].t if self.events else 0.0
-
-    def neighbors(self, u: int) -> dict[int, np.ndarray]:
-        """Historical neighbors of ``u`` with their full timestamp arrays."""
-        return self.node_index.get(u, {})
 
     def pair_history(self, u: int, v: int, t: float) -> np.ndarray:
         """All timestamps of (u, v) contacts strictly before ``t``.
@@ -89,18 +81,11 @@ class TemporalGraph:
         return int(np.searchsorted(ts, t1, side="left") - np.searchsorted(ts, t0, side="left"))
 
 
-def _build_indices(
-    events: list[Event],
-) -> tuple[dict[tuple[int, int], np.ndarray], dict[int, dict[int, np.ndarray]]]:
+def _pair_index(events: list[Event]) -> dict[tuple[int, int], np.ndarray]:
     by_pair: dict[tuple[int, int], list[float]] = {}
     for u, v, t in events:
         by_pair.setdefault(_pair_key(u, v), []).append(t)
-    pair_index = {k: np.asarray(ts, dtype=np.float64) for k, ts in by_pair.items()}
-    node_index: dict[int, dict[int, np.ndarray]] = {}
-    for (a, b), ts in pair_index.items():
-        node_index.setdefault(a, {})[b] = ts
-        node_index.setdefault(b, {})[a] = ts
-    return pair_index, node_index
+    return {k: np.asarray(ts, dtype=np.float64) for k, ts in by_pair.items()}
 
 
 def from_events(events: list[Event], num_nodes: int | None = None, raw_ids: list[str] | None = None) -> TemporalGraph:
@@ -111,10 +96,9 @@ def from_events(events: list[Event], num_nodes: int | None = None, raw_ids: list
     events = sorted(events, key=lambda e: e.t)
     if num_nodes is None:
         num_nodes = 1 + max(max(e.u, e.v) for e in events) if events else 0
-    pair_index, node_index = _build_indices(events)
     if raw_ids is None:
         raw_ids = [str(i) for i in range(num_nodes)]
-    return TemporalGraph(num_nodes, events, pair_index, node_index, raw_ids)
+    return TemporalGraph(num_nodes, events, _pair_index(events), raw_ids)
 
 
 def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
@@ -227,7 +211,5 @@ def split_train_test(g: TemporalGraph, ratio: float = 0.75) -> DataSplit:
         raise ValueError("split leaves an empty training window")
     if not test_pairs:
         raise ValueError("split leaves an empty test window")
-    train = TemporalGraph(
-        g.num_nodes, train_events, *_build_indices(train_events), raw_ids=list(g.raw_ids)
-    )
+    train = TemporalGraph(g.num_nodes, train_events, _pair_index(train_events), list(g.raw_ids))
     return DataSplit(t_split=t_split, train=train, test_pairs=test_pairs)

@@ -195,7 +195,6 @@ def _forward_backward(
     fb: _FlatBatch,
     params: ModelParams,
     feats: np.ndarray,
-    detach_phi: bool = False,
 ) -> tuple[float, ModelParams]:
     """Mean batch loss and its exact parameter gradients."""
     phi_e, nbr_gather, pre, h1, phi_r, h1_nbr, agg, h2 = forward_batch(fb, params, feats)
@@ -249,12 +248,9 @@ def _forward_backward(
         axis=1,
     )
 
-    if detach_phi:
-        g_beta = np.zeros_like(params.beta)
-    else:
-        inner = np.sum(d_phi * phi_e, axis=1, keepdims=True)
-        d_z = phi_e * (d_phi - inner)
-        g_beta = np.sum(d_z * fb.scores, axis=0)
+    inner = np.sum(d_phi * phi_e, axis=1, keepdims=True)
+    d_z = phi_e * (d_phi - inner)
+    g_beta = np.sum(d_z * fb.scores, axis=0)
 
     grads = ModelParams(
         w1_self=feats.T @ d_xw1s,

@@ -33,6 +33,13 @@ def table_list(table: TopMTable, u: int, t: float) -> tuple[np.ndarray, np.ndarr
     return ids[0][mask[0]], scores[0][mask[0]]
 
 
+def index_pair_score(index, u: int, v: int, t: float) -> float:
+    """The (u, v) score a SignificanceIndex gives at t, 0 for a pair it
+    has not seen; strictly before t while no contact at t is added."""
+    ids, scores = index.neighbor_scores(u, t)
+    return float(scores[ids == v].sum())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,5 +1,9 @@
 """Reference implementations the tests pin the program against.
 
+* ``pure_top_m``, one node's candidate list at one time, ranked from the
+  node's pair histories: the oracle for the array pass
+  ``stgnn.significance.top_m_neighbors``, the top-m table and the
+  streaming index.
 * A per-node recursive forward pass, the oracle for the batched one: the
   readable form of the two-layer aggregation, where one call embeds one
   node by recursing through its candidate lists, and each layer is a
@@ -9,9 +13,9 @@
   loss.
 * ``BatchTree``, the dict-based tree builder that builds one entry at a
   time, the oracle for the array builder ``stgnn.model.build_batch``.
-* The batch loss and its gradients over a tree built from pure
-  ``top_m_neighbors`` queries on an immutable graph, used by the
-  gradient checks (training itself uses the top-m table).
+* The batch loss and its gradients over a tree built from ``pure_top_m``
+  queries on an immutable graph, used by the gradient checks (training
+  itself uses the top-m table).
 * ``sample_negatives``, one negative draw per positive.
 * ``initial_significance``, the decayed contact count of one pair
   history, and the per-pair ``heuristic_reference`` built on it, the
@@ -40,11 +44,37 @@ from stgnn.model import (
     init_params,
     random_features,
 )
-from stgnn.significance import top_m_neighbors
 from stgnn.temporal_graph import Event, TemporalGraph, from_events
 from stgnn.training import TrainConfig, TrainSample, _draw_negative, _forward_backward
 
 logger = logging.getLogger(__name__)
+
+
+def pure_top_m(
+    g: TemporalGraph, u: int, t: float, m: int, lam: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and scores of u's m most significant neighbors at time t,
+    score-descending with the smaller id first on ties.
+
+    A neighbor qualifies once it has at least one contact with u strictly
+    before t.  Isolated nodes yield empty arrays.
+    """
+    if m < 1:
+        raise ValueError(f"capacity must be at least 1, got {m}")
+    if not lam > 0:
+        raise ValueError(f"decay rate must be positive, got {lam}")
+    ids: list[int] = []
+    scores: list[float] = []
+    for (a, b) in g.pair_index:
+        if u in (a, b):
+            hist = g.pair_history(a, b, t)
+            if hist.shape[0]:
+                ids.append(b if a == u else a)
+                scores.append(float(np.exp(-lam * (t - hist)).sum()))
+    ids_a = np.asarray(ids, dtype=np.int64)
+    sc_a = np.asarray(scores, dtype=np.float64)
+    order = np.lexsort((ids_a, -sc_a))[:m]
+    return ids_a[order], sc_a[order]
 
 
 def phi(scores, beta) -> np.ndarray:
@@ -116,7 +146,7 @@ def forward_node(
     if m is None:
         m = params.m
     if selector is None:
-        selector = lambda g_, n_, t_, m_: top_m_neighbors(g_, n_, t_, m_, lam=lam)
+        selector = lambda g_, n_, t_, m_: pure_top_m(g_, n_, t_, m_, lam=lam)
 
     lists: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -310,7 +340,7 @@ class BatchTree:
 
 def tree_from_graph(batch: list[TrainSample], g: TemporalGraph, config: TrainConfig) -> _FlatBatch:
     """Build the batch tree with pure (immutable-graph) candidate queries."""
-    tree = BatchTree(config.m, partial(top_m_neighbors, g, lam=config.lam))
+    tree = BatchTree(config.m, partial(pure_top_m, g, lam=config.lam))
     for s in batch:
         ru = tree.add_root(s.u, s.t)
         rv = tree.add_root(s.v, s.t)
@@ -329,7 +359,7 @@ def batch_loss(
 
 def backward(
     batch: list[TrainSample], g: TemporalGraph, feats: np.ndarray, params: ModelParams,
-    config: TrainConfig, _detach_phi: bool = False,
+    config: TrainConfig,
 ) -> ModelParams:
     """Exact gradients of the mean batch loss for all five tensors.
 
@@ -340,7 +370,7 @@ def backward(
     if not batch:
         raise ValueError("backward over an empty batch")
     fb = tree_from_graph(batch, g, config)
-    _, grads = _forward_backward(fb, params, feats, detach_phi=_detach_phi)
+    _, grads = _forward_backward(fb, params, feats)
     for name, a in grads.arrays():
         if not np.all(np.isfinite(a)):
             raise FloatingPointError(f"non-finite gradient in {name}")

@@ -17,12 +17,12 @@ from stgnn.cli import ABLATION_FLAGS, ExperimentConfig, run_ablation_grid, run_s
 from stgnn.evaluation import auc, mean_average_precision
 from stgnn.model import init_params, random_features
 from stgnn.powerlaw import PowerLawFit, fit_power_law, intimate_window_size, sample_power_law
-from stgnn.significance import SignificanceIndex, TopMTable, top_m_neighbors
+from stgnn.significance import SignificanceIndex, TopMTable
 from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import Event, from_events, load_edge_list, split_train_test
 from stgnn.training import TrainConfig, train
 
-from conftest import random_stream
+from conftest import index_pair_score, random_stream
 from reference_model import (
     backward,
     brute_force_ap,
@@ -33,6 +33,7 @@ from reference_model import (
     kink_margin,
     make_pairs,
     max_relative_error,
+    pure_top_m,
     small_instance,
 )
 
@@ -181,7 +182,7 @@ class TestCriterion4:
                 u = int(rng.integers(40))
                 ids, scores, mask = table.lookup([u], [pt])
                 ids, scores = ids[0][mask[0]], scores[0][mask[0]]
-                ref_ids, ref_scores = top_m_neighbors(g, u, pt, 10)
+                ref_ids, ref_scores = pure_top_m(g, u, pt, 10)
                 assert list(ids) == ref_ids.tolist()
                 if len(ids):
                     worst = max(
@@ -190,14 +191,15 @@ class TestCriterion4:
                     )
                 topm_checked += 1
                 next_probe += 1
-            for k in range(i, j):
-                e = events[k]
-                s_stream = idx.score(e.u, e.v, e.t)
+            # each pair's score before any contact of this time is added
+            for e in events[i:j]:
+                s_stream = index_pair_score(idx, e.u, e.v, e.t)
                 s_full = initial_significance(g.pair_history(e.u, e.v, e.t), e.t)
                 if s_full > 0.0:
                     worst = max(worst, abs(s_stream - s_full) / s_full)
                 else:
                     assert s_stream == 0.0
+            for e in events[i:j]:
                 idx.add_event(e.u, e.v, e.t)
             i = j
         verdict(

@@ -170,6 +170,38 @@ class TestRun:
         assert report.best_auc == pytest.approx(doc["best_auc"])
 
 
+@pytest.fixture(scope="module")
+def checkpoint(dataset, tmp_path_factory):
+    """A checkpoint trained with m = 4 on the 40-node dataset."""
+    out = tmp_path_factory.mktemp("ckpt")
+    run_experiment(quick_config(dataset, out, epochs=1))
+    return str(out / "seed_00" / "checkpoint.npz")
+
+
+class TestEvalCheckpointChecks:
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_other_m_rejected(self, dataset, checkpoint, tmp_path, m):
+        n = load_edge_list(dataset).num_nodes
+        with pytest.raises(ValueError, match=rf"beta of length 4 and {n} feature rows.*m = {m} and .* has {n} nodes"):
+            eval_checkpoint(checkpoint, quick_config(dataset, tmp_path, m=m))
+
+    def test_other_dataset_rejected(self, dataset, checkpoint, tmp_path):
+        n = load_edge_list(dataset).num_nodes
+        wider, _ = generate_synthetic(
+            tmp_path / "wide.txt", n_nodes=60, n_significant_pairs=6,
+            n_background_events=300, horizon=60.0, seed=12, n_communities=4,
+        )
+        assert load_edge_list(wider).num_nodes == 60
+        with pytest.raises(ValueError, match=rf"{n} feature rows.*m = 4 and .* has 60 nodes"):
+            eval_checkpoint(checkpoint, quick_config(wider, tmp_path))
+
+    def test_eval_verb_fails_with_the_message(self, dataset, checkpoint, tmp_path, caplog):
+        rc = main(["eval", "--checkpoint", checkpoint, "--dataset", str(dataset),
+                   "--time-unit", "1.0", "--m", "6"])
+        assert rc == 1
+        assert "beta of length 4" in caplog.text and "m = 6" in caplog.text
+
+
 class TestGridAndSweep:
     def test_ablation_grid_emits_four_aggregates(self, dataset, tmp_path):
         cfg = quick_config(dataset, tmp_path / "grid", epochs=1)

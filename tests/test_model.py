@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import stgnn.model
 from stgnn.model import (
-    CandidateLists,
     ModelParams,
     forward_node,
     init_params,
     load_checkpoint,
     random_features,
-    random_neighbor_selector,
     save_checkpoint,
 )
+from stgnn.evaluation import node_embeddings
 from stgnn.significance import top_m_neighbors
 from stgnn.temporal_graph import Event, from_events
+from stgnn.training import TrainConfig, named_rng
 from conftest import random_stream
-from reference_model import cosine, phi, stagg_layer
+from reference_model import cosine, phi, pure_top_m, stagg_layer
 from reference_model import forward_node as reference_forward_node
 
 
@@ -127,7 +128,7 @@ class TestForwardNode:
                 return e / e.sum()
 
             def h1(node):
-                ids, scores = top_m_neighbors(g, node, t, m)
+                ids, scores = pure_top_m(g, node, t, m)
                 acc = feats[node] @ params.w1_self
                 if len(ids):
                     w = weights(scores)
@@ -135,7 +136,7 @@ class TestForwardNode:
                         acc = acc + wi * (feats[vi] @ params.w1_nbr)
                 return np.maximum(acc, 0.0)
 
-            ids, scores = top_m_neighbors(g, u, t, m)
+            ids, scores = pure_top_m(g, u, t, m)
             acc = h1(u) @ params.w2_self
             if len(ids):
                 w = weights(scores)
@@ -143,66 +144,87 @@ class TestForwardNode:
                     acc = acc + wi * (h1(vi) @ params.w2_nbr)
             return acc
 
-        rows = forward_node(g, feats, params, range(5), t, m=m)
+        rows = forward_node(g, feats, params, range(5), t)
         assert rows.shape == (5, 3)
         for u in range(5):
             np.testing.assert_allclose(rows[u], oracle(u), rtol=1e-10)
 
-    def test_each_distinct_node_selected_once(self, rng):
+    def test_each_distinct_node_selected_once(self, rng, monkeypatch):
         g = random_stream(rng, n_nodes=8, n_events=80)
         feats = random_features(8, 4, rng)
         params = init_params(rng, 4, 3, 3, m=3)
         t = g.t_max * 0.8
-        calls = []
+        passes, looked_up = [], []
+        array_pass, build = stgnn.model.top_m_neighbors, stgnn.model.build_batch
 
-        def counting(g_, node, t_, m_):
-            calls.append(node)
-            return top_m_neighbors(g_, node, t_, m_)
+        def counting_pass(*args):
+            passes.append(args[1])
+            return array_pass(*args)
 
+        def recording_build(node, ts, lookup, m):
+            def recorded(nodes, ts_):
+                looked_up.extend(np.asarray(nodes).tolist())
+                return lookup(nodes, ts_)
+            return build(node, ts, recorded, m)
+
+        monkeypatch.setattr(stgnn.model, "top_m_neighbors", counting_pass)
+        monkeypatch.setattr(stgnn.model, "build_batch", recording_build)
         nodes = [0, 3, 5, 3]
-        forward_node(g, feats, params, nodes, t, selector=counting)
+        forward_node(g, feats, params, nodes, t)
+        assert passes == [t]  # one array pass at the query time
         in_tree = set(nodes)
         for u in set(nodes):
-            in_tree.update(top_m_neighbors(g, u, t, 3)[0].tolist())
-        assert sorted(calls) == sorted(in_tree)
+            in_tree.update(pure_top_m(g, u, t, 3)[0].tolist())
+        assert sorted(looked_up) == sorted(in_tree)
 
     def test_random_list_shared_by_root_and_neighbor(self, rng):
         # every node has more historical neighbors than m, so each draw is
         # a genuine sample, and every node is a root, so each drawn
-        # neighbor is a root as well
+        # neighbor is a root as well: the reference forward, replaying the
+        # drawn rows, must see one list per node
         g = random_stream(rng, n_nodes=8, n_events=200)
         feats = random_features(8, 4, rng)
         params = init_params(rng, 4, 3, 3, m=2)
         params.beta = rng.normal(size=2)
         t = g.t_max
-        assert all(len(top_m_neighbors(g, u, t, 8)[0]) > 2 for u in range(8))
-        drawn = {}
-        sampler = random_neighbor_selector(np.random.default_rng(7))
-
-        def recording(g_, node, t_, m_):
-            drawn.setdefault(node, []).append(sampler(g_, node, t_, m_))
-            return drawn[node][-1]
-
-        rows = forward_node(g, feats, params, range(8), t, selector=recording)
-        assert all(len(lists) == 1 for lists in drawn.values())
-        replay = lambda g_, node, t_, m_: drawn[node][0]
+        assert all(len(pure_top_m(g, u, t, 8)[0]) > 2 for u in range(8))
+        rows = forward_node(g, feats, params, range(8), t, rng=np.random.default_rng(7))
+        ids, scores, mask = top_m_neighbors(g, t, 2, rng=np.random.default_rng(7))
+        top_ids = top_m_neighbors(g, t, 2)[0]
+        assert not np.array_equal(ids, top_ids)  # the draws are not the top-m lists
+        replay = lambda g_, node, t_, m_: (ids[node][mask[node]], scores[node][mask[node]])
         for u in range(8):
             np.testing.assert_allclose(
                 rows[u], reference_forward_node(g, feats, params, u, t, selector=replay),
                 rtol=1e-10,
             )
 
+    def test_bgnn_embeddings_replay_through_reference(self, rng):
+        # evaluation's selection-ablated embeddings come from rows drawn
+        # with the "eval-selection" stream; replayed, the reference agrees
+        g = random_stream(rng, n_nodes=10, n_events=250)
+        cfg = TrainConfig(m=2, d0=4, d1=3, d2=3, seed=5, use_significant_selection=False)
+        feats = random_features(10, 4, rng)
+        params = init_params(rng, 4, 3, 3, m=2)
+        params.beta = rng.normal(size=2)
+        t, nodes = g.t_max * 0.9, [1, 4, 6]
+        got = node_embeddings(g, params, feats, nodes, t, cfg)
+        ids, scores, mask = top_m_neighbors(g, t, 2, cfg.lam, rng=named_rng(5, "eval-selection"))
+        replay = lambda g_, node, t_, m_: (ids[node][mask[node]], scores[node][mask[node]])
+        for i, u in enumerate(nodes):
+            np.testing.assert_allclose(
+                got[i], reference_forward_node(g, feats, params, u, t, selector=replay), rtol=1e-10
+            )
+
     def test_membership_stable_past_last_event(self, rng):
         g = random_stream(rng, n_nodes=8, n_events=100)
         t1 = g.t_max + 1.0
         t2 = g.t_max + 5.0
-        for u in range(8):
-            a_ids, a_scores = top_m_neighbors(g, u, t1, m=4)
-            b_ids, b_scores = top_m_neighbors(g, u, t2, m=4)
-            assert a_ids.tolist() == b_ids.tolist()
-            if len(a_ids):
-                ratio = b_scores / a_scores
-                np.testing.assert_allclose(ratio, math.exp(-(t2 - t1)), rtol=1e-9)
+        a_ids, a_scores, a_mask = top_m_neighbors(g, t1, m=4)
+        b_ids, b_scores, b_mask = top_m_neighbors(g, t2, m=4)
+        np.testing.assert_array_equal(a_ids, b_ids)
+        np.testing.assert_array_equal(a_mask, b_mask)
+        np.testing.assert_allclose(b_scores[a_mask] / a_scores[a_mask], math.exp(-(t2 - t1)), rtol=1e-9)
 
     def test_zero_params_zero_embedding(self, rng):
         g = random_stream(rng, n_nodes=6, n_events=50)
@@ -219,18 +241,6 @@ class TestForwardNode:
         a = forward_node(g, feats, params, [1, 4], 4.2)
         b = forward_node(g, feats, params, [1, 4], 4.2)
         np.testing.assert_array_equal(a, b)
-
-
-class TestCandidateLists:
-    def test_lookup_serves_walked_lists_only(self):
-        g = from_events([Event(0, 1, 1.0), Event(1, 2, 2.0)], num_nodes=3)
-        lists = CandidateLists(lambda u, t, m: top_m_neighbors(g, u, t, m), 2)
-        lists.walk([0], [3.0])
-        ids, scores, mask = lists.lookup([0, 1], [3.0, 3.0])
-        assert ids.tolist() == [[1, 0], [2, 0]]
-        assert mask.tolist() == [[True, False], [True, True]]
-        with pytest.raises(KeyError, match="walk"):
-            lists.lookup([2], [3.0])
 
 
 class TestCosine:

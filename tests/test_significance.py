@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,34 @@ import pytest
 from stgnn.significance import (
     SignificanceIndex,
     TopMTable,
+    sample_m,
     significance_label,
     top_m_neighbors,
 )
 from stgnn.temporal_graph import Event, from_events
-from conftest import random_stream, table_list, tied_stream
-from reference_model import initial_significance
+from conftest import index_pair_score, random_stream, table_list, tied_stream
+from reference_model import initial_significance, pure_top_m
+
+
+def row(g, u, t, m, lam=1.0, rng=None):
+    """Node u's list from one array pass, cut to its valid slots."""
+    ids, scores, mask = top_m_neighbors(g, t, m, lam, rng)
+    return ids[u][mask[u]], scores[u][mask[u]]
+
+
+def assert_uniform(counts, builds, m, k):
+    """Each of k candidates drawn with probability m / k per build, within
+    4.5 binomial standard deviations (two-sided p < 1e-5 per candidate)."""
+    p = m / k
+    bound = 4.5 * np.sqrt(builds * p * (1 - p))
+    assert counts.sum() == m * builds
+    assert np.all(np.abs(counts - builds * p) <= bound), counts
+
+
+def uneven_star():
+    """Node 0 with k = 6 neighbors of unequal significance by t = 3."""
+    events = [Event(0, v, 0.1 * i) for i, v in enumerate([1, 1, 1, 2, 2, 3, 4, 5, 6, 6, 6, 6])]
+    return from_events(events + [Event(0, 3, 2.0), Event(1, 2, 2.0)], num_nodes=7)
 
 
 class TestInitialSignificance:
@@ -59,9 +82,11 @@ class TestInitialSignificance:
 
 
 class TestTopM:
+    """The array pass ``top_m_neighbors``: every node's list at one time."""
+
     def test_single_neighbor_any_capacity(self):
         g = from_events([Event(0, 1, 0.0)], num_nodes=3)
-        ids, _ = top_m_neighbors(g, 0, 1.0, m=5)
+        ids, _ = row(g, 0, 1.0, m=5)
         assert ids.tolist() == [1]
 
     def test_recency_beats_stale_frequency(self):
@@ -69,7 +94,7 @@ class TestTopM:
         t = 20.0
         events = [Event(0, 1, t - 0.1)] + [Event(0, 2, t - 10.0 - i * 1e-6) for i in range(5)]
         g = from_events(events, num_nodes=3)
-        ids, scores = top_m_neighbors(g, 0, t, m=2)
+        ids, scores = row(g, 0, t, m=2)
         assert ids.tolist() == [1, 2]
         assert scores[0] == pytest.approx(math.exp(-0.1), rel=1e-9)
         assert scores[1] == pytest.approx(5 * math.exp(-10.0), rel=1e-4)
@@ -79,7 +104,6 @@ class TestTopM:
         for _ in range(100):
             u = int(rng.integers(15))
             t = float(rng.uniform(0, g.t_max * 1.05))
-            ids, _ = top_m_neighbors(g, u, t, m=5)
             scored = []
             for v in range(15):
                 if v == u:
@@ -88,18 +112,25 @@ class TestTopM:
                 if hist:
                     scored.append((v, initial_significance(hist, t)))
             scored.sort(key=lambda x: (-x[1], x[0]))
-            assert ids.tolist() == [v for v, _ in scored[:5]]
+            want = [v for v, _ in scored[:5]]
+            assert row(g, u, t, m=5)[0].tolist() == want
+            assert pure_top_m(g, u, t, m=5)[0].tolist() == want
 
     def test_isolated_node_empty(self):
         g = from_events([Event(0, 1, 0.0)], num_nodes=4)
-        ids, scores = top_m_neighbors(g, 3, 1.0, m=3)
-        assert len(ids) == 0 and len(scores) == 0
+        ids, scores, mask = top_m_neighbors(g, 1.0, m=3)
+        assert ids.shape == scores.shape == mask.shape == (4, 3)
+        assert not mask[2:].any() and not ids[2:].any() and not scores[2:].any()
+        ids, scores, mask = top_m_neighbors(from_events([], num_nodes=2), 1.0, m=3)
+        assert ids.shape == (2, 3) and not mask.any()
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
     def test_bad_decay_rejected(self, lam):
         g = from_events([Event(0, 1, 0.0)], num_nodes=2)
         with pytest.raises(ValueError, match="decay rate"):
-            top_m_neighbors(g, 0, 1.0, m=2, lam=lam)
+            top_m_neighbors(g, 1.0, m=2, lam=lam)
+        with pytest.raises(ValueError, match="decay rate"):
+            pure_top_m(g, 0, 1.0, m=2, lam=lam)
 
     def test_permutation_invariance(self, rng):
         events = [
@@ -112,11 +143,93 @@ class TestTopM:
         perm = list(events)
         rng.shuffle(perm)
         g2 = from_events(perm, num_nodes=16)
-        for u in range(16):
-            a_ids, a_scores = top_m_neighbors(g1, u, 11.0, m=4)
-            b_ids, b_scores = top_m_neighbors(g2, u, 11.0, m=4)
-            assert a_ids.tolist() == b_ids.tolist()
-            np.testing.assert_allclose(a_scores, b_scores, rtol=1e-15)
+        a_ids, a_scores, a_mask = top_m_neighbors(g1, 11.0, m=4)
+        b_ids, b_scores, b_mask = top_m_neighbors(g2, 11.0, m=4)
+        np.testing.assert_array_equal(a_ids, b_ids)
+        np.testing.assert_array_equal(a_mask, b_mask)
+        np.testing.assert_allclose(a_scores, b_scores, rtol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_pure_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_stream(rng, n_nodes=12, n_events=250)
+        # three nodes that never interact
+        g = from_events(list(g.events), num_nodes=15)
+        t_event = g.events[150].t
+        for t in (t_event, float(rng.uniform(0, g.t_max)), g.t_max + 2.0, 0.0):
+            for m in (1, 3, 30):
+                ids, scores, mask = top_m_neighbors(g, t, m, lam=0.7)
+                assert ids.shape == scores.shape == mask.shape == (15, m)
+                for u in range(15):
+                    ref_ids, ref_scores = pure_top_m(g, u, t, m, lam=0.7)
+                    k = ref_ids.shape[0]
+                    assert mask[u].tolist() == [True] * k + [False] * (m - k)
+                    assert ids[u, :k].tolist() == ref_ids.tolist()
+                    np.testing.assert_allclose(scores[u, :k], ref_scores, rtol=1e-12, atol=0.0)
+                    assert not ids[u, k:].any() and not scores[u, k:].any()
+                assert not mask[12:].any()
+
+    def test_query_at_event_time_is_strictly_before(self):
+        g = from_events(
+            [Event(0, 1, 1.0), Event(0, 2, 2.0), Event(2, 0, 2.0), Event(0, 1, 2.0)],
+            num_nodes=3,
+        )
+        ids, scores = row(g, 0, 2.0, m=3)
+        assert ids.tolist() == [1]
+        np.testing.assert_allclose(scores, [math.exp(-1.0)], rtol=1e-15)
+        assert row(g, 2, 2.0, m=3)[0].size == 0
+
+
+class TestRandomRows:
+    """``top_m_neighbors`` with an rng: each row a uniform draw of up to m
+    of the node's candidates, drawn in node order with ``sample_m``."""
+
+    def test_rows_are_ranked_subsets_of_the_oracle(self, rng):
+        g = random_stream(rng, n_nodes=12, n_events=400)
+        m, n, drawn = 3, g.num_nodes, 0
+        for t in (g.events[200].t, g.t_max + 1.0):
+            ids, scores, mask = top_m_neighbors(g, t, m, rng=np.random.default_rng(5))
+            for u in range(n):
+                ref_ids, ref_scores = pure_top_m(g, u, t, m=n)
+                a, s, ok = ids[u][mask[u]], scores[u][mask[u]], mask[u]
+                assert ok.tolist() == sorted(ok.tolist(), reverse=True)
+                assert a.shape[0] == min(m, ref_ids.shape[0])
+                assert set(a.tolist()) <= set(ref_ids.tolist())
+                assert all(s[i] > s[i + 1] or (s[i] == s[i + 1] and a[i] < a[i + 1]) for i in range(len(a) - 1))
+                by_id = dict(zip(ref_ids.tolist(), ref_scores.tolist()))
+                np.testing.assert_allclose(s, [by_id[x] for x in a.tolist()], rtol=1e-12, atol=0.0)
+                drawn += ref_ids.shape[0] > m
+        assert drawn > 10
+
+    def test_draws_follow_node_order(self, rng):
+        g = random_stream(rng, n_nodes=10, n_events=300)
+        t, m = g.t_max, 2
+        ids, _, mask = top_m_neighbors(g, t, m, rng=np.random.default_rng(3))
+        gen = np.random.default_rng(3)
+        for u in range(10):
+            want, _ = sample_m(*pure_top_m(g, u, t, m=10), m, gen)
+            assert ids[u][mask[u]].tolist() == want.tolist()
+
+    def test_draws_are_uniform(self):
+        g = uneven_star()
+        m, k, builds = 2, 6, 600
+        counts = np.zeros(7)
+        for seed in range(builds):
+            counts[row(g, 0, 3.0, m, rng=np.random.default_rng(seed))[0]] += 1
+        assert counts[0] == 0
+        assert_uniform(counts[1:], builds, m, k)
+
+    def test_equal_seeds_give_equal_arrays(self, rng):
+        g = random_stream(rng, n_nodes=12, n_events=300)
+        a = top_m_neighbors(g, g.t_max, 3, rng=np.random.default_rng(9))
+        b = top_m_neighbors(g, g.t_max, 3, rng=np.random.default_rng(9))
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()
+        gen = np.random.default_rng(9)
+        first, second = top_m_neighbors(g, g.t_max, 3, rng=gen), top_m_neighbors(g, g.t_max, 3, rng=gen)
+        assert first[0].tobytes() == a[0].tobytes()
+        assert not np.array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[2], second[2])
 
 
 class TestLabel:
@@ -170,7 +283,7 @@ class TestTopMTable:
             if rng.random() < 0.1:
                 u = int(rng.integers(20))
                 ids, scores = table_list(table, u, t)
-                ref_ids, ref_scores = top_m_neighbors(g, u, t, 6)
+                ref_ids, ref_scores = pure_top_m(g, u, t, 6)
                 assert list(ids) == ref_ids.tolist()
                 np.testing.assert_allclose(scores, ref_scores, rtol=1e-9)
                 probes += 1
@@ -215,7 +328,7 @@ class TestTopMTable:
         t = g.t_max + 3.0
         for u in range(10):
             ids, scores = table_list(table, u, t)
-            ref_ids, ref_scores = top_m_neighbors(g, u, t, 4)
+            ref_ids, ref_scores = pure_top_m(g, u, t, 4)
             assert ids.tolist() == ref_ids.tolist()
             np.testing.assert_allclose(scores, ref_scores, rtol=1e-12)
 
@@ -232,7 +345,7 @@ class TestTopMTable:
         ids, scores, mask = table.lookup([0], [2000.0])
         assert mask.tolist() == [[True, True]]
         # pins the table's behaviour today: the order just after t = 1,
-        # where top_m_neighbors ranks the zero scores by id ([1, 2])
+        # where pure_top_m ranks the zero scores by id ([1, 2])
         assert ids.tolist() == [[2, 1]]
         np.testing.assert_array_equal(scores, 0.0)
 
@@ -279,7 +392,7 @@ class TestRandomTable:
         ids, scores, mask = table.lookup(nodes, ts)
         drawn = 0
         for u, t, a, s, ok in zip(nodes.tolist(), ts.tolist(), ids, scores, mask):
-            ref_ids, ref_scores = top_m_neighbors(g, u, t, m=n)
+            ref_ids, ref_scores = pure_top_m(g, u, t, m=n)
             a, s = a[ok], s[ok]
             assert ok.tolist() == sorted(ok.tolist(), reverse=True)
             assert a.shape[0] == min(m, ref_ids.shape[0])
@@ -291,20 +404,14 @@ class TestRandomTable:
         assert drawn > 50
 
     def test_draws_are_uniform(self):
-        # node 0 has k = 6 neighbors of unequal significance; m = 2
-        events = [Event(0, v, 0.1 * i) for i, v in enumerate([1, 1, 1, 2, 2, 3, 4, 5, 6, 6, 6, 6])]
-        g = from_events(events + [Event(0, 3, 2.0), Event(1, 2, 2.0)], num_nodes=7)
+        g = uneven_star()
         m, k, builds = 2, 6, 600
         counts = np.zeros(7)
         for seed in range(builds):
             table = TopMTable.build(g, m, rng=np.random.default_rng(seed))
             counts[table_list(table, 0, 3.0)[0]] += 1
-        # each neighbor is drawn with probability m / k per build; allow 4.5
-        # binomial standard deviations (two-sided p < 1e-5 per neighbor)
-        p = m / k
-        bound = 4.5 * np.sqrt(builds * p * (1 - p))
-        assert counts[0] == 0 and counts.sum() == m * builds
-        assert np.all(np.abs(counts[1:] - builds * p) <= bound), counts
+        assert counts[0] == 0
+        assert_uniform(counts[1:], builds, m, k)
 
     def test_equal_seeds_build_equal_tables(self, rng):
         g = random_stream(rng, n_nodes=12, n_events=300)
@@ -321,14 +428,18 @@ class TestRandomTable:
 
 class TestStreamingIndex:
 
-    def test_pair_score_matches_direct(self, rng):
-        g = random_stream(rng, n_nodes=8, n_events=300)
-        idx = SignificanceIndex(8)
-        for e in g.events:
-            s_stream = idx.score(e.u, e.v, e.t)
-            s_direct = initial_significance(g.pair_history(e.u, e.v, e.t), e.t)
-            assert s_stream == pytest.approx(s_direct, rel=1e-9, abs=1e-300)
-            idx.add_event(e.u, e.v, e.t)
+    def test_pair_score_matches_direct(self):
+        # every event's pair score, read before any contact of its time group is added
+        g = coarse_tied_stream(np.random.default_rng(6))
+        idx = SignificanceIndex(g.num_nodes)
+        for _, group in itertools.groupby(g.events, key=lambda e: e.t):
+            group = list(group)
+            for e in group:
+                s_stream = index_pair_score(idx, e.u, e.v, e.t)
+                s_direct = initial_significance(g.pair_history(e.u, e.v, e.t), e.t)
+                assert s_stream == pytest.approx(s_direct, rel=1e-9, abs=1e-300)
+            for e in group:
+                idx.add_event(e.u, e.v, e.t)
 
     def test_rejects_time_travel(self):
         idx = SignificanceIndex(4)
@@ -347,7 +458,7 @@ class TestStreamingIndex:
         assert ids.tolist() == [2, 1]
         np.testing.assert_allclose(scores, [2.0, math.exp(-1.0)], rtol=1e-15)
         ids, scores = idx.top_m(0, 3.0, 2)
-        ref_ids, ref_scores = top_m_neighbors(g, 0, 3.0, 2)
+        ref_ids, ref_scores = pure_top_m(g, 0, 3.0, 2)
         assert ids.tolist() == ref_ids.tolist()
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-15)
         with pytest.raises(ValueError):
@@ -362,7 +473,7 @@ class TestStreamingIndex:
         assert ids.tolist() == [2, 1]
         np.testing.assert_allclose(scores, [2.0, math.exp(-1.0)], rtol=1e-15)
         ids, scores = idx.random_m(0, 3.0, 2, rng)
-        ref_ids, ref_scores = top_m_neighbors(g, 0, 3.0, 2)
+        ref_ids, ref_scores = pure_top_m(g, 0, 3.0, 2)
         assert ids.tolist() == ref_ids.tolist()
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-15)
         with pytest.raises(ValueError):
