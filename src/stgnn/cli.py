@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -78,6 +79,10 @@ class ExperimentConfig:
             raise ValueError(f"time_unit must be positive, got {self.time_unit}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
+        if self.window_size is not None and not (math.isfinite(self.window_size) and self.window_size > 0):
+            raise ValueError(f"window_size must be positive and finite, got {self.window_size}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         self.train_config(0)  # TrainConfig checks the training fields
 
     def train_config(self, rep: int) -> training.TrainConfig:

@@ -17,12 +17,22 @@ stgnn.model.forward_batch, shared with evaluation.  Gradients of the full
 loss -> output layer -> hidden layer -> softmax rank-weighting
 composition are derived by hand from its activations and evaluated in
 batched numpy; tests pin the loss against a per-node recursive reference
-forward and the gradients against central finite differences.
+forward and the gradients against central finite differences.  Each
+scatter of gradient rows onto nodes or tree entries is one ``np.bincount``
+per column, which adds every bin's rows in input order and so equals
+``np.add.at`` bitwise; the softmax-weighted neighbour rows of both layers
+are formed one column at a time, never as one (rows, d) array.
+
+Negatives are drawn one uniform node at a time per positive, and each
+try is checked by bisection on the pair's timestamps held as a Python
+list, so the draws depend only on the seed and the training stream.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -86,14 +96,21 @@ class TrainConfig:
     negative_tries: int = 100
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr (learning rate) must be positive and finite, got {self.lr}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.m < 1:
             raise ValueError(f"m (neighbors per node) must be at least 1, got {self.m}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if not self.lam > 0:
             raise ValueError(f"lam (decay rate) must be positive, got {self.lam}")
+        for name in ("d0", "d1", "d2"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} (layer width) must be at least 1, got {getattr(self, name)}")
+        if self.negative_tries < 1:
+            raise ValueError(f"negative_tries must be at least 1, got {self.negative_tries}")
 
 
 @dataclass
@@ -128,7 +145,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; carries the last finite parameters."""
+    """Loss or gradients went non-finite; carries the last finite parameters."""
 
     def __init__(self, message: str, params: ModelParams, history: list[float]):
         super().__init__(message)
@@ -159,23 +176,60 @@ def build_positive_samples(g: TemporalGraph, delta: float | None) -> list[TrainS
     return out
 
 
-def _valid_negative(g: TemporalGraph, u: int, w: int, t: float, delta: float | None) -> bool:
+def _pair_times(g: TemporalGraph) -> dict[tuple[int, int], list[float]]:
+    """The pair index with each timestamp array as a Python list, for
+    the per-try bisections of _valid_negative."""
+    return {k: ts.tolist() for k, ts in g.pair_index.items()}
+
+
+def _valid_negative(
+    times: dict[tuple[int, int], list[float]], u: int, w: int, t: float, delta: float | None
+) -> bool:
     """w is a negative for u at t when the pair has no contact in
-    [t, t + delta), or, with no window, no contact at exactly t."""
+    [t, t + delta), or, with no window, no contact at exactly t.
+
+    ``times`` is the graph's _pair_times.
+    """
     if w == u:
         return False
-    end = t + delta if delta is not None else np.nextafter(t, np.inf)
-    return g.count_in_window(u, w, t, end) == 0
+    ts = times.get((u, w) if u < w else (w, u), ())
+    end = t + delta if delta is not None else math.nextafter(t, math.inf)
+    return bisect.bisect_left(ts, end) == bisect.bisect_left(ts, t)
 
 
 def _draw_negative(
-    g: TemporalGraph, pos: TrainSample, rng: np.random.Generator, delta: float | None, tries: int
-) -> TrainSample | None:
+    times: dict[tuple[int, int], list[float]],
+    num_nodes: int,
+    u: int,
+    t: float,
+    rng: np.random.Generator,
+    delta: float | None,
+    tries: int,
+) -> int:
+    """A uniform node w valid as u's negative at t, or -1 when ``tries``
+    draws found none."""
     for _ in range(tries):
-        w = int(rng.integers(g.num_nodes))
-        if _valid_negative(g, pos.u, w, pos.t, delta):
-            return TrainSample(u=pos.u, v=w, t=pos.t, positive=False, s_delta=0)
-    return None
+        w = int(rng.integers(num_nodes))
+        if _valid_negative(times, u, w, t, delta):
+            return w
+    return -1
+
+
+def _negative_column(
+    times: dict[tuple[int, int], list[float]],
+    num_nodes: int,
+    u: list[int],
+    t: list[float],
+    rng: np.random.Generator,
+    delta: float | None,
+    tries: int,
+) -> np.ndarray:
+    """One negative per positive (u[k], t[k]) as an int64 column, -1
+    where none was found: one _draw_negative call per positive."""
+    return np.array(
+        [_draw_negative(times, num_nodes, a, b, rng, delta, tries) for a, b in zip(u, t)],
+        dtype=np.int64,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +238,12 @@ def _draw_negative(
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, d) sums of ``rows`` by target row ``index``, added in input
-    order: bitwise the result of ``np.add.at`` into zeros."""
-    d = rows.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
-    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
+    """(n, d) sums of ``rows`` by target row ``index``: one ``np.bincount``
+    per column, each bin adding its rows in input order, so the result is
+    bitwise that of ``np.add.at`` into zeros."""
+    return np.column_stack(
+        [np.bincount(index, weights=rows[:, j], minlength=n) for j in range(rows.shape[1])]
+    )
 
 
 def _forward_backward(
@@ -225,12 +280,18 @@ def _forward_backward(
     g_w2_nbr = agg.T @ d_h2
 
     d_agg = d_h2 @ params.w2_nbr.T  # (R, d1)
-    d_h1 = _scatter_rows(
-        np.concatenate([fb.root_entry, fb.root_nbrs.reshape(-1)]),
-        np.concatenate(
-            [d_h2 @ params.w2_self.T, (phi_r[:, :, None] * d_agg[:, None, :]).reshape(-1, h1.shape[1])]
-        ),
-        h1.shape[0],
+    d_self = d_h2 @ params.w2_self.T
+    # the root rows, then the (R * m, d1) weighted neighbour rows, one column at a time
+    h1_index = np.concatenate([fb.root_entry, fb.root_nbrs.reshape(-1)])
+    d_h1 = np.column_stack(
+        [
+            np.bincount(
+                h1_index,
+                weights=np.concatenate([d_self[:, j], (phi_r * d_agg[:, j, None]).reshape(-1)]),
+                minlength=h1.shape[0],
+            )
+            for j in range(h1.shape[1])
+        ]
     )
     mask_r = fb.mask[fb.root_entry]
     d_phi = _scatter_rows(
@@ -241,11 +302,13 @@ def _forward_backward(
     n_nodes = feats.shape[0]
     d_xw1s = _scatter_rows(fb.owner, d_pre, n_nodes)
     d_phi += np.einsum("ed,emd->em", d_pre, nbr_gather) * fb.mask
-    # the (E * m, d1) weighted rows, eight columns at a time to bound memory
-    nbr_rows = lambda c: (phi_e[:, :, None] * d_pre[:, None, c : c + 8]).reshape(fb.nbrs.size, -1)
-    d_xw1n = np.concatenate(
-        [_scatter_rows(fb.nbrs.reshape(-1), nbr_rows(c), n_nodes) for c in range(0, pre.shape[1], 8)],
-        axis=1,
+    # the (E * m, d1) weighted neighbour rows, one column at a time
+    nbrs = fb.nbrs.reshape(-1)
+    d_xw1n = np.column_stack(
+        [
+            np.bincount(nbrs, weights=(phi_e * d_pre[:, j, None]).reshape(-1), minlength=n_nodes)
+            for j in range(pre.shape[1])
+        ]
     )
 
     inner = np.sum(d_phi * phi_e, axis=1, keepdims=True)
@@ -321,6 +384,10 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
     pos_v = np.array([p.v for p in positives], dtype=np.int64)
     pos_t = np.array([p.t for p in positives], dtype=np.float64)
     pos_s = np.array([p.s_delta for p in positives], dtype=np.float64)
+    # the negatives' per-try checks run on Python scalars and lists
+    times = _pair_times(g_train)
+    neg_u, neg_t = pos_u.tolist(), pos_t.tolist()
+    neg_delta = None if delta is None else float(delta)
     table = None
     if config.use_significant_selection and positives:  # no events, no chunks, no table
         table = TopMTable.build(g_train, config.m, config.lam)
@@ -333,8 +400,9 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
 
     for epoch in range(config.epochs):
         tic = time.perf_counter()
-        negs = [_draw_negative(g_train, p, neg_rng, delta, config.negative_tries) for p in positives]
-        neg_w = np.array([-1 if x is None else x.v for x in negs], dtype=np.int64)
+        neg_w = _negative_column(
+            times, g_train.num_nodes, neg_u, neg_t, neg_rng, neg_delta, config.negative_tries
+        )
         n_skip = int(np.count_nonzero(neg_w < 0))
         skipped_total += n_skip
         if n_skip and epoch == 0:
@@ -349,9 +417,10 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
             c = slice(start, start + config.batch_size)
             fb = _capture_chunk(pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], config.m, table.lookup)
             loss, grads = _forward_backward(fb, params, feats)
-            if not np.isfinite(loss):
+            # checked before the step, so the exception carries finite parameters
+            if not (np.isfinite(loss) and all(np.isfinite(a).all() for _, a in grads.arrays())):
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}", params.copy(), history
+                    f"non-finite loss or gradients at epoch {epoch}", params.copy(), history
                 )
             adam_step(params, grads, adam, config.lr)
             loss_sum += loss * fb.su.shape[0]

@@ -16,7 +16,13 @@
 * The batch loss and its gradients over a tree built from ``pure_top_m``
   queries on an immutable graph, used by the gradient checks (training
   itself uses the top-m table).
-* ``sample_negatives``, one negative draw per positive.
+* ``draw_negative``, one negative per positive drawn against the
+  graph's numpy pair index, and ``sample_negatives`` over a list of
+  positives: the oracle for the negative column of ``stgnn.training``.
+* ``forward_backward``, the batch loss and gradients with one flat-index
+  ``scatter_rows`` per scatter and the layer-1 neighbour rows built eight
+  columns at a time: the oracle for the per-column scatters of
+  ``stgnn.training._forward_backward``.
 * ``initial_significance``, the decayed contact count of one pair
   history, and the per-pair ``heuristic_reference`` built on it, the
   oracle for the one-pass reference of ``stgnn.evaluation``.
@@ -45,7 +51,7 @@ from stgnn.model import (
     random_features,
 )
 from stgnn.temporal_graph import Event, TemporalGraph, from_events
-from stgnn.training import TrainConfig, TrainSample, _draw_negative, _forward_backward
+from stgnn.training import TrainConfig, TrainSample, _forward_backward
 
 logger = logging.getLogger(__name__)
 
@@ -196,6 +202,25 @@ def significance_loss(h_u, h_v, s_delta: int, s_bar: float) -> float:
     return max(0.0, c) * s_bar
 
 
+def valid_negative(g: TemporalGraph, u: int, w: int, t: float, delta: float | None) -> bool:
+    """w is a negative for u at t when the pair has no contact in
+    [t, t + delta), or, with no window, no contact at exactly t."""
+    if w == u:
+        return False
+    end = t + delta if delta is not None else np.nextafter(t, np.inf)
+    return g.count_in_window(u, w, t, end) == 0
+
+
+def draw_negative(
+    g: TemporalGraph, pos: TrainSample, rng: np.random.Generator, delta: float | None, tries: int
+) -> TrainSample | None:
+    for _ in range(tries):
+        w = int(rng.integers(g.num_nodes))
+        if valid_negative(g, pos.u, w, pos.t, delta):
+            return TrainSample(u=pos.u, v=w, t=pos.t, positive=False, s_delta=0)
+    return None
+
+
 def sample_negatives(
     g: TemporalGraph,
     positives: list[TrainSample],
@@ -212,7 +237,7 @@ def sample_negatives(
     out = []
     skipped = 0
     for pos in positives:
-        neg = _draw_negative(g, pos, rng, delta, tries)
+        neg = draw_negative(g, pos, rng, delta, tries)
         if neg is None:
             skipped += 1
         else:
@@ -336,6 +361,85 @@ class BatchTree:
         s_bar = float(pos_sd.mean()) if pos_sd.size else 1.0
         weight = np.where(positive, sdelta, s_bar)
         return _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs, su, sv, positive, weight)
+
+
+def scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) sums of ``rows`` by target row ``index``, added in input
+    order: bitwise the result of ``np.add.at`` into zeros."""
+    d = rows.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
+
+
+def forward_backward(
+    fb: _FlatBatch,
+    params: ModelParams,
+    feats: np.ndarray,
+) -> tuple[float, ModelParams]:
+    """Mean batch loss and its exact parameter gradients."""
+    phi_e, nbr_gather, pre, h1, phi_r, h1_nbr, agg, h2 = forward_batch(fb, params, feats)
+
+    hu, hv = h2[fb.su], h2[fb.sv]
+    nu = np.linalg.norm(hu, axis=1)
+    nv = np.linalg.norm(hv, axis=1)
+    ok = (nu > NORM_EPS) & (nv > NORM_EPS)
+    denom = np.where(ok, nu * nv, 1.0)
+    cos = np.where(ok, np.einsum("sd,sd->s", hu, hv) / denom, 0.0)
+
+    per_sample = np.where(
+        fb.positive, (1.0 - cos) * fb.weight, np.maximum(0.0, cos) * fb.weight
+    )
+    n_samples = per_sample.shape[0]
+    loss = float(per_sample.mean())
+
+    # d loss / d cos, including the hinge subgradient (zero at the kink)
+    dcos = np.where(fb.positive, -fb.weight, np.where(cos > 0.0, fb.weight, 0.0))
+    dcos = np.where(ok, dcos / n_samples, 0.0)
+
+    dhu = dcos[:, None] * (hv / denom[:, None] - cos[:, None] * hu / np.where(ok, nu * nu, 1.0)[:, None])
+    dhv = dcos[:, None] * (hu / denom[:, None] - cos[:, None] * hv / np.where(ok, nv * nv, 1.0)[:, None])
+
+    d_h2 = scatter_rows(np.concatenate([fb.su, fb.sv]), np.concatenate([dhu, dhv]), h2.shape[0])
+
+    g_w2_self = h1[fb.root_entry].T @ d_h2
+    g_w2_nbr = agg.T @ d_h2
+
+    d_agg = d_h2 @ params.w2_nbr.T  # (R, d1)
+    d_h1 = scatter_rows(
+        np.concatenate([fb.root_entry, fb.root_nbrs.reshape(-1)]),
+        np.concatenate(
+            [d_h2 @ params.w2_self.T, (phi_r[:, :, None] * d_agg[:, None, :]).reshape(-1, h1.shape[1])]
+        ),
+        h1.shape[0],
+    )
+    mask_r = fb.mask[fb.root_entry]
+    d_phi = scatter_rows(
+        fb.root_entry, np.einsum("rd,rmd->rm", d_agg, h1_nbr) * mask_r, phi_e.shape[0]
+    )
+
+    d_pre = d_h1 * (pre > 0.0)
+    n_nodes = feats.shape[0]
+    d_xw1s = scatter_rows(fb.owner, d_pre, n_nodes)
+    d_phi += np.einsum("ed,emd->em", d_pre, nbr_gather) * fb.mask
+    # the (E * m, d1) weighted rows, eight columns at a time to bound memory
+    nbr_rows = lambda c: (phi_e[:, :, None] * d_pre[:, None, c : c + 8]).reshape(fb.nbrs.size, -1)
+    d_xw1n = np.concatenate(
+        [scatter_rows(fb.nbrs.reshape(-1), nbr_rows(c), n_nodes) for c in range(0, pre.shape[1], 8)],
+        axis=1,
+    )
+
+    inner = np.sum(d_phi * phi_e, axis=1, keepdims=True)
+    d_z = phi_e * (d_phi - inner)
+    g_beta = np.sum(d_z * fb.scores, axis=0)
+
+    grads = ModelParams(
+        w1_self=feats.T @ d_xw1s,
+        w1_nbr=feats.T @ d_xw1n,
+        w2_self=g_w2_self,
+        w2_nbr=g_w2_nbr,
+        beta=g_beta,
+    )
+    return loss, grads
 
 
 def tree_from_graph(batch: list[TrainSample], g: TemporalGraph, config: TrainConfig) -> _FlatBatch:

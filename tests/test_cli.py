@@ -80,11 +80,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="edges.txt", time_unit=1.0, p=1.0)
 
-    @pytest.mark.parametrize("field", ["m", "batch_size", "lam", "time_unit", "split_ratio"])
+    @pytest.mark.parametrize(
+        "field", ["m", "batch_size", "lam", "time_unit", "split_ratio", "lr", "epochs", "d0", "d1", "d2"]
+    )
     def test_bad_training_field_fails_before_load(self, tmp_path, field):
         # the dataset does not exist, so only the config check can raise
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(dataset=str(tmp_path / "missing.txt"), **{"time_unit": 1.0, field: 0})
+
+    @pytest.mark.parametrize(
+        "flag, value", [("window-size", "0"), ("window-size", "-1"), ("window-size", "nan"), ("jobs", "0")]
+    )
+    def test_bad_run_field_fails_before_output(self, tmp_path, dataset, caplog, flag, value):
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", str(dataset), "--time-unit", "1", "--outdir", str(out), "--epochs", "1"]
+        assert main(argv + [f"--{flag}", value]) == 1
+        assert flag.replace("-", "_") in caplog.text
+        assert not out.exists()
 
 
 def equal_gap_stream():

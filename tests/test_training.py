@@ -4,9 +4,11 @@ import pytest
 from stgnn.model import init_params, random_features
 from stgnn.significance import TopMTable, significance_label
 from stgnn.temporal_graph import Event, from_events
+from stgnn import training
 from stgnn.training import (
     AdamState,
     TrainConfig,
+    TrainingDiverged,
     TrainSample,
     adam_step,
     build_positive_samples,
@@ -15,8 +17,9 @@ from stgnn.training import (
 )
 from stgnn.training import (
     _capture_chunk,
-    _draw_negative,
     _forward_backward,
+    _negative_column,
+    _pair_times,
     _scatter_rows,
     _valid_negative,
 )
@@ -26,7 +29,9 @@ from reference_model import (
     backward,
     batch_loss,
     cosine,
+    draw_negative,
     finite_difference,
+    forward_backward,
     forward_node,
     kink_margin,
     max_relative_error,
@@ -155,7 +160,7 @@ def chunks_with_negatives(g, cfg, delta, seed=3):
     positives = build_positive_samples(g, delta)
     for start in range(0, len(positives), cfg.batch_size):
         chunk = positives[start : start + cfg.batch_size]
-        negs = [_draw_negative(g, p, rng, delta, 100) for p in chunk]
+        negs = [draw_negative(g, p, rng, delta, 100) for p in chunk]
         negs[1] = None  # a positive left without a negative
         cols = (
             np.array([p.u for p in chunk]),
@@ -205,6 +210,65 @@ class TestCaptureChunk:
             assert_same_batch(got, tree.finalize())
             n_chunks += 1
         assert n_chunks == 4
+
+
+def assert_same_gradients(fb, params, feats):
+    """Loss and all five gradients bitwise equal to the reference backward."""
+    loss, grads = _forward_backward(fb, params, feats)
+    want_loss, want = forward_backward(fb, params, feats)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    for (name, a), (_, b) in zip(grads.arrays(), want.arrays()):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestBackwardMatchesReference:
+    # d1 = 20 is not a multiple of the reference's eight-column chunks
+    cfg = dict(m=4, batch_size=32, d0=6, d1=20, d2=5)
+
+    def model(self, n_nodes):
+        rng = np.random.default_rng(21)
+        params = init_params(rng, self.cfg["d0"], self.cfg["d1"], self.cfg["d2"], self.cfg["m"])
+        params.beta = rng.normal(size=self.cfg["m"])
+        return params, random_features(n_nodes, self.cfg["d0"], rng)
+
+    @pytest.mark.parametrize("selection", [True, False])
+    def test_every_tied_stream_chunk(self, selection):
+        cfg = TrainConfig(use_significant_selection=selection, **self.cfg)
+        g = tied_stream(cfg.batch_size)
+        rng = None if selection else np.random.default_rng(4)
+        table = TopMTable.build(g, cfg.m, cfg.lam, rng=rng)
+        params, feats = self.model(g.num_nodes)
+        n_chunks = 0
+        for cols, _ in chunks_with_negatives(g, cfg, delta=0.3):
+            assert_same_gradients(_capture_chunk(*cols, cfg.m, table.lookup), params, feats)
+            n_chunks += 1
+        assert n_chunks == 4
+
+    def test_hub_heavy_batch(self):
+        # node 0 takes part in nine events of ten, so it fills most
+        # candidate lists and most neighbour rows scatter into one bin
+        rng = np.random.default_rng(6)
+        events = []
+        for k in range(600):
+            u, v = rng.choice(np.arange(1, 30), size=2, replace=False)
+            events.append(Event(0 if k % 10 else int(u), int(v), 0.05 * k))
+        g = from_events(events, num_nodes=30)
+        cfg = TrainConfig(**{**self.cfg, "batch_size": 256})
+        table = TopMTable.build(g, cfg.m, cfg.lam)
+        positives = build_positive_samples(g, 0.5)[300:556]
+        neg = [draw_negative(g, p, named_rng(1, "neg"), 0.5, 100) for p in positives]
+        cols = (
+            np.array([p.u for p in positives]),
+            np.array([p.v for p in positives]),
+            np.array([p.t for p in positives]),
+            np.array([p.s_delta for p in positives], dtype=np.float64),
+            np.array([-1 if n is None else n.v for n in neg]),
+        )
+        fb = _capture_chunk(*cols, cfg.m, table.lookup)
+        hits = np.bincount(fb.nbrs[fb.mask], minlength=30)
+        assert hits[0] > 0.2 * fb.mask.sum()  # uniform bins would take 1/30 each
+        params, feats = self.model(g.num_nodes)
+        assert_same_gradients(fb, params, feats)
 
 
 class TestScatterRows:
@@ -316,16 +380,34 @@ class TestNegativeSampling:
             [Event(0, 1, t), Event(0, 2, float(np.nextafter(t, np.inf))), Event(0, 3, 1.0)],
             num_nodes=4,
         )
-        assert not _valid_negative(g, 0, 1, t, None)
-        assert _valid_negative(g, 0, 2, t, None)
-        assert _valid_negative(g, 0, 3, t, None)
-        assert not _valid_negative(g, 0, 0, t, None)
+        times = _pair_times(g)
+        assert not _valid_negative(times, 0, 1, t, None)
+        assert _valid_negative(times, 0, 2, t, None)
+        assert _valid_negative(times, 0, 3, t, None)
+        assert not _valid_negative(times, 0, 0, t, None)
 
     def test_one_to_one_contract(self, rng):
         g = random_stream(rng, n_nodes=30, n_events=300)
         positives = build_positive_samples(g, delta=0.5)
         negs = sample_negatives(g, positives, named_rng(2, "neg"), delta=0.5)
         assert len(negs) <= len(positives)
+
+
+class TestNegativeColumn:
+    @pytest.mark.parametrize("delta", [0.5, None])
+    def test_matches_per_positive_oracle(self, delta):
+        g = random_stream(np.random.default_rng(5), n_nodes=6, n_events=300)
+        positives = build_positive_samples(g, delta)
+        got_rng, want_rng = named_rng(1, "train-negatives"), named_rng(1, "train-negatives")
+        got = _negative_column(
+            _pair_times(g), g.num_nodes, [p.u for p in positives], [p.t for p in positives],
+            got_rng, delta, 2,
+        )
+        want = [draw_negative(g, p, want_rng, delta, 2) for p in positives]
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [-1 if n is None else n.v for n in want])
+        assert np.any(got == -1) and np.any(got >= 0)  # some positives exhaust their tries
+        assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
 
 class TestPositives:
@@ -428,6 +510,25 @@ class TestTrainLoop:
         assert result.loss_history == [0.0, 0.0, 0.0]
         assert result.skipped_negatives == 0
 
+    def test_nonfinite_gradients_raise_with_finite_params(self, monkeypatch):
+        # NaN embeddings score cos 0, so the loss alone would stay finite
+        calls = []
+        forward_backward_ = training._forward_backward
+
+        def nan_on_second_step(fb, params, feats):
+            loss, grads = forward_backward_(fb, params, feats)
+            calls.append(loss)
+            if len(calls) == 2:
+                grads.w1_nbr[0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "_forward_backward", nan_on_second_step)
+        cfg = TrainConfig(epochs=2, batch_size=32, m=3, d0=8, d1=4, d2=4, seed=5)
+        with pytest.raises(TrainingDiverged, match="gradients") as exc:
+            train(self.make_stream(), cfg, delta=1.0)
+        assert len(calls) == 2 and np.isfinite(calls[1])
+        assert all(np.isfinite(a).all() for _, a in exc.value.params.arrays())
+
     def test_window_required_unless_ablated(self):
         g = self.make_stream()
         with pytest.raises(ValueError):
@@ -450,6 +551,17 @@ class TestConfigValidation:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
+    def test_bad_lr_named(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("field", ["epochs", "d0", "d1", "d2", "negative_tries"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_bad_size_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_bad_m(self):
         with pytest.raises(ValueError, match="m "):
