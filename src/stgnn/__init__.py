@@ -1,6 +1,8 @@
 """Significant-ties temporal graph neural network (STGNN).
 
-Continuous-time temporal link prediction built around three ideas:
+Continuous-time temporal link prediction built around three ideas, over
+a columnar contact stream (``TemporalGraph``: time-sorted ``src``, ``dst``
+and ``t`` columns plus a CSR pair index, built by ``from_columns``):
 
 * exponentially decayed interaction significance ranks each node's
   neighbors, and only the top-m most significant ones are aggregated
@@ -15,9 +17,9 @@ Continuous-time temporal link prediction built around three ideas:
 """
 
 from stgnn.temporal_graph import (
-    Event,
     TemporalGraph,
     DataSplit,
+    from_columns,
     load_edge_list,
     write_edge_list,
     split_train_test,
@@ -32,7 +34,6 @@ from stgnn.powerlaw import (
 from stgnn.significance import (
     SignificanceIndex,
     top_m_neighbors,
-    significance_label,
 )
 from stgnn.model import (
     ModelParams,
@@ -43,7 +44,6 @@ from stgnn.model import (
     load_checkpoint,
 )
 from stgnn.training import (
-    TrainSample,
     TrainConfig,
     AdamState,
     TrainResult,

@@ -75,8 +75,7 @@ class ExperimentConfig:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
-        if not self.time_unit > 0:
-            raise ValueError(f"time_unit must be positive, got {self.time_unit}")
+        temporal_graph.check_time_unit(self.time_unit)
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
         if self.window_size is not None and not (math.isfinite(self.window_size) and self.window_size > 0):

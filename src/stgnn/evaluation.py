@@ -1,14 +1,16 @@
 """Held-out scoring for temporal link prediction: AUC, MAP, similarities.
 
-Test positives are the node pairs that interact after the split time;
-negatives are uniformly sampled pairs that never interact anywhere in
-the data.  Every pair is scored under three similarities (cosine,
-hadamard/dot, negated squared L2) and the best per metric is reported,
+Test positives are the node pairs that interact after the split time,
+the split's sorted (P, 2) ``test_pairs``; negatives are uniformly
+sampled pairs that never interact anywhere in the data, checked by their
+int64 pair keys min * N + max against the graphs' CSR pair keys.  Every
+pair is scored under three similarities (cosine, hadamard/dot, negated
+squared L2) and the best per metric is reported,
 alongside a no-learning reference that ranks pairs by their decayed
 historical contact count.  Every involved node is embedded once at the
 split time from one ``top_m_neighbors`` pass over the training graph,
 and the reference reads the same decayed pair counts
-(``significance.pair_significance``).
+(``significance.pair_significance``, from the CSR pair index).
 
 The held-out set travels as columns: ``labels`` (1 positive, 0
 negative), ``scores``, and the endpoint ids ``u`` and ``v`` are aligned
@@ -26,7 +28,7 @@ import numpy as np
 
 from stgnn.model import NORM_EPS, ModelParams, forward_node
 from stgnn.significance import pair_significance
-from stgnn.temporal_graph import DataSplit, TemporalGraph, _pair_key
+from stgnn.temporal_graph import DataSplit, TemporalGraph, pair_keys
 from stgnn.training import TrainConfig, named_rng
 
 SIMILARITIES = ("Cos", "Had", "L2")
@@ -145,29 +147,30 @@ def mean_average_precision(labels, scores, u, v, per_node: bool = False) -> floa
     return float(np.mean(ap_sum[n_hit > 0] / n_hit[n_hit > 0]))
 
 
-def sample_test_negatives(
-    split: DataSplit, n: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Uniformly sampled distinct pairs with no contact anywhere in the data."""
-    linked = set(split.train.pair_index.keys()) | set(split.test_pairs.keys())
+def sample_test_negatives(split: DataSplit, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly sampled distinct pairs with no contact anywhere in the
+    data, as (n, 2) endpoint ids (smaller first) in draw order.  Each try
+    draws two nodes and checks the int64 pair key min * N + max."""
     num_nodes = split.train.num_nodes
-    out: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    # every pair key already taken: linked in training or held out, or drawn
+    taken = set(split.train.pair_key.tolist())
+    taken.update(pair_keys(*split.test_pairs.T, num_nodes).tolist())
+    keys: list[int] = []
     budget = 200 * n + 1000
-    while len(out) < n and budget > 0:
+    while len(keys) < n and budget > 0:
         budget -= 1
         a = int(rng.integers(num_nodes))
         b = int(rng.integers(num_nodes))
         if a == b:
             continue
-        key = _pair_key(a, b)
-        if key in linked or key in seen:
+        key = min(a, b) * num_nodes + max(a, b)  # as pair_keys, on Python ints
+        if key in taken:
             continue
-        seen.add(key)
-        out.append(key)
-    if len(out) < n:
+        taken.add(key)
+        keys.append(key)
+    if len(keys) < n:
         raise ValueError("graph too dense: cannot find enough never-linked pairs")
-    return out
+    return np.column_stack(np.divmod(np.array(keys, dtype=np.int64), num_nodes))
 
 
 def heuristic_reference(
@@ -175,13 +178,11 @@ def heuristic_reference(
 ) -> np.ndarray:
     """No-learning reference: decayed historical contact count at t0 of
     each pair (u[i], v[i]), over its training contacts strictly before t0."""
-    ends, sums = pair_significance(g_train, t0, lam)
-    key = ends[:, 0] * g_train.num_nodes + ends[:, 1]
-    order = np.argsort(key)
-    # the pairs by key, then a sentinel above every key, which scores 0
-    key, sums = np.append(key[order], np.iinfo(np.int64).max), np.append(sums[order], 0.0)
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    query = np.minimum(u, v) * g_train.num_nodes + np.maximum(u, v)
+    pairs, sums = pair_significance(g_train, t0, lam)
+    # the pairs' sorted keys, then a sentinel above every key, which scores 0
+    key = np.append(g_train.pair_key[pairs], np.iinfo(np.int64).max)
+    sums = np.append(sums, 0.0)
+    query = pair_keys(u, v, g_train.num_nodes)
     at = np.searchsorted(key, query)
     return np.where(key[at] == query, sums[at], 0.0)
 
@@ -213,11 +214,10 @@ def evaluate(
     """Score the held-out window: embeddings at t0 = t_split, all three
     similarities, AUC/MAP each, best per metric, plus the heuristic
     reference AUC on the same pairs."""
-    positives = sorted(split.test_pairs.keys())
-    rng = named_rng(config.seed, "eval-negatives")
-    negatives = sample_test_negatives(split, len(positives), rng)
-    u, v = np.array(positives + negatives, dtype=np.int64).reshape(-1, 2).T
-    label = np.repeat([1, 0], [len(positives), len(negatives)])
+    n_pos = split.test_pairs.shape[0]
+    negatives = sample_test_negatives(split, n_pos, named_rng(config.seed, "eval-negatives"))
+    u, v = np.concatenate([split.test_pairs, negatives]).T
+    label = np.repeat([1, 0], [n_pos, negatives.shape[0]])
 
     involved, row = np.unique(np.concatenate([u, v]), return_inverse=True)
     emb = node_embeddings(split.train, params, feats, involved, split.t_split, config)
@@ -240,7 +240,7 @@ def evaluate(
         best_map=per_sim[best_map_sim]["map"],
         best_auc_similarity=best_auc_sim,
         best_map_similarity=best_map_sim,
-        n_pos=len(positives),
-        n_neg=len(negatives),
+        n_pos=n_pos,
+        n_neg=negatives.shape[0],
         reference_auc=auc(label, ref_scores),
     )

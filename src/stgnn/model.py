@@ -63,11 +63,6 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         return ModelParams(**{name: np.zeros_like(a) for name, a in self.arrays()})
 
-    def check_finite(self) -> None:
-        for name, a in self.arrays():
-            if not np.all(np.isfinite(a)):
-                raise FloatingPointError(f"non-finite values in {name}")
-
 
 def init_params(
     rng: np.random.Generator, d0: int = 128, d1: int = 16, d2: int = 16, m: int = 10

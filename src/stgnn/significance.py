@@ -3,8 +3,8 @@
 The significance of a node pair at time t is the exponentially decayed
 count of their past contacts, sum_i exp(-lambda * (t - t_i)).  Each
 node's neighbors are ranked by this score and only the top m are kept
-for aggregation.  A forward window [t, t + delta) turns each event into
-a graded label: the number of contacts the pair produces inside it.
+for aggregation.  (The forward-window labels of the training events are
+counted in stgnn.training.build_positive_samples.)
 
 Candidate lists reach the model as zero-padded (k, m) arrays ``ids``,
 ``scores`` and ``mask``, each row score-descending with the smaller id first on
@@ -12,13 +12,14 @@ ties, counting only contacts strictly before the query time.  Two
 routes produce them:
 
 * ``top_m_neighbors`` gives every node's list at one time t in a single
-  array pass over the pair index (evaluation embeds at one fixed time).
+  array pass over the graph's CSR pair index (``pair_significance``;
+  evaluation embeds at one fixed time).
 * ``SignificanceIndex`` sweeps events chronologically and keeps each
   neighbor's score up to date in O(1) per contact.  One sweep of it over
-  the training stream builds a ``TopMTable`` from its lists at each
-  event time, and the table answers any batch of training-time queries:
-  a node's candidate set changes only at its own events, and between
-  them every score decays by the same factor.
+  the training stream's time-sorted columns builds a ``TopMTable`` from
+  its lists at each event time, and the table answers any batch of
+  training-time queries: a node's candidate set changes only at its own
+  events, and between them every score decays by the same factor.
 
 Given an ``rng``, both routes replace each list by a uniform draw of up
 to m candidates from ``sample_m`` (the selection-ablated variants).
@@ -57,16 +58,15 @@ def sample_m(
 
 
 def pair_significance(g: TemporalGraph, t: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of g with a contact strictly before t, as (P, 2) endpoint
-    ids (smaller first), and each pair's decayed contact count at t."""
-    hist = list(g.pair_index.values())
-    ts = np.concatenate([np.empty(0), *hist])
-    past = ts < t
-    pair = np.repeat(np.arange(len(hist)), [h.shape[0] for h in hist])[past]
-    sums = np.bincount(pair, weights=np.exp(-lam * (t - ts[past])), minlength=len(hist))
-    live = np.bincount(pair, minlength=len(hist)) > 0
-    ends = np.array(list(g.pair_index), dtype=np.int64).reshape(-1, 2)
-    return ends[live], sums[live]
+    """The CSR ids of the pairs of g with a contact strictly before t,
+    ascending (so in pair-key order), and each one's decayed contact
+    count at t."""
+    past = g.pair_t < t
+    n_pairs = g.pair_key.shape[0]
+    pair = np.repeat(np.arange(n_pairs), np.diff(g.pair_ptr))[past]
+    sums = np.bincount(pair, weights=np.exp(-lam * (t - g.pair_t[past])), minlength=n_pairs)
+    live = np.flatnonzero(np.bincount(pair, minlength=n_pairs))
+    return live, sums[live]
 
 
 def top_m_neighbors(
@@ -84,7 +84,8 @@ def top_m_neighbors(
         raise ValueError(f"capacity must be at least 1, got {m}")
     if not lam > 0:
         raise ValueError(f"decay rate must be positive, got {lam}")
-    ends, sums = pair_significance(g, t, lam)
+    pairs, sums = pair_significance(g, t, lam)
+    ends = g.pair_ends()[pairs]
     # each pair from both ends, ranked within each node
     node, nbr, score = ends.T.reshape(-1), ends[:, ::-1].T.reshape(-1), np.tile(sums, 2)
     order = np.lexsort((nbr, -score, node))
@@ -104,17 +105,6 @@ def top_m_neighbors(
             ids[u], scores[u] = sample_m(nbr[seg], score[seg], m, rng)
     mask = np.arange(m) < np.minimum(deg, m)[:, None]
     return ids, scores, mask
-
-
-def significance_label(g: TemporalGraph, u: int, v: int, t: float, delta: float) -> int:
-    """Contacts of (u, v) inside the window [t, t + delta).
-
-    The anchor event at exactly t counts toward its own label, so real
-    events always label >= 1.
-    """
-    if delta <= 0:
-        raise ValueError(f"window size must be positive, got {delta}")
-    return g.count_in_window(u, v, t, t + delta)
 
 
 class SignificanceIndex:
@@ -250,23 +240,23 @@ class TopMTable:
         """
         if m < 1:
             raise ValueError(f"capacity must be at least 1, got {m}")
-        if not g.events:
+        if g.num_events == 0:
             raise ValueError("a top-m table needs at least one event")
         index = SignificanceIndex(g.num_nodes, lam=lam)
-        ev = np.array(g.events, dtype=np.float64)
-        times, rank = np.unique(ev[:, 2], return_inverse=True)
+        times, rank = np.unique(g.t, return_inverse=True)
         n_t = times.shape[0]
-        keys = np.unique(ev[:, :2].astype(np.int64).T * n_t + rank)
+        keys = np.unique(np.concatenate([g.src, g.dst]) * n_t + np.tile(rank, 2))
         # a node's rows are consecutive and in time order: fill them in sweep order
         cursor = np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * n_t).tolist()
         ids = np.zeros((keys.shape[0], m), dtype=np.int64)
         scores = np.zeros((keys.shape[0], m), dtype=np.float64)
         lens = np.zeros(keys.shape[0], dtype=np.int64)
         bounds = np.flatnonzero(np.diff(rank)) + 1
-        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(g.events)]):
+        src, dst, t = g.src.tolist(), g.dst.tolist(), g.t.tolist()
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), g.num_events]):
             touched = set()
-            for u, v, t in g.events[lo:hi]:
-                index.add_event(u, v, t)
+            for u, v, ti in zip(src[lo:hi], dst[lo:hi], t[lo:hi]):
+                index.add_event(u, v, ti)
                 touched.update((u, v))
             for u in sorted(touched):
                 if rng is None:

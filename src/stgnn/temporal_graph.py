@@ -2,17 +2,23 @@
 
 An interaction stream is a multiset of undirected timestamped contacts
 (u, v, t).  This module normalizes raw edge lists (dense node ids,
-rescaled timestamps), builds a per-pair timestamp index, and performs the chronological train/test split used for temporal link
-prediction.
+rescaled timestamps) into a columnar graph and performs the
+chronological train/test split used for temporal link prediction.
+
+A ``TemporalGraph`` holds the contacts as three aligned columns, ``src``
+and ``dst`` (int64) and ``t`` (float64), sorted stably by time, plus a
+pair index in CSR form after TGL's temporal CSR (Zhou et al., arXiv
+2203.14883): ``pair_key`` lists each unordered pair once as the int64
+key min * num_nodes + max, ascending, and pair i's timestamps are
+``pair_t[pair_ptr[i]:pair_ptr[i + 1]]``, ascending.  ``from_columns`` is
+the one constructor; the loader and the split build through it.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,84 +27,78 @@ logger = logging.getLogger(__name__)
 COMMENT_PREFIXES = ("#", "%")
 
 
-class Event(NamedTuple):
-    """One undirected contact between nodes ``u`` and ``v`` at time ``t``."""
-
-    u: int
-    v: int
-    t: float
-
-
 class EdgeListParseError(ValueError):
     """Raised when an edge-list file cannot be parsed."""
 
 
-def _pair_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass
 class TemporalGraph:
-    """Immutable, time-sorted contact stream with a pair index.
+    """Immutable, time-sorted contact stream with a CSR pair index.
 
     Attributes:
         num_nodes: node count; ids are dense integers 0..num_nodes-1.
-        events: list of Event sorted by timestamp (stable).
-        pair_index: (min(u,v), max(u,v)) -> sorted numpy array of timestamps.
+        src, dst, t: (E,) contact columns, sorted stably by timestamp.
+        pair_key: (P,) sorted keys min(u, v) * num_nodes + max(u, v).
+        pair_ptr: (P + 1,) offsets of each pair's timestamps in pair_t.
+        pair_t: (E,) the timestamps grouped by pair, ascending in each.
         raw_ids: original node label per dense id (for report emission).
     """
 
     num_nodes: int
-    events: list[Event]
-    pair_index: dict[tuple[int, int], np.ndarray] = field(repr=False)
+    src: np.ndarray = field(repr=False)
+    dst: np.ndarray = field(repr=False)
+    t: np.ndarray = field(repr=False)
+    pair_key: np.ndarray = field(repr=False)
+    pair_ptr: np.ndarray = field(repr=False)
+    pair_t: np.ndarray = field(repr=False)
     raw_ids: list[str] = field(default_factory=list, repr=False)
 
     @property
     def num_events(self) -> int:
-        return len(self.events)
+        return self.t.shape[0]
 
     @property
     def t_max(self) -> float:
-        return self.events[-1].t if self.events else 0.0
+        return float(self.t[-1]) if self.t.shape[0] else 0.0
 
-    def pair_history(self, u: int, v: int, t: float) -> np.ndarray:
-        """All timestamps of (u, v) contacts strictly before ``t``.
-
-        Unknown pairs yield an empty array.
-        """
-        if u == v:
-            raise ValueError("pair history requires two distinct nodes")
-        ts = self.pair_index.get(_pair_key(u, v))
-        if ts is None:
-            return np.empty(0, dtype=np.float64)
-        return ts[: bisect.bisect_left(ts, t)]
-
-    def count_in_window(self, u: int, v: int, t0: float, t1: float) -> int:
-        """Number of (u, v) contacts with timestamp in [t0, t1)."""
-        ts = self.pair_index.get(_pair_key(u, v))
-        if ts is None:
-            return 0
-        return int(np.searchsorted(ts, t1, side="left") - np.searchsorted(ts, t0, side="left"))
+    def pair_ends(self) -> np.ndarray:
+        """(P, 2) endpoints of the pairs in pair_key order, smaller first."""
+        return np.column_stack(np.divmod(self.pair_key, self.num_nodes))
 
 
-def _pair_index(events: list[Event]) -> dict[tuple[int, int], np.ndarray]:
-    by_pair: dict[tuple[int, int], list[float]] = {}
-    for u, v, t in events:
-        by_pair.setdefault(_pair_key(u, v), []).append(t)
-    return {k: np.asarray(ts, dtype=np.float64) for k, ts in by_pair.items()}
+def pair_keys(u, v, num_nodes: int) -> np.ndarray:
+    """The int64 keys min(u, v) * num_nodes + max(u, v) of pairs (u[i], v[i])."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return np.minimum(u, v) * num_nodes + np.maximum(u, v)
 
 
-def from_events(events: list[Event], num_nodes: int | None = None, raw_ids: list[str] | None = None) -> TemporalGraph:
-    """Build a TemporalGraph from already-normalized events.
+def from_columns(src, dst, t, num_nodes: int | None = None, raw_ids: list[str] | None = None) -> TemporalGraph:
+    """Build a TemporalGraph from contact columns with dense node ids.
 
-    Events are sorted stably by timestamp; node ids must already be dense.
+    The contacts are sorted stably by timestamp, and the pair index is
+    one stable argsort of their pair keys.
     """
-    events = sorted(events, key=lambda e: e.t)
+    t = np.asarray(t, dtype=np.float64)
+    order = np.argsort(t, kind="stable")
+    src = np.asarray(src, dtype=np.int64)[order]
+    dst = np.asarray(dst, dtype=np.int64)[order]
+    t = t[order]
     if num_nodes is None:
-        num_nodes = 1 + max(max(e.u, e.v) for e in events) if events else 0
+        num_nodes = 1 + int(max(src.max(), dst.max())) if t.shape[0] else 0
     if raw_ids is None:
         raw_ids = [str(i) for i in range(num_nodes)]
-    return TemporalGraph(num_nodes, events, _pair_index(events), raw_ids)
+    key = pair_keys(src, dst, num_nodes)
+    by_pair = np.argsort(key, kind="stable")  # time order within each pair
+    key = key[by_pair]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    ptr = np.append(first, key.shape[0])
+    return TemporalGraph(num_nodes, src, dst, t, key[first], ptr, t[by_pair], raw_ids)
+
+
+def check_time_unit(time_unit: float) -> None:
+    """Reject a time unit that is not finite and positive, naming the flag."""
+    if not (math.isfinite(time_unit) and time_unit > 0):
+        raise ValueError(f"time_unit (--time-unit) must be positive and finite, got {time_unit}")
 
 
 def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
@@ -106,15 +106,18 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
 
     Rows may be whitespace- or comma-separated; lines starting with '#'
     or '%' are comments.  Raw timestamps are divided by ``time_unit``
-    (e.g. 86400 maps seconds to days) and shifted so the earliest contact
-    is at t = 0.  Node labels are remapped to dense ids (numeric sort when
-    every label is an integer, lexicographic otherwise); the mapping is
-    kept on the graph for report emission.  Self-loops are dropped with a
-    counted warning; duplicate rows are kept as distinct repeat contacts.
+    (e.g. 86400 maps seconds to days) and shifted so the earliest row,
+    self-loops included, is at t = 0.  Node labels are remapped to dense
+    ids (numeric sort when every label is an integer, with the label
+    string breaking ties such as "1" and "01"; lexicographic otherwise);
+    the mapping is kept on the graph for report emission.  Self-loops
+    are dropped with a counted warning; duplicate rows are kept as
+    distinct repeat contacts.
     """
-    if time_unit <= 0:
-        raise ValueError(f"time_unit must be positive, got {time_unit}")
-    rows: list[tuple[str, str, float]] = []
+    check_time_unit(time_unit)
+    us: list[str] = []
+    vs: list[str] = []
+    ts: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -129,29 +132,29 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
                 raise EdgeListParseError(f"{path}:{lineno}: bad timestamp {parts[2]!r}") from exc
             if not math.isfinite(t_raw):
                 raise EdgeListParseError(f"{path}:{lineno}: non-finite timestamp {parts[2]!r}")
-            rows.append((parts[0], parts[1], t_raw))
-    if not rows:
+            us.append(parts[0])
+            vs.append(parts[1])
+            ts.append(t_raw)
+    if not ts:
         raise EdgeListParseError(f"{path}: no events found")
 
-    labels = {lab for u, v, _ in rows for lab in (u, v)}
-    all_int = all(_is_int(lab) for lab in labels)
-    ordered = sorted(labels, key=int) if all_int else sorted(labels)
+    labels = set(us).union(vs)
+    if all(_is_int(lab) for lab in labels):
+        ordered = sorted(labels, key=lambda lab: (int(lab), lab))
+    else:
+        ordered = sorted(labels)
     remap = {lab: i for i, lab in enumerate(ordered)}
+    u = np.fromiter(map(remap.__getitem__, us), dtype=np.int64, count=len(us))
+    v = np.fromiter(map(remap.__getitem__, vs), dtype=np.int64, count=len(vs))
+    t = np.array(ts, dtype=np.float64) / time_unit - min(ts) / time_unit
 
-    n_self = 0
-    t_min = min(t for _, _, t in rows) / time_unit
-    events: list[Event] = []
-    for u_lab, v_lab, t_raw in rows:
-        u, v = remap[u_lab], remap[v_lab]
-        if u == v:
-            n_self += 1
-            continue
-        events.append(Event(u, v, t_raw / time_unit - t_min))
+    keep = u != v
+    n_self = len(ts) - int(np.count_nonzero(keep))
     if n_self:
         logger.warning("%s: dropped %d self-loop row(s)", path, n_self)
-    if not events:
+    if n_self == len(ts):
         raise EdgeListParseError(f"{path}: all rows were self-loops")
-    return from_events(events, num_nodes=len(ordered), raw_ids=list(ordered))
+    return from_columns(u[keep], v[keep], t[keep], num_nodes=len(ordered), raw_ids=ordered)
 
 
 def _is_int(token: str) -> bool:
@@ -165,7 +168,7 @@ def _is_int(token: str) -> bool:
 def write_edge_list(g: TemporalGraph, path) -> None:
     """Serialize a graph back to "u v t" rows (dense ids, repr timestamps)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, t in g.events:
+        for u, v, t in zip(g.src.tolist(), g.dst.tolist(), g.t.tolist()):
             fh.write(f"{u} {v} {t!r}\n")
 
 
@@ -181,13 +184,13 @@ def write_node_map(g: TemporalGraph, path) -> None:
 class DataSplit:
     """Chronological split: training stream plus aggregated test pairs.
 
-    ``test_pairs`` maps each unordered pair that interacts after
-    ``t_split`` to its first post-split timestamp.
+    ``test_pairs`` holds, as (P, 2) int64 endpoints (smaller first)
+    sorted by pair, each unordered pair that interacts after ``t_split``.
     """
 
     t_split: float
     train: TemporalGraph
-    test_pairs: dict[tuple[int, int], float]
+    test_pairs: np.ndarray
 
 
 def split_train_test(g: TemporalGraph, ratio: float = 0.75) -> DataSplit:
@@ -199,17 +202,15 @@ def split_train_test(g: TemporalGraph, ratio: float = 0.75) -> DataSplit:
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    if not g.events:
+    if g.num_events == 0:
         raise ValueError("cannot split an empty graph")
     t_split = ratio * g.t_max
-    train_events = [e for e in g.events if e.t <= t_split]
-    test_pairs: dict[tuple[int, int], float] = {}
-    for u, v, t in g.events:
-        if t > t_split:
-            test_pairs.setdefault(_pair_key(u, v), t)
-    if not train_events:
+    n_train = int(np.searchsorted(g.t, t_split, side="right"))
+    # a pair interacts after t_split exactly when its last contact does
+    late = g.pair_t[g.pair_ptr[1:] - 1] > t_split
+    if n_train == 0:
         raise ValueError("split leaves an empty training window")
-    if not test_pairs:
+    if not late.any():
         raise ValueError("split leaves an empty test window")
-    train = TemporalGraph(g.num_nodes, train_events, _pair_index(train_events), list(g.raw_ids))
-    return DataSplit(t_split=t_split, train=train, test_pairs=test_pairs)
+    train = from_columns(g.src[:n_train], g.dst[:n_train], g.t[:n_train], g.num_nodes, list(g.raw_ids))
+    return DataSplit(t_split=t_split, train=train, test_pairs=g.pair_ends()[late])

@@ -3,7 +3,9 @@
 The loss treats each training event as a positive sample weighted by its
 forward-window significance label and pairs it with one uniformly drawn
 non-interacting negative per positive, weighted by the batch mean of the
-positive labels.
+positive labels.  The positives are the training graph's contact
+columns; their labels come from the graph's CSR pair index
+(``build_positive_samples``).
 
 Each chronological chunk of samples becomes one computation tree
 (stgnn.model.build_batch), whose candidate lists see only the contacts
@@ -17,11 +19,12 @@ stgnn.model.forward_batch, shared with evaluation.  Gradients of the full
 loss -> output layer -> hidden layer -> softmax rank-weighting
 composition are derived by hand from its activations and evaluated in
 batched numpy; tests pin the loss against a per-node recursive reference
-forward and the gradients against central finite differences.  Each
-scatter of gradient rows onto nodes or tree entries is one ``np.bincount``
-per column, which adds every bin's rows in input order and so equals
-``np.add.at`` bitwise; the softmax-weighted neighbour rows of both layers
-are formed one column at a time, never as one (rows, d) array.
+forward and the gradients against central finite differences.  Every
+scatter of gradient rows onto nodes or tree entries adds each bin's rows
+in input order and so equals ``np.add.at`` bitwise: the small ones are
+one ``np.bincount`` over a flat (row, column) index, and the
+softmax-weighted neighbour rows of both layers one ``np.bincount`` per
+column, never formed as one (rows, d) array.
 
 Negatives are drawn one uniform node at a time per positive, and each
 try is checked by bisection on the pair's timestamps held as a Python
@@ -49,8 +52,8 @@ from stgnn.model import (
     init_params,
     random_features,
 )
-from stgnn.significance import TopMTable, significance_label
-from stgnn.temporal_graph import TemporalGraph
+from stgnn.significance import TopMTable
+from stgnn.temporal_graph import TemporalGraph, pair_keys
 
 logger = logging.getLogger(__name__)
 
@@ -64,17 +67,6 @@ def named_rng(seed: int, *names) -> np.random.Generator:
     """
     entropy = [int(seed)] + [zlib.crc32(str(n).encode("utf-8")) for n in names]
     return np.random.default_rng(entropy)
-
-
-@dataclass(frozen=True)
-class TrainSample:
-    """One supervision point: a (u, v) pair at time t with its window label."""
-
-    u: int
-    v: int
-    t: float
-    positive: bool
-    s_delta: int
 
 
 @dataclass
@@ -162,24 +154,42 @@ class TrainResult:
     skipped_negatives: int = 0
 
 
-def build_positive_samples(g: TemporalGraph, delta: float | None) -> list[TrainSample]:
-    """One positive per training event, labeled by its window count.
+def build_positive_samples(
+    g: TemporalGraph, delta: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One positive per training event, as the columns (u, v, t, s_delta):
+    the graph's contact columns and each event's label, the number of
+    contacts of its pair inside the window [t, t + delta).
 
     With ``delta`` None (window ablated) every label is 1.  Labels are
     counted against the training stream only, so windows reaching past
-    the split never see test data.
+    the split never see test data.  The counts are two ``searchsorted``
+    calls over the CSR pair timestamps keyed by the exact int64 (pair id,
+    time rank), where a time's rank is the number of distinct event times
+    below it.
     """
-    out = []
-    for u, v, t in g.events:
-        s = significance_label(g, u, v, t, delta) if delta is not None else 1
-        out.append(TrainSample(u=u, v=v, t=t, positive=True, s_delta=s))
-    return out
+    if delta is None:
+        return g.src, g.dst, g.t, np.ones(g.num_events, dtype=np.int64)
+    if not delta > 0:
+        raise ValueError(f"window size must be positive, got {delta}")
+    times = np.unique(g.t)
+    n_t = times.shape[0]
+    n_pairs = g.pair_key.shape[0]
+    contact = np.repeat(np.arange(n_pairs), np.diff(g.pair_ptr)) * n_t + np.searchsorted(times, g.pair_t)
+    pair = np.searchsorted(g.pair_key, pair_keys(g.src, g.dst, g.num_nodes))
+    lo = np.searchsorted(contact, pair * n_t + np.searchsorted(times, g.t))
+    hi = np.searchsorted(contact, pair * n_t + np.searchsorted(times, g.t + delta))
+    return g.src, g.dst, g.t, hi - lo
 
 
 def _pair_times(g: TemporalGraph) -> dict[tuple[int, int], list[float]]:
-    """The pair index with each timestamp array as a Python list, for
-    the per-try bisections of _valid_negative."""
-    return {k: ts.tolist() for k, ts in g.pair_index.items()}
+    """The CSR pair index as a dict of Python lists of timestamps, keyed
+    by endpoints (smaller first), for the per-try bisections of
+    _valid_negative."""
+    ts, ptr = g.pair_t.tolist(), g.pair_ptr.tolist()
+    return {
+        (a, b): ts[lo:hi] for (a, b), lo, hi in zip(g.pair_ends().tolist(), ptr[:-1], ptr[1:])
+    }
 
 
 def _valid_negative(
@@ -239,11 +249,18 @@ def _negative_column(
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, d) sums of ``rows`` by target row ``index``: one ``np.bincount``
-    per column, each bin adding its rows in input order, so the result is
-    bitwise that of ``np.add.at`` into zeros."""
-    return np.column_stack(
-        [np.bincount(index, weights=rows[:, j], minlength=n) for j in range(rows.shape[1])]
-    )
+    over the flat (row, column) index, each bin adding its rows in input
+    order, so the result is bitwise that of ``np.add.at`` into zeros."""
+    d = rows.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
+
+
+def _scatter_columns(index: np.ndarray, column, d: int, n: int) -> np.ndarray:
+    """(n, d) sums by target row ``index`` of rows whose column j is
+    ``column(j)``: one ``np.bincount`` per column, so the rows are never
+    formed as one array, bitwise equal to ``_scatter_rows`` on them."""
+    return np.column_stack([np.bincount(index, weights=column(j), minlength=n) for j in range(d)])
 
 
 def _forward_backward(
@@ -281,17 +298,12 @@ def _forward_backward(
 
     d_agg = d_h2 @ params.w2_nbr.T  # (R, d1)
     d_self = d_h2 @ params.w2_self.T
-    # the root rows, then the (R * m, d1) weighted neighbour rows, one column at a time
-    h1_index = np.concatenate([fb.root_entry, fb.root_nbrs.reshape(-1)])
-    d_h1 = np.column_stack(
-        [
-            np.bincount(
-                h1_index,
-                weights=np.concatenate([d_self[:, j], (phi_r * d_agg[:, j, None]).reshape(-1)]),
-                minlength=h1.shape[0],
-            )
-            for j in range(h1.shape[1])
-        ]
+    # the root rows, then the (R * m, d1) weighted neighbour rows
+    d_h1 = _scatter_columns(
+        np.concatenate([fb.root_entry, fb.root_nbrs.reshape(-1)]),
+        lambda j: np.concatenate([d_self[:, j], (phi_r * d_agg[:, j, None]).reshape(-1)]),
+        h1.shape[1],
+        h1.shape[0],
     )
     mask_r = fb.mask[fb.root_entry]
     d_phi = _scatter_rows(
@@ -302,13 +314,9 @@ def _forward_backward(
     n_nodes = feats.shape[0]
     d_xw1s = _scatter_rows(fb.owner, d_pre, n_nodes)
     d_phi += np.einsum("ed,emd->em", d_pre, nbr_gather) * fb.mask
-    # the (E * m, d1) weighted neighbour rows, one column at a time
-    nbrs = fb.nbrs.reshape(-1)
-    d_xw1n = np.column_stack(
-        [
-            np.bincount(nbrs, weights=(phi_e * d_pre[:, j, None]).reshape(-1), minlength=n_nodes)
-            for j in range(pre.shape[1])
-        ]
+    # the (E * m, d1) weighted neighbour rows
+    d_xw1n = _scatter_columns(
+        fb.nbrs.reshape(-1), lambda j: (phi_e * d_pre[:, j, None]).reshape(-1), pre.shape[1], n_nodes
     )
 
     inner = np.sum(d_phi * phi_e, axis=1, keepdims=True)
@@ -379,17 +387,15 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
     sel_rng = named_rng(config.seed, "train-selection")
 
     label_delta = delta if config.use_intimate_window else None
-    positives = build_positive_samples(g_train, label_delta)
-    pos_u = np.array([p.u for p in positives], dtype=np.int64)
-    pos_v = np.array([p.v for p in positives], dtype=np.int64)
-    pos_t = np.array([p.t for p in positives], dtype=np.float64)
-    pos_s = np.array([p.s_delta for p in positives], dtype=np.float64)
+    pos_u, pos_v, pos_t, pos_s = build_positive_samples(g_train, label_delta)
+    pos_s = pos_s.astype(np.float64)
+    n_pos = pos_t.shape[0]
     # the negatives' per-try checks run on Python scalars and lists
     times = _pair_times(g_train)
     neg_u, neg_t = pos_u.tolist(), pos_t.tolist()
     neg_delta = None if delta is None else float(delta)
     table = None
-    if config.use_significant_selection and positives:  # no events, no chunks, no table
+    if config.use_significant_selection and n_pos:  # no events, no chunks, no table
         table = TopMTable.build(g_train, config.m, config.lam)
 
     history: list[float] = []
@@ -408,12 +414,12 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
         if n_skip and epoch == 0:
             logger.warning("epoch 0: %d positive(s) have no valid negative", n_skip)
 
-        if not config.use_significant_selection and positives:
+        if not config.use_significant_selection and n_pos:
             table = None  # free the last epoch's draws before drawing the next
             table = TopMTable.build(g_train, config.m, config.lam, rng=sel_rng)
         loss_sum = 0.0
         n_seen = 0
-        for start in range(0, len(positives), config.batch_size):
+        for start in range(0, n_pos, config.batch_size):
             c = slice(start, start + config.batch_size)
             fb = _capture_chunk(pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], config.m, table.lookup)
             loss, grads = _forward_backward(fb, params, feats)

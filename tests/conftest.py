@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stgnn.significance import TopMTable
-from stgnn.temporal_graph import Event, from_events
+from reference_model import Event, events_of, from_events
 
 
 def random_stream(rng, n_nodes=20, n_events=300, mean_gap=0.1):
@@ -20,7 +20,7 @@ def tied_stream(batch_size: int):
     """A random stream whose events batch_size - 2 .. batch_size + 1 share
     one timestamp, so a tie straddles the first chunk boundary."""
     g = random_stream(np.random.default_rng(8), n_nodes=15, n_events=4 * batch_size)
-    events = list(g.events)
+    events = events_of(g)
     t_tie = events[batch_size - 2].t
     for k in range(batch_size - 2, batch_size + 2):
         events[k] = Event(events[k].u, events[k].v, t_tie)

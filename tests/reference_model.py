@@ -1,5 +1,13 @@
 """Reference implementations the tests pin the program against.
 
+* The row form of a contact stream: ``Event`` rows, ``from_events`` and
+  ``events_of`` to cross between rows and the columnar graph, the
+  row-built pair index (the oracle for the CSR pair index), the row
+  loader ``load_edge_list_rows`` and row split ``split_rows`` (the oracle
+  for the columnar loader and split), and per-pair ``pair_history``,
+  ``count_in_window`` and ``significance_label``, with ``TrainSample``
+  and ``positive_samples`` (the oracle for the label column of
+  ``stgnn.training.build_positive_samples``).
 * ``pure_top_m``, one node's candidate list at one time, ranked from the
   node's pair histories: the oracle for the array pass
   ``stgnn.significance.top_m_neighbors``, the top-m table and the
@@ -17,12 +25,13 @@
   queries on an immutable graph, used by the gradient checks (training
   itself uses the top-m table).
 * ``draw_negative``, one negative per positive drawn against the
-  graph's numpy pair index, and ``sample_negatives`` over a list of
+  graph's numpy pair timestamps, and ``sample_negatives`` over a list of
   positives: the oracle for the negative column of ``stgnn.training``.
 * ``forward_backward``, the batch loss and gradients with one flat-index
   ``scatter_rows`` per scatter and the layer-1 neighbour rows built eight
-  columns at a time: the oracle for the per-column scatters of
+  columns at a time: the oracle for the scatters of
   ``stgnn.training._forward_backward``.
+* ``check_finite`` over a parameter set.
 * ``initial_significance``, the decayed contact count of one pair
   history, and the per-pair ``heuristic_reference`` built on it, the
   oracle for the one-pass reference of ``stgnn.evaluation``.
@@ -35,9 +44,12 @@
 
 from __future__ import annotations
 
+import bisect
 import logging
+import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,10 +62,152 @@ from stgnn.model import (
     init_params,
     random_features,
 )
-from stgnn.temporal_graph import Event, TemporalGraph, from_events
-from stgnn.training import TrainConfig, TrainSample, _forward_backward
+from stgnn.temporal_graph import COMMENT_PREFIXES, EdgeListParseError, TemporalGraph, from_columns
+from stgnn.training import TrainConfig, _forward_backward
 
 logger = logging.getLogger(__name__)
+
+
+# ---------------------------------------------------------------------------
+# The row form of a contact stream
+# ---------------------------------------------------------------------------
+
+
+class Event(NamedTuple):
+    """One undirected contact between nodes ``u`` and ``v`` at time ``t``."""
+
+    u: int
+    v: int
+    t: float
+
+
+def from_events(events, num_nodes: int | None = None, raw_ids: list[str] | None = None) -> TemporalGraph:
+    """A columnar graph from a list of Event rows (dense ids)."""
+    u, v, t = (list(c) for c in zip(*events)) if events else ([], [], [])
+    return from_columns(u, v, t, num_nodes=num_nodes, raw_ids=raw_ids)
+
+
+def events_of(g: TemporalGraph) -> list[Event]:
+    """The graph's contact columns as Event rows, in time order."""
+    return [Event(*e) for e in zip(g.src.tolist(), g.dst.tolist(), g.t.tolist())]
+
+
+def pair_key(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def row_pair_index(events: list[Event]) -> dict[tuple[int, int], np.ndarray]:
+    """(min(u,v), max(u,v)) -> each pair's timestamps in event order, built
+    row by row: the oracle for the CSR pair index."""
+    by_pair: dict[tuple[int, int], list[float]] = {}
+    for u, v, t in events:
+        by_pair.setdefault(pair_key(u, v), []).append(t)
+    return {k: np.asarray(ts, dtype=np.float64) for k, ts in by_pair.items()}
+
+
+def pair_index(g: TemporalGraph) -> dict[tuple[int, int], np.ndarray]:
+    """The row-built pair index of g's events."""
+    return row_pair_index(events_of(g))
+
+
+def csr_pair_times(g: TemporalGraph, u: int, v: int) -> np.ndarray:
+    """The (u, v) timestamps of the graph's CSR pair index; empty for an
+    unknown pair."""
+    key = min(u, v) * g.num_nodes + max(u, v)
+    i = int(np.searchsorted(g.pair_key, key))
+    if i == g.pair_key.shape[0] or g.pair_key[i] != key:
+        return np.empty(0, dtype=np.float64)
+    return g.pair_t[g.pair_ptr[i] : g.pair_ptr[i + 1]]
+
+
+def pair_history(g: TemporalGraph, u: int, v: int, t: float) -> np.ndarray:
+    """All timestamps of (u, v) contacts strictly before ``t``."""
+    if u == v:
+        raise ValueError("pair history requires two distinct nodes")
+    ts = csr_pair_times(g, u, v)
+    return ts[: bisect.bisect_left(ts, t)]
+
+
+def count_in_window(g: TemporalGraph, u: int, v: int, t0: float, t1: float) -> int:
+    """Number of (u, v) contacts with timestamp in [t0, t1)."""
+    ts = csr_pair_times(g, u, v)
+    return int(np.searchsorted(ts, t1, side="left") - np.searchsorted(ts, t0, side="left"))
+
+
+def significance_label(g: TemporalGraph, u: int, v: int, t: float, delta: float) -> int:
+    """Contacts of (u, v) inside the window [t, t + delta): one pair at a
+    time, the oracle for the label column of build_positive_samples."""
+    if delta <= 0:
+        raise ValueError(f"window size must be positive, got {delta}")
+    return count_in_window(g, u, v, t, t + delta)
+
+
+@dataclass(frozen=True)
+class TrainSample:
+    """One supervision point: a (u, v) pair at time t with its window label."""
+
+    u: int
+    v: int
+    t: float
+    positive: bool
+    s_delta: int
+
+
+def positive_samples(g: TemporalGraph, delta: float | None) -> list[TrainSample]:
+    """One positive per event, labeled one event at a time."""
+    return [
+        TrainSample(u, v, t, True, significance_label(g, u, v, t, delta) if delta is not None else 1)
+        for u, v, t in events_of(g)
+    ]
+
+
+def check_finite(params: ModelParams) -> None:
+    for name, a in params.arrays():
+        if not np.all(np.isfinite(a)):
+            raise FloatingPointError(f"non-finite values in {name}")
+
+
+def load_edge_list_rows(path, time_unit: float = 1.0) -> tuple[list[Event], list[str]]:
+    """The row loader: the file's contacts as time-sorted Event rows (self-
+    loops dropped) and the labels in dense-id order.  The oracle for the
+    columnar ``load_edge_list``."""
+    rows: list[tuple[str, str, float]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith(COMMENT_PREFIXES):
+                continue
+            parts = stripped.replace(",", " ").split()
+            if len(parts) < 3:
+                raise EdgeListParseError(f"{path}:{lineno}: expected 'u v t', got {line!r}")
+            t_raw = float(parts[2])
+            if not math.isfinite(t_raw):
+                raise EdgeListParseError(f"{path}:{lineno}: non-finite timestamp {parts[2]!r}")
+            rows.append((parts[0], parts[1], t_raw))
+    labels = {lab for u, v, _ in rows for lab in (u, v)}
+
+    def is_int(lab):
+        try:
+            int(lab)
+        except ValueError:
+            return False
+        return True
+
+    ordered = sorted(labels, key=lambda lab: (int(lab), lab)) if all(map(is_int, labels)) else sorted(labels)
+    remap = {lab: i for i, lab in enumerate(ordered)}
+    t_min = min(t for _, _, t in rows) / time_unit
+    events = [
+        Event(remap[a], remap[b], t / time_unit - t_min) for a, b, t in rows if remap[a] != remap[b]
+    ]
+    return sorted(events, key=lambda e: e.t), ordered
+
+
+def split_rows(events: list[Event], ratio: float) -> tuple[float, list[Event], list[tuple[int, int]]]:
+    """The row split of time-sorted events: t_split, the training events
+    and the sorted held-out pairs.  The oracle for ``split_train_test``."""
+    t_split = ratio * events[-1].t
+    train = [e for e in events if e.t <= t_split]
+    return t_split, train, sorted({pair_key(e.u, e.v) for e in events if e.t > t_split})
 
 
 def pure_top_m(
@@ -71,9 +225,11 @@ def pure_top_m(
         raise ValueError(f"decay rate must be positive, got {lam}")
     ids: list[int] = []
     scores: list[float] = []
-    for (a, b) in g.pair_index:
+    ptr = g.pair_ptr.tolist()
+    for i, (a, b) in enumerate(g.pair_ends().tolist()):
         if u in (a, b):
-            hist = g.pair_history(a, b, t)
+            ts = g.pair_t[ptr[i] : ptr[i + 1]]
+            hist = ts[: bisect.bisect_left(ts, t)]
             if hist.shape[0]:
                 ids.append(b if a == u else a)
                 scores.append(float(np.exp(-lam * (t - hist)).sum()))
@@ -208,7 +364,7 @@ def valid_negative(g: TemporalGraph, u: int, w: int, t: float, delta: float | No
     if w == u:
         return False
     end = t + delta if delta is not None else np.nextafter(t, np.inf)
-    return g.count_in_window(u, w, t, end) == 0
+    return count_in_window(g, u, w, t, end) == 0
 
 
 def draw_negative(
@@ -268,7 +424,7 @@ def heuristic_reference(g_train: TemporalGraph, u, v, t0: float, lam: float = 1.
     each pair's contacts strictly before t0."""
     return np.array(
         [
-            initial_significance(g_train.pair_history(a, b, t0), t0, lam=lam)
+            initial_significance(pair_history(g_train, a, b, t0), t0, lam=lam)
             for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist())
         ],
         dtype=np.float64,
@@ -495,7 +651,7 @@ def small_instance(seed, n_nodes=6, n_events=25, d=3, m=2):
     params = init_params(rng, d, d, d, m)
     params.beta = rng.normal(0, 0.5, size=m)
     batch = []
-    for e in g.events[n_events // 2 : n_events // 2 + 6]:
+    for e in events_of(g)[n_events // 2 : n_events // 2 + 6]:
         batch.append(TrainSample(e.u, e.v, e.t, True, int(rng.integers(1, 5))))
         w = int(rng.choice([x for x in range(n_nodes) if x not in (e.u, e.v)]))
         batch.append(TrainSample(e.u, w, e.t, False, 0))

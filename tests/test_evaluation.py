@@ -13,17 +13,22 @@ from stgnn.evaluation import (
     score_pair,
 )
 from stgnn.model import init_params, random_features
-from stgnn.temporal_graph import Event, from_events, split_train_test
+from stgnn.temporal_graph import split_train_test
 from stgnn.training import TrainConfig, named_rng
 from conftest import random_stream
 from reference_model import (
+    Event,
     ScoredPair,
     brute_force_ap,
     brute_force_auc,
     columns,
     cosine,
+    events_of,
+    from_events,
     initial_significance,
     make_pairs,
+    pair_history,
+    pair_index,
 )
 from reference_model import heuristic_reference as pairwise_reference
 from reference_model import auc as list_auc
@@ -190,7 +195,7 @@ class TestHeuristic:
         g = random_stream(rng, n_nodes=10, n_events=400)
         u, v = np.triu_indices(10, k=1)
         u, v = np.concatenate([u, v[:7]]), np.concatenate([v, u[:7]])  # both orientations
-        for t0, lam in ((g.t_max * 0.9, 1.0), (g.events[150].t, 0.3), (g.t_max + 1.0, 2.0), (0.0, 1.0)):
+        for t0, lam in ((g.t_max * 0.9, 1.0), (events_of(g)[150].t, 0.3), (g.t_max + 1.0, 2.0), (0.0, 1.0)):
             got = heuristic_reference(g, u, v, t0, lam=lam)
             want = pairwise_reference(g, u, v, t0, lam=lam)
             assert (got > 0).tolist() == (want > 0).tolist()
@@ -263,8 +268,8 @@ class TestEvaluate:
         report = evaluate(split, params, feats, cfg, per_node_map=True)
 
         # the same held-out pairs as a list of ScoredPair, scored row by row
-        positives = sorted(split.test_pairs.keys())
-        negatives = sample_test_negatives(split, len(positives), named_rng(6, "eval-negatives"))
+        positives = split.test_pairs.tolist()
+        negatives = sample_test_negatives(split, len(positives), named_rng(6, "eval-negatives")).tolist()
         labeled = [(u, v, 1) for u, v in positives] + [(u, v, 0) for u, v in negatives]
         involved = sorted({x for u, v, _ in labeled for x in (u, v)})
         emb = node_embeddings(split.train, params, feats, involved, split.t_split, cfg)
@@ -279,7 +284,7 @@ class TestEvaluate:
             assert got["map_per_node"] == pytest.approx(list_map(pairs, per_node=True), abs=1e-15)
         t0 = split.t_split
         ref = [
-            ScoredPair(u, v, initial_significance(split.train.pair_history(u, v, t0), t0, lam=cfg.lam), lab)
+            ScoredPair(u, v, initial_significance(pair_history(split.train, u, v, t0), t0, lam=cfg.lam), lab)
             for u, v, lab in labeled
         ]
         assert report.reference_auc == list_auc(ref)
@@ -290,11 +295,31 @@ class TestNegativeSampling:
         g = random_stream(rng, n_nodes=30, n_events=300)
         split = split_train_test(g, 0.75)
         negs = sample_test_negatives(split, 50, named_rng(0, "eval-neg"))
-        assert len(negs) == 50
+        assert negs.shape == (50, 2) and negs.dtype == np.int64
+        negs = [tuple(p) for p in negs.tolist()]
         assert len(set(negs)) == 50
-        linked = set(split.train.pair_index) | set(split.test_pairs)
-        for pair in negs:
-            assert pair not in linked
+        linked = set(pair_index(split.train)) | {tuple(p) for p in split.test_pairs.tolist()}
+        assert linked == set(pair_index(g))
+        for u, v in negs:
+            assert u < v and (u, v) not in linked
+
+    def test_draws_match_tuple_oracle(self, rng):
+        # the same draws, in the same order, as a check of (u, v) tuples
+        # against the row-built pair index
+        g = random_stream(rng, n_nodes=30, n_events=300)
+        split = split_train_test(g, 0.75)
+        got_rng, want_rng = named_rng(0, "eval-neg"), named_rng(0, "eval-neg")
+        got = sample_test_negatives(split, 80, got_rng)
+        taken, want = set(pair_index(g)), []
+        while len(want) < 80:
+            a, b = int(want_rng.integers(30)), int(want_rng.integers(30))
+            key = (min(a, b), max(a, b))
+            if a != b and key not in taken:
+                taken.add(key)
+                want.append(list(key))
+        assert got.tolist() == want
+        assert got_rng.integers(2**62) == want_rng.integers(2**62)
+        assert sample_test_negatives(split, 0, got_rng).shape == (0, 2)
 
     def test_dense_graph_errors(self):
         # complete 4-node interaction history leaves no never-linked pairs

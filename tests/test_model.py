@@ -14,10 +14,9 @@ from stgnn.model import (
 )
 from stgnn.evaluation import node_embeddings
 from stgnn.significance import top_m_neighbors
-from stgnn.temporal_graph import Event, from_events
 from stgnn.training import TrainConfig, named_rng
 from conftest import random_stream
-from reference_model import cosine, phi, pure_top_m, stagg_layer
+from reference_model import Event, check_finite, cosine, from_events, phi, pure_top_m, stagg_layer
 from reference_model import forward_node as reference_forward_node
 
 
@@ -283,7 +282,7 @@ class TestCheckpoint:
         assert p.w1_self.shape == (128, 16)
         assert p.w2_nbr.shape == (16, 16)
         assert p.beta.shape == (10,)
-        p.check_finite()
+        check_finite(p)
 
 
 def test_params_zeros_like_independent(rng):

@@ -8,12 +8,19 @@ from stgnn.significance import (
     SignificanceIndex,
     TopMTable,
     sample_m,
-    significance_label,
     top_m_neighbors,
 )
-from stgnn.temporal_graph import Event, from_events
+from stgnn.training import build_positive_samples
 from conftest import index_pair_score, random_stream, table_list, tied_stream
-from reference_model import initial_significance, pure_top_m
+from reference_model import (
+    Event,
+    events_of,
+    from_events,
+    initial_significance,
+    pair_history,
+    pure_top_m,
+    significance_label,
+)
 
 
 def row(g, u, t, m, lam=1.0, rng=None):
@@ -108,7 +115,7 @@ class TestTopM:
             for v in range(15):
                 if v == u:
                     continue
-                hist = [e.t for e in g.events if {e.u, e.v} == {u, v} and e.t < t]
+                hist = [e.t for e in events_of(g) if {e.u, e.v} == {u, v} and e.t < t]
                 if hist:
                     scored.append((v, initial_significance(hist, t)))
             scored.sort(key=lambda x: (-x[1], x[0]))
@@ -154,8 +161,8 @@ class TestTopM:
         rng = np.random.default_rng(seed)
         g = random_stream(rng, n_nodes=12, n_events=250)
         # three nodes that never interact
-        g = from_events(list(g.events), num_nodes=15)
-        t_event = g.events[150].t
+        g = from_events(events_of(g), num_nodes=15)
+        t_event = events_of(g)[150].t
         for t in (t_event, float(rng.uniform(0, g.t_max)), g.t_max + 2.0, 0.0):
             for m in (1, 3, 30):
                 ids, scores, mask = top_m_neighbors(g, t, m, lam=0.7)
@@ -187,7 +194,7 @@ class TestRandomRows:
     def test_rows_are_ranked_subsets_of_the_oracle(self, rng):
         g = random_stream(rng, n_nodes=12, n_events=400)
         m, n, drawn = 3, g.num_nodes, 0
-        for t in (g.events[200].t, g.t_max + 1.0):
+        for t in (events_of(g)[200].t, g.t_max + 1.0):
             ids, scores, mask = top_m_neighbors(g, t, m, rng=np.random.default_rng(5))
             for u in range(n):
                 ref_ids, ref_scores = pure_top_m(g, u, t, m=n)
@@ -232,12 +239,21 @@ class TestRandomRows:
         np.testing.assert_array_equal(first[2], second[2])
 
 
+def labels(g, delta):
+    """The label column of build_positive_samples."""
+    return build_positive_samples(g, delta)[3].tolist()
+
+
 class TestLabel:
+    """The forward-window label of each event, from the label column of
+    stgnn.training.build_positive_samples and the per-pair oracle."""
+
     def test_interval_counting(self):
         t, delta = 10.0, 4.0
         g = from_events(
             [Event(0, 1, t), Event(0, 1, t + 0.5 * delta), Event(0, 1, t + 2 * delta)]
         )
+        assert labels(g, delta)[0] == 2
         assert significance_label(g, 0, 1, t, delta) == 2
 
     def test_empty_window(self):
@@ -251,16 +267,22 @@ class TestLabel:
         events.append(Event(0, 2, t))
         events.append(Event(0, 2, t + delta + 1.0))  # outside the window
         g = from_events(events, num_nodes=3)
+        assert labels(g, delta)[:2] == [6, 1]  # the two events at t, (0, 1) first
         assert significance_label(g, 0, 1, t, delta) == 6
         assert significance_label(g, 0, 2, t, delta) == 1
 
     def test_anchor_inclusive_end_exclusive(self):
         g = from_events([Event(0, 1, 1.0), Event(0, 1, 3.0)])
-        assert significance_label(g, 0, 1, 1.0, 2.0) == 1  # t+delta exactly excluded
+        assert labels(g, 2.0)[0] == 1  # t+delta exactly excluded
+        assert labels(g, 2.5)[0] == 2
+        assert significance_label(g, 0, 1, 1.0, 2.0) == 1
         assert significance_label(g, 0, 1, 1.0, 2.5) == 2
 
     def test_nonpositive_window_rejected(self):
         g = from_events([Event(0, 1, 0.0)])
+        for delta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="window size"):
+                build_positive_samples(g, delta)
         with pytest.raises(ValueError):
             significance_label(g, 0, 1, 0.0, 0.0)
 
@@ -269,13 +291,13 @@ class TestTopMTable:
     def test_matches_pure_route_with_ties(self, rng):
         g = random_stream(rng, n_nodes=20, n_events=1500)
         # force simultaneous events into the stream
-        events = list(g.events)
+        events = events_of(g)
         events += [Event(0, 1, 5.0), Event(0, 1, 5.0), Event(2, 0, 5.0)]
         g = from_events(events, num_nodes=20)
 
         table = TopMTable.build(g, 6)
         probes = 0
-        i, evs = 0, g.events
+        i, evs = 0, events_of(g)
         while i < len(evs):
             j, t = i, evs[i].t
             while j < len(evs) and evs[j].t == t:
@@ -374,7 +396,7 @@ class TestTopMTable:
 def coarse_tied_stream(rng):
     """A random stream on a coarse time grid: most event times are shared."""
     g = random_stream(rng, n_nodes=12, n_events=400)
-    return from_events([Event(e.u, e.v, round(e.t, 1)) for e in g.events], num_nodes=12)
+    return from_events([Event(e.u, e.v, round(e.t, 1)) for e in events_of(g)], num_nodes=12)
 
 
 class TestRandomTable:
@@ -385,9 +407,9 @@ class TestRandomTable:
     def test_rows_are_ranked_subsets_of_the_pure_route(self, stream, rng):
         g = tied_stream(32) if stream == "tied" else coarse_tied_stream(rng)
         m, n = 3, g.num_nodes
-        assert len({e.t for e in g.events}) < g.num_events  # exact-time ties
+        assert len(set(g.t.tolist())) < g.num_events  # exact-time ties
         table = TopMTable.build(g, m, rng=np.random.default_rng(5))
-        times = sorted({e.t for e in g.events})[::3] + [g.t_max + 1.0]
+        times = sorted(set(g.t.tolist()))[::3] + [g.t_max + 1.0]
         nodes, ts = np.repeat(np.arange(n), len(times)), np.tile(times, n)
         ids, scores, mask = table.lookup(nodes, ts)
         drawn = 0
@@ -432,11 +454,11 @@ class TestStreamingIndex:
         # every event's pair score, read before any contact of its time group is added
         g = coarse_tied_stream(np.random.default_rng(6))
         idx = SignificanceIndex(g.num_nodes)
-        for _, group in itertools.groupby(g.events, key=lambda e: e.t):
+        for _, group in itertools.groupby(events_of(g), key=lambda e: e.t):
             group = list(group)
             for e in group:
                 s_stream = index_pair_score(idx, e.u, e.v, e.t)
-                s_direct = initial_significance(g.pair_history(e.u, e.v, e.t), e.t)
+                s_direct = initial_significance(pair_history(g, e.u, e.v, e.t), e.t)
                 assert s_stream == pytest.approx(s_direct, rel=1e-9, abs=1e-300)
             for e in group:
                 idx.add_event(e.u, e.v, e.t)
@@ -452,7 +474,7 @@ class TestStreamingIndex:
     def test_top_m_counts_contacts_at_the_query_time(self):
         g = from_events([Event(0, 1, 1.0), Event(0, 2, 2.0), Event(2, 0, 2.0)], num_nodes=3)
         idx = SignificanceIndex(3)
-        for e in g.events:
+        for e in events_of(g):
             idx.add_event(e.u, e.v, e.t)
         ids, scores = idx.top_m(0, 2.0, 2)
         assert ids.tolist() == [2, 1]
@@ -467,7 +489,7 @@ class TestStreamingIndex:
     def test_random_m_counts_contacts_at_the_query_time(self, rng):
         g = from_events([Event(0, 1, 1.0), Event(0, 2, 2.0), Event(2, 0, 2.0)], num_nodes=3)
         idx = SignificanceIndex(3)
-        for e in g.events:
+        for e in events_of(g):
             idx.add_event(e.u, e.v, e.t)
         ids, scores = idx.random_m(0, 2.0, 2, rng)
         assert ids.tolist() == [2, 1]

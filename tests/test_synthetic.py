@@ -3,6 +3,7 @@ import pytest
 
 from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import load_edge_list
+from reference_model import pair_index
 
 
 def planted_pairs(path, g):
@@ -32,7 +33,7 @@ class TestGenerator:
         g = load_edge_list(path)
         planted = planted_pairs(pairs_path, g)
         assert len(planted) == 10
-        counts = {k: len(v) for k, v in g.pair_index.items()}
+        counts = {k: len(v) for k, v in pair_index(g).items()}
         planted_counts = [counts[p] for p in planted]
         background_counts = [c for k, c in counts.items() if k not in planted]
         assert min(planted_counts) > np.mean(background_counts)
@@ -45,7 +46,7 @@ class TestGenerator:
         )
         g = load_edge_list(path)
         assert planted_pairs(pairs_path, g) == set()
-        max_count = max(len(v) for v in g.pair_index.values())
+        max_count = max(len(v) for v in pair_index(g).values())
         assert max_count <= 12  # sparse uniform background only
 
     def test_event_budget(self, tmp_path):
@@ -67,7 +68,7 @@ class TestGenerator:
         path, pairs_path = generate_synthetic(tmp_path / "s.txt", horizon=100.0, seed=6)
         g = load_edge_list(path)
         for pair in planted_pairs(pairs_path, g):
-            assert g.pair_index[pair].max() > 75.0
+            assert pair_index(g)[pair].max() > 75.0
 
     def test_planted_pairs_found_when_nodes_never_appear(self, tmp_path):
         # 25 pairs touch at most 50 of the 100 nodes, so raw labels and
@@ -80,7 +81,7 @@ class TestGenerator:
         assert g.num_nodes <= 50
         planted = planted_pairs(pairs_path, g)
         assert len(planted) == 5
-        assert all(len(g.pair_index[p]) >= 30 for p in planted)
+        assert all(len(pair_index(g)[p]) >= 30 for p in planted)
 
     def test_without_recurrence_every_background_pair_occurs_once(self, tmp_path):
         # 5 communities of 12 nodes hold 330 within-community pairs, 5 planted
@@ -91,7 +92,7 @@ class TestGenerator:
         )
         g = load_edge_list(path)
         planted = planted_pairs(pairs_path, g)
-        background = {k: len(v) for k, v in g.pair_index.items() if k not in planted}
+        background = {k: len(v) for k, v in pair_index(g).items() if k not in planted}
         assert len(background) == 200
         assert set(background.values()) == {1}
 
@@ -103,7 +104,7 @@ class TestGenerator:
         )
         g = load_edge_list(path)
         planted = planted_pairs(pairs_path, g)
-        background = [len(v) for k, v in g.pair_index.items() if k not in planted]
+        background = [len(v) for k, v in pair_index(g).items() if k not in planted]
         assert background == [50]
 
     def test_full_pool_recurs_on_every_admissible_pair(self, tmp_path):
@@ -114,7 +115,8 @@ class TestGenerator:
             background_recurrence=0.0, seed=9,
         )
         g = load_edge_list(path)
-        assert set(g.pair_index) == {(0, 1), (2, 3)}
+        assert set(pair_index(g)) == {(0, 1), (2, 3)}
+        assert g.pair_ends().tolist() == [[0, 1], [2, 3]]
         assert g.num_events == 10
 
     def test_validation(self, tmp_path):

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from stgnn.model import init_params, random_features
-from stgnn.significance import TopMTable, significance_label
-from stgnn.temporal_graph import Event, from_events
+from stgnn.significance import TopMTable
 from stgnn import training
 from stgnn.training import (
     AdamState,
     TrainConfig,
     TrainingDiverged,
-    TrainSample,
     adam_step,
     build_positive_samples,
     named_rng,
@@ -20,22 +18,30 @@ from stgnn.training import (
     _forward_backward,
     _negative_column,
     _pair_times,
+    _scatter_columns,
     _scatter_rows,
     _valid_negative,
 )
 from conftest import random_stream, table_list, tied_stream
 from reference_model import (
     BatchTree,
+    Event,
+    TrainSample,
     backward,
     batch_loss,
     cosine,
     draw_negative,
+    events_of,
     finite_difference,
     forward_backward,
     forward_node,
+    from_events,
     kink_margin,
     max_relative_error,
+    pair_index,
+    positive_samples,
     sample_negatives,
+    significance_label,
     significance_loss,
     small_instance,
     tree_from_graph,
@@ -116,7 +122,7 @@ class TestEngineConsistency:
         params.beta = rng.normal(size=3)
         delta = 0.6
         batch = []
-        for e in g.events[60:70]:
+        for e in events_of(g)[60:70]:
             batch.append(
                 TrainSample(e.u, e.v, e.t, True, significance_label(g, e.u, e.v, e.t, delta))
             )
@@ -157,7 +163,7 @@ def chunks_with_negatives(g, cfg, delta, seed=3):
     """Per chunk: the sample columns of _capture_chunk and the same
     samples as a list (each positive, then its negative)."""
     rng = named_rng(seed, "neg")
-    positives = build_positive_samples(g, delta)
+    positives = positive_samples(g, delta)
     for start in range(0, len(positives), cfg.batch_size):
         chunk = positives[start : start + cfg.batch_size]
         negs = [draw_negative(g, p, rng, delta, 100) for p in chunk]
@@ -183,7 +189,7 @@ class TestCaptureChunk:
     def test_table_capture_matches_pure_route_oracle(self):
         cfg = TrainConfig(m=4, batch_size=32)
         g = tied_stream(cfg.batch_size)
-        pos_t = [e.t for e in g.events]
+        pos_t = g.t.tolist()
         assert pos_t[cfg.batch_size - 1] == pos_t[cfg.batch_size]
         table = TopMTable.build(g, cfg.m, cfg.lam)
         n_chunks = 0
@@ -255,7 +261,7 @@ class TestBackwardMatchesReference:
         g = from_events(events, num_nodes=30)
         cfg = TrainConfig(**{**self.cfg, "batch_size": 256})
         table = TopMTable.build(g, cfg.m, cfg.lam)
-        positives = build_positive_samples(g, 0.5)[300:556]
+        positives = positive_samples(g, 0.5)[300:556]
         neg = [draw_negative(g, p, named_rng(1, "neg"), 0.5, 100) for p in positives]
         cols = (
             np.array([p.u for p in positives]),
@@ -272,15 +278,20 @@ class TestBackwardMatchesReference:
 
 
 class TestScatterRows:
+    """Both scatter forms, the flat-index and the per-column one."""
+
     def test_bitwise_equal_to_add_at(self, rng):
         for n_rows, n_targets in ((1, 1), (50, 3), (400, 40), (0, 5)):
             index = rng.integers(n_targets, size=n_rows)
             rows = rng.normal(size=(n_rows, 6)) * rng.choice([1e-8, 1.0, 1e8], size=(n_rows, 1))
             want = np.zeros((n_targets, 6))
             np.add.at(want, index, rows)
-            got = _scatter_rows(index, rows, n_targets)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+            for got in (
+                _scatter_rows(index, rows, n_targets),
+                _scatter_columns(index, lambda j: rows[:, j], 6, n_targets),
+            ):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 class TestSignificanceLoss:
@@ -359,14 +370,14 @@ class TestAdam:
 class TestNegativeSampling:
     def test_two_node_graph_exhausts(self):
         g = from_events([Event(0, 1, float(t)) for t in range(4)])
-        positives = build_positive_samples(g, delta=2.0)
+        positives = positive_samples(g, delta=2.0)
         negs = sample_negatives(g, positives, named_rng(0, "neg"), delta=2.0, tries=50)
         assert negs == []
 
     def test_negatives_verify_label_zero(self, rng):
         g = random_stream(rng, n_nodes=100, n_events=400)
         delta = 1.0
-        positives = build_positive_samples(g, delta)[:200]
+        positives = positive_samples(g, delta)[:200]
         negs = sample_negatives(g, positives, named_rng(1, "neg"), delta=delta)
         assert len(negs) == len(positives)  # sparse graph: no skips expected
         for n in negs:
@@ -386,9 +397,13 @@ class TestNegativeSampling:
         assert _valid_negative(times, 0, 3, t, None)
         assert not _valid_negative(times, 0, 0, t, None)
 
+    def test_pair_times_lists_the_row_pair_index(self):
+        g = tied_stream(32)
+        assert _pair_times(g) == {k: ts.tolist() for k, ts in pair_index(g).items()}
+
     def test_one_to_one_contract(self, rng):
         g = random_stream(rng, n_nodes=30, n_events=300)
-        positives = build_positive_samples(g, delta=0.5)
+        positives = positive_samples(g, delta=0.5)
         negs = sample_negatives(g, positives, named_rng(2, "neg"), delta=0.5)
         assert len(negs) <= len(positives)
 
@@ -397,7 +412,7 @@ class TestNegativeColumn:
     @pytest.mark.parametrize("delta", [0.5, None])
     def test_matches_per_positive_oracle(self, delta):
         g = random_stream(np.random.default_rng(5), n_nodes=6, n_events=300)
-        positives = build_positive_samples(g, delta)
+        positives = positive_samples(g, delta)
         got_rng, want_rng = named_rng(1, "train-negatives"), named_rng(1, "train-negatives")
         got = _negative_column(
             _pair_times(g), g.num_nodes, [p.u for p in positives], [p.t for p in positives],
@@ -410,25 +425,53 @@ class TestNegativeColumn:
         assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
 
+def assert_positives_match_oracle(g, delta):
+    """The positive columns bitwise equal to the per-event oracle."""
+    u, v, t, s_delta = build_positive_samples(g, delta)
+    want = positive_samples(g, delta)
+    assert u.dtype == v.dtype == s_delta.dtype == np.int64 and t.dtype == np.float64
+    assert u.tolist() == [p.u for p in want] and v.tolist() == [p.v for p in want]
+    assert t.tobytes() == np.array([p.t for p in want]).tobytes()
+    assert s_delta.tolist() == [p.s_delta for p in want]
+
+
 class TestPositives:
     def test_labels_from_window(self):
         g = from_events(
             [Event(0, 1, 0.0), Event(0, 1, 0.5), Event(0, 1, 3.0)], num_nodes=2
         )
-        pos = build_positive_samples(g, delta=1.0)
-        assert [p.s_delta for p in pos] == [2, 1, 1]
-        assert all(p.s_delta >= 1 for p in pos)
+        s_delta = build_positive_samples(g, delta=1.0)[3]
+        assert s_delta.tolist() == [2, 1, 1]
+        assert all(s_delta >= 1)
 
     def test_window_ablation_flattens_labels(self):
         g = from_events([Event(0, 1, 0.0), Event(0, 1, 0.5)], num_nodes=2)
-        pos = build_positive_samples(g, delta=None)
-        assert [p.s_delta for p in pos] == [1, 1]
+        s_delta = build_positive_samples(g, delta=None)[3]
+        assert s_delta.tolist() == [1, 1]
 
     def test_chronological_order(self, rng):
         g = random_stream(rng, n_nodes=10, n_events=100)
-        pos = build_positive_samples(g, delta=1.0)
-        ts = [p.t for p in pos]
+        ts = build_positive_samples(g, delta=1.0)[2].tolist()
         assert ts == sorted(ts)
+
+    @pytest.mark.parametrize("delta", [1e-9, 0.05, 0.3, 2.0, 1e6, None])
+    def test_columns_match_per_event_oracle(self, delta):
+        assert_positives_match_oracle(tied_stream(32), delta)
+        assert_positives_match_oracle(random_stream(np.random.default_rng(2), n_nodes=8), delta)
+
+    def test_window_ends_on_a_contact_time(self):
+        # t + delta lands exactly on a later contact of the pair, and on
+        # contacts of other pairs, and ties repeat within a pair
+        t = [0.0, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0, 1.25]
+        pairs = [(0, 1), (0, 1), (1, 2), (0, 1), (2, 0), (0, 1), (0, 1), (1, 2), (0, 2)]
+        g = from_events([Event(a, b, x) for (a, b), x in zip(pairs, t)], num_nodes=3)
+        for delta in (0.25, 0.5, 0.75, 1.0):
+            assert_positives_match_oracle(g, delta)
+        assert build_positive_samples(g, 0.5)[3].tolist() == [2, 2, 1, 2, 1, 2, 1, 1, 1]
+
+    def test_empty_graph(self):
+        cols = build_positive_samples(from_events([], num_nodes=3), delta=1.0)
+        assert [c.shape for c in cols] == [(0,)] * 4
 
 
 class TestTrainLoop:
