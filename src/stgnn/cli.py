@@ -265,18 +265,16 @@ def run_sweep(config: ExperimentConfig, parameter: str, values: list) -> Path:
     for v in values:
         if parameter == "p" and not 0.0 <= v < 1.0:
             raise ValueError(f"swept p values must lie in [0, 1), got {v}")
-        if parameter == "m" and (int(v) != v or v < 1):
+        if parameter == "m" and not (float(v).is_integer() and v >= 1):
             raise ValueError(f"swept m values must be positive integers, got {v}")
+    # typed as the config field, so outputs are named m_2 rather than m_2.0
+    values = [float(v) if parameter == "p" else int(v) for v in values]
 
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for v in values:
-        sub = dataclasses.replace(
-            config,
-            outdir=str(outdir / f"{parameter}_{v}"),
-            **{("p" if parameter == "p" else "m"): (float(v) if parameter == "p" else int(v))},
-        )
+        sub = dataclasses.replace(config, outdir=str(outdir / f"{parameter}_{v}"), **{parameter: v})
         agg = run_experiment(sub)
         rows.append(
             (

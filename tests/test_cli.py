@@ -300,6 +300,28 @@ class TestMain:
         assert rc == 0
         assert (tmp_path / "cli_run" / "aggregate.json").exists()
 
+    def test_sweep_verb_names_m_values_as_integers(self, dataset, tmp_path):
+        out = tmp_path / "cli_sweep"
+        rc = main([
+            "sweep", "--dataset", str(dataset), "--time-unit", "1.0", "--outdir", str(out),
+            "--reps", "1", "--epochs", "1", "--batch-size", "64", "--seed", "1",
+            "--param", "m", "--values", "2,4.0",
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["m_2", "m_4"]
+        rows = (out / "sweep_m.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "4"]
+
+    @pytest.mark.parametrize("value", ["2.5", "0", "inf"])
+    def test_sweep_verb_rejects_non_integer_m(self, dataset, tmp_path, caplog, value):
+        rc = main([
+            "sweep", "--dataset", str(dataset), "--time-unit", "1.0",
+            "--outdir", str(tmp_path / "bad_sweep"), "--param", "m", "--values", f"2,{value}",
+        ])
+        assert rc == 1
+        assert f"swept m values must be positive integers, got {float(value)}\n" in caplog.text
+        assert not (tmp_path / "bad_sweep").exists()
+
     def test_failure_returns_nonzero(self, tmp_path):
         rc = main(["run", "--dataset", str(tmp_path / "missing.txt"),
                    "--time-unit", "1.0", "--outdir", str(tmp_path / "x")])

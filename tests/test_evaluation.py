@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stgnn.evaluation import (
     SIMILARITIES,
@@ -182,6 +184,38 @@ class TestMap:
             signed_zero_cases += np.signbit(zeros).any() and not np.signbit(zeros).all()
         assert min(hub_cases, no_pos_cases, signed_zero_cases) >= 100
 
+    def test_tie_heavy_matches_list_oracle(self):
+        """Scores rounded to a few values tie most pairs, so the ranking
+        rests on the (u, v) tie-break: global and per-node MAP are bitwise
+        the list oracle's.  Endpoints come in either order and pairs repeat.
+        Bitwise per-node equality needs fewer than eight positives per node:
+        from eight on, the oracle's np.mean sums a node's precisions
+        pairwise and the column form sums them in order."""
+        rng = np.random.default_rng(23)
+        cases = per_node_bitwise = 0
+        while cases < 300:
+            n_nodes = int(rng.integers(2, 12))
+            n = int(rng.integers(2, 150))
+            u = rng.integers(n_nodes, size=n)
+            v = (u + rng.integers(1, n_nodes, size=n)) % n_nodes  # never u
+            labels = (rng.random(n) < rng.uniform(0.05, 0.4)).astype(np.int64)
+            if not labels.any():
+                continue
+            scores = np.round(rng.normal(size=n) * 1.5) / 4
+            pairs = [
+                ScoredPair(int(a), int(b), float(x), int(lab))
+                for a, b, x, lab in zip(u, v, scores, labels)
+            ]
+            assert mean_average_precision(labels, scores, u, v) == list_map(pairs)
+            got = mean_average_precision(labels, scores, u, v, per_node=True)
+            if np.bincount(np.concatenate([u, v])[np.tile(labels, 2) == 1]).max() < 8:
+                assert got == list_map(pairs, per_node=True)
+                per_node_bitwise += 1
+            else:
+                assert got == pytest.approx(list_map(pairs, per_node=True), abs=1e-12)
+            cases += 1
+        assert per_node_bitwise >= 100
+
 
 class TestHeuristic:
     def test_history_beats_none(self):
@@ -290,6 +324,61 @@ class TestEvaluate:
         assert report.reference_auc == list_auc(ref)
 
 
+def scalar_negatives(g, n: int, rng) -> tuple[list[list[int]], int]:
+    """The per-try loop that sample_test_negatives reproduces: two scalar
+    draws per try, checked as (u, v) tuples against the row-built pair
+    index of the whole stream, within 200 * n + 1000 tries.  Returns the
+    pairs and the first try (0-based) that drew a pair accepted earlier,
+    or -1."""
+    linked, accepted, repeat = set(pair_index(g)), [], -1
+    for i in range(200 * n + 1000):
+        if len(accepted) == n:
+            break
+        a, b = int(rng.integers(g.num_nodes)), int(rng.integers(g.num_nodes))
+        key = (min(a, b), max(a, b))
+        if a != b and key not in linked:
+            linked.add(key)
+            accepted.append(list(key))
+        elif repeat < 0 and list(key) in accepted:
+            repeat = i
+    if len(accepted) < n:
+        raise ValueError("graph too dense")
+    return accepted, repeat
+
+
+@st.composite
+def sampling_cases(draw):
+    """A stream of 3 to 40 nodes with distinct contact times, a generator
+    seed, and n from 0 up to the number of pairs never linked in it; on
+    small streams also one more, which spends every try ("dense")."""
+    n_nodes = draw(st.integers(3, 8) | st.integers(3, 40))
+    node = st.integers(0, n_nodes - 1)
+    ends = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), min_size=2, max_size=150))
+    g = from_events([Event(u, v, float(t)) for t, (u, v) in enumerate(ends, 1)], num_nodes=n_nodes)
+    free = n_nodes * (n_nodes - 1) // 2 - len(pair_index(g))
+    n = [st.integers(0, free), st.just(free)] + [st.just(free + 1)] * (free < 100)
+    return g, draw(st.one_of(n)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sampling_cases())
+def test_block_draws_match_scalar_loop(case):
+    """The block sampler returns the scalar loop's pairs in its order, or
+    its "dense" error when the tries run out, and leaves the generator
+    where the loop leaves it."""
+    g, n, seed = case
+    split = split_train_test(g, 0.75)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want, _ = scalar_negatives(g, n, want_rng)
+    except ValueError:
+        with pytest.raises(ValueError, match="dense"):
+            sample_test_negatives(split, n, got_rng)
+    else:
+        assert sample_test_negatives(split, n, got_rng).tolist() == want
+    assert got_rng.integers(2**62) == want_rng.integers(2**62)
+
+
 class TestNegativeSampling:
     def test_never_linked_anywhere(self, rng):
         g = random_stream(rng, n_nodes=30, n_events=300)
@@ -320,6 +409,18 @@ class TestNegativeSampling:
         assert got.tolist() == want
         assert got_rng.integers(2**62) == want_rng.integers(2**62)
         assert sample_test_negatives(split, 0, got_rng).shape == (0, 2)
+
+    def test_key_drawn_twice_in_one_block(self):
+        # 6 nodes with one linked pair leave 14 free pairs; asking for all
+        # of them redraws an accepted pair within the first 64 tries, and
+        # the first block holds at least 64, so it sees that key twice
+        g = from_events([Event(0, 1, 1.0), Event(0, 1, 2.0)], num_nodes=6)
+        split = split_train_test(g, 0.75)
+        got_rng, want_rng = named_rng(0, "eval-neg"), named_rng(0, "eval-neg")
+        want, repeat = scalar_negatives(g, 14, want_rng)
+        assert 0 <= repeat < 64
+        assert sample_test_negatives(split, 14, got_rng).tolist() == want
+        assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
     def test_dense_graph_errors(self):
         # complete 4-node interaction history leaves no never-linked pairs
