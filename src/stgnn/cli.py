@@ -7,7 +7,8 @@ Verbs:
     sweep  repeat an experiment over values of one hyperparameter (p or m)
            and emit a plot-ready CSV.
     synth  generate a planted-ties synthetic edge list.
-    fit    power-law fit and window size only, printed as JSON.
+    fit    power-law fit and window size only, printed as JSON; the same
+           checked configuration and window stage (``_fit_window``) as run.
     eval   score a saved checkpoint against a dataset split.
 
 Configuration comes from an optional JSON file plus CLI flags; flags win.
@@ -411,11 +412,13 @@ def main(argv=None) -> int:
             )
             print(json.dumps({"edge_list": str(out), "planted_pairs": str(pairs)}))
         elif args.verb == "fit":
-            g = temporal_graph.load_edge_list(args.dataset, time_unit=args.time_unit)
-            split = temporal_graph.split_train_test(g, ratio=args.split_ratio)
-            fit = powerlaw.fit_power_law(powerlaw.collect_inter_event_times(split.train))
-            delta = powerlaw.intimate_window_size(fit, args.p)
-            print(json.dumps(_fit_to_dict(fit, delta), indent=2))
+            config = ExperimentConfig(
+                dataset=args.dataset, time_unit=args.time_unit, split_ratio=args.split_ratio, p=args.p
+            )
+            g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
+            split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
+            _, fit_dict = _fit_window(split.train, config)
+            print(json.dumps(fit_dict, indent=2))
         elif args.verb == "eval":
             config = _config_from_args(args)
             report = eval_checkpoint(args.checkpoint, config)

@@ -36,7 +36,7 @@ oracle (``tests/reference_model.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class MetricsReport:
     n_pos: int
     n_neg: int
     reference_auc: float
-    extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -72,7 +71,6 @@ class MetricsReport:
             "n_pos": self.n_pos,
             "n_neg": self.n_neg,
             "reference_auc": self.reference_auc,
-            **self.extras,
         }
 
 
@@ -137,7 +135,7 @@ def mean_average_precision(labels, scores, u, v, per_node: bool = False) -> floa
     descending, then by (u, v).  The default is the global AP of that one
     list.  ``per_node`` switches to the mean of per-endpoint APs in node-id
     order: every pair is listed under both endpoints, and nodes without a
-    positive are skipped.
+    positive are skipped.  Each node's list keeps the global ranking order.
     """
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -145,12 +143,14 @@ def mean_average_precision(labels, scores, u, v, per_node: bool = False) -> floa
         raise ValueError("MAP needs at least one positive")
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     uv = u * (v.max() + 1) + v  # one sort key in (u, v) order
+    order = np.lexsort((uv, -scores))
     if not per_node:
-        return _average_precision(labels[np.lexsort((uv, -scores))])
-    # Every pair once under each endpoint, grouped by node, ranked within it.
-    node = np.concatenate([u, v])
-    order = np.lexsort((np.tile(uv, 2), -np.tile(scores, 2), node))
-    node, lab = node[order], np.tile(labels, 2)[order]
+        return _average_precision(labels[order])
+    # Every pair once under each endpoint, in the global order; a stable
+    # sort by node groups the entries and keeps that order within a group.
+    node = np.column_stack([u[order], v[order]]).ravel()
+    by_node = np.argsort(node, kind="stable")
+    node, lab = node[by_node], np.repeat(labels[order], 2)[by_node]
     first = np.r_[True, node[1:] != node[:-1]]
     seg = np.cumsum(first) - 1  # the node group of each entry
     start = np.flatnonzero(first)[seg]  # where that group begins

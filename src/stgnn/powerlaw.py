@@ -4,7 +4,9 @@ Inter-event times of repeatedly interacting node pairs are heavy-tailed.
 We fit them with a continuous power law (MLE exponent, lower cutoff
 chosen by Kolmogorov-Smirnov minimization over candidate cutoffs) and
 invert the fitted complementary CDF to translate a desired event-coverage
-proportion p into a forward observation window size.
+proportion p into a forward observation window size.  The fit sorts the
+sample once; every candidate cutoff's tail is then a suffix of it, found
+by one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def collect_inter_event_times(g: TemporalGraph) -> np.ndarray:
 
 
 def _alpha_mle(tail: np.ndarray, xmin: float) -> float | None:
-    """Continuous MLE exponent for the tail x >= xmin; None if degenerate."""
+    """Continuous MLE exponent for the tail x >= xmin; None if degenerate,
+    as when every x / xmin rounds to 1.0."""
     log_sum = float(np.sum(np.log(tail / xmin)))
     if log_sum <= 0.0:
         return None
@@ -78,66 +81,41 @@ def _ks_distance(tail_sorted: np.ndarray, alpha: float, xmin: float) -> float:
     return float(np.maximum(np.abs(fitted - lo), np.abs(fitted - hi)).max())
 
 
-def fit_power_law(xs, xmin: float | None = None) -> PowerLawFit:
-    """Fit a continuous power law to positive samples.
+def fit_power_law(xs) -> PowerLawFit:
+    """Fit a continuous power law to at least 10 positive samples.
 
-    When ``xmin`` is None it is chosen from the distinct sample values
+    The cutoff xmin is chosen from the distinct sample values
     (quantile-subsampled to at most MAX_XMIN_CANDIDATES) to minimize the
     KS distance between the empirical and fitted tail CDFs, with ties
-    broken toward the smallest cutoff; this path requires at least 10
-    samples.  Passing ``xmin`` pins the cutoff and only estimates the
-    exponent, which admits smaller samples.
+    broken toward the smallest cutoff.  The sample is sorted once, so each
+    candidate's tail x >= xmin is a suffix of it.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.sort(np.asarray(xs, dtype=np.float64), axis=None)
     if xs.size == 0 or np.any(xs <= 0.0) or not np.all(np.isfinite(xs)):
         raise ValueError("samples must be positive finite reals")
-    if np.all(xs == xs[0]):
+    if xs[0] == xs[-1]:
         raise DegenerateFitError("all samples identical; exponent is unidentifiable")
-
-    if xmin is not None:
-        if xmin <= 0:
-            raise ValueError(f"xmin must be positive, got {xmin}")
-        return _fit_at(xs, float(xmin))
-
     if xs.size < 10:
         raise ValueError(f"need at least 10 samples to search for xmin, got {xs.size}")
     candidates = np.unique(xs)[:-1]  # largest value leaves an empty tail fit
-    if candidates.size == 0:
-        raise DegenerateFitError("all samples identical; exponent is unidentifiable")
     if candidates.size > MAX_XMIN_CANDIDATES:
         qs = np.linspace(0.0, 1.0, MAX_XMIN_CANDIDATES)
         idx = np.unique((qs * (candidates.size - 1)).astype(int))
         candidates = candidates[idx]
 
     best: PowerLawFit | None = None
-    for cand in candidates:
-        fit = _try_fit_at(xs, float(cand))
-        if fit is None:
+    for xmin, start in zip(candidates.tolist(), np.searchsorted(xs, candidates).tolist()):
+        tail = xs[start:]
+        alpha = _alpha_mle(tail, xmin)
+        if alpha is None:
             continue
-        if best is None or fit.ks_distance < best.ks_distance:
-            best = fit
+        ks = _ks_distance(tail, alpha, xmin)
+        if best is None or ks < best.ks_distance:
+            c = (alpha - 1.0) * xmin ** (1.0 - alpha)
+            best = PowerLawFit(alpha=alpha, xmin=xmin, c=c, n_tail=tail.size, ks_distance=ks)
     if best is None:
         raise DegenerateFitError("no candidate cutoff admits a finite exponent")
     return best
-
-
-def _try_fit_at(xs: np.ndarray, xmin: float) -> PowerLawFit | None:
-    tail = np.sort(xs[xs >= xmin])
-    if tail.size < 2:
-        return None
-    alpha = _alpha_mle(tail, xmin)
-    if alpha is None:
-        return None
-    ks = _ks_distance(tail, alpha, xmin)
-    c = (alpha - 1.0) * xmin ** (1.0 - alpha)
-    return PowerLawFit(alpha=alpha, xmin=xmin, c=c, n_tail=int(tail.size), ks_distance=ks)
-
-
-def _fit_at(xs: np.ndarray, xmin: float) -> PowerLawFit:
-    fit = _try_fit_at(xs, xmin)
-    if fit is None:
-        raise DegenerateFitError(f"tail above xmin={xmin} is degenerate")
-    return fit
 
 
 def intimate_window_size(fit: PowerLawFit, p: float) -> float:

@@ -57,6 +57,11 @@ from stgnn.temporal_graph import TemporalGraph, pair_keys
 
 logger = logging.getLogger(__name__)
 
+# Draws per positive before its negative is skipped.
+NEGATIVE_TRIES = 100
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def named_rng(seed: int, *names) -> np.random.Generator:
     """Independent generator derived from one master seed and a stream name.
@@ -85,7 +90,6 @@ class TrainConfig:
     use_significant_selection: bool = True
     use_intimate_window: bool = True
     early_stop_patience: int = 10
-    negative_tries: int = 100
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -101,8 +105,6 @@ class TrainConfig:
         for name in ("d0", "d1", "d2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} (layer width) must be at least 1, got {getattr(self, name)}")
-        if self.negative_tries < 1:
-            raise ValueError(f"negative_tries must be at least 1, got {self.negative_tries}")
 
 
 @dataclass
@@ -112,9 +114,6 @@ class AdamState:
     m1: ModelParams
     m2: ModelParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -124,16 +123,16 @@ class AdamState:
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update, applied in place."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for (name, p), (_, g), (_, m1), (_, m2) in zip(
         params.arrays(), grads.arrays(), state.m1.arrays(), state.m2.arrays()
     ):
-        m1 *= state.beta1
-        m1 += (1.0 - state.beta1) * g
-        m2 *= state.beta2
-        m2 += (1.0 - state.beta2) * g * g
-        p -= lr * (m1 / bc1) / (np.sqrt(m2 / bc2) + state.eps)
+        m1 *= ADAM_BETA1
+        m1 += (1.0 - ADAM_BETA1) * g
+        m2 *= ADAM_BETA2
+        m2 += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m1 / bc1) / (np.sqrt(m2 / bc2) + ADAM_EPS)
 
 
 class TrainingDiverged(RuntimeError):
@@ -407,7 +406,7 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
     for epoch in range(config.epochs):
         tic = time.perf_counter()
         neg_w = _negative_column(
-            times, g_train.num_nodes, neg_u, neg_t, neg_rng, neg_delta, config.negative_tries
+            times, g_train.num_nodes, neg_u, neg_t, neg_rng, neg_delta, NEGATIVE_TRIES
         )
         n_skip = int(np.count_nonzero(neg_w < 0))
         skipped_total += n_skip

@@ -37,6 +37,10 @@
   oracle for the one-pass reference of ``stgnn.evaluation``.
 * The small random instances and the finite-difference helpers of the
   gradient checks.
+* ``fit_power_law_filtered``, the cutoff search that filters and sorts
+  the sample anew for each candidate cutoff: the oracle for
+  ``stgnn.powerlaw.fit_power_law``, which sorts once and reads each tail
+  as a suffix.
 * ``ScoredPair`` with the list-of-pairs ``auc`` and
   ``mean_average_precision``, the oracle for the column metrics of
   ``stgnn.evaluation``, plus brute-force AUC and AP over such lists.
@@ -62,6 +66,7 @@ from stgnn.model import (
     init_params,
     random_features,
 )
+from stgnn.powerlaw import MAX_XMIN_CANDIDATES, DegenerateFitError, PowerLawFit, _alpha_mle, _ks_distance
 from stgnn.temporal_graph import COMMENT_PREFIXES, EdgeListParseError, TemporalGraph, from_columns
 from stgnn.training import TrainConfig, _forward_backward
 
@@ -782,3 +787,45 @@ def brute_force_ap(pairs):
 
 def make_pairs(scores, labels):
     return [ScoredPair(i, i + 1000, float(s), int(l)) for i, (s, l) in enumerate(zip(scores, labels))]
+
+
+def fit_power_law_filtered(xs) -> PowerLawFit:
+    """The xmin search, filtering and sorting the sample per candidate."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.size == 0 or np.any(xs <= 0.0) or not np.all(np.isfinite(xs)):
+        raise ValueError("samples must be positive finite reals")
+    if np.all(xs == xs[0]):
+        raise DegenerateFitError("all samples identical; exponent is unidentifiable")
+
+    if xs.size < 10:
+        raise ValueError(f"need at least 10 samples to search for xmin, got {xs.size}")
+    candidates = np.unique(xs)[:-1]  # largest value leaves an empty tail fit
+    if candidates.size == 0:
+        raise DegenerateFitError("all samples identical; exponent is unidentifiable")
+    if candidates.size > MAX_XMIN_CANDIDATES:
+        qs = np.linspace(0.0, 1.0, MAX_XMIN_CANDIDATES)
+        idx = np.unique((qs * (candidates.size - 1)).astype(int))
+        candidates = candidates[idx]
+
+    best: PowerLawFit | None = None
+    for cand in candidates:
+        fit = _try_fit_at(xs, float(cand))
+        if fit is None:
+            continue
+        if best is None or fit.ks_distance < best.ks_distance:
+            best = fit
+    if best is None:
+        raise DegenerateFitError("no candidate cutoff admits a finite exponent")
+    return best
+
+
+def _try_fit_at(xs: np.ndarray, xmin: float) -> PowerLawFit | None:
+    tail = np.sort(xs[xs >= xmin])
+    if tail.size < 2:
+        return None
+    alpha = _alpha_mle(tail, xmin)
+    if alpha is None:
+        return None
+    ks = _ks_distance(tail, alpha, xmin)
+    c = (alpha - 1.0) * xmin ** (1.0 - alpha)
+    return PowerLawFit(alpha=alpha, xmin=xmin, c=c, n_tail=int(tail.size), ks_distance=ks)

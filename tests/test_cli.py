@@ -291,6 +291,11 @@ class TestMain:
         assert doc["alpha"] > 1.0
         assert doc["delta"] > 0.0
 
+    def test_fit_verb_checks_flags_before_reading(self, tmp_path, caplog):
+        rc = main(["fit", "--dataset", str(tmp_path / "missing.txt"), "--time-unit", "1.0", "--p", "1.5"])
+        assert rc == 1
+        assert "p must lie in [0, 1), got 1.5" in caplog.text
+
     def test_run_verb(self, dataset, tmp_path):
         rc = main([
             "run", "--dataset", str(dataset), "--time-unit", "1.0",

@@ -3,15 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stgnn.powerlaw import (
+    MAX_XMIN_CANDIDATES,
     DegenerateFitError,
+    _alpha_mle,
     collect_inter_event_times,
     fit_power_law,
     intimate_window_size,
     sample_power_law,
 )
-from reference_model import Event, from_events
+from reference_model import Event, fit_power_law_filtered, from_events
 
 
 class TestCollectIntervals:
@@ -42,10 +46,9 @@ class TestCollectIntervals:
 class TestFit:
     def test_forced_xmin_closed_form(self):
         # alpha_hat = 1 + n / sum(ln(x/xmin)) = 1 + 3 / (ln 2 + ln 4)
-        fit = fit_power_law([1.0, 2.0, 4.0], xmin=1.0)
-        assert fit.alpha == pytest.approx(1.0 + 3.0 / (math.log(2) + math.log(4)), abs=1e-12)
-        assert fit.alpha == pytest.approx(2.4427, abs=1e-3)
-        assert fit.n_tail == 3
+        alpha = _alpha_mle(np.array([1.0, 2.0, 4.0]), 1.0)
+        assert alpha == pytest.approx(1.0 + 3.0 / (math.log(2) + math.log(4)), abs=1e-12)
+        assert alpha == pytest.approx(2.4427, abs=1e-3)
 
     def test_normalization_invariant(self):
         rng = np.random.default_rng(0)
@@ -81,9 +84,47 @@ class TestFit:
             for seed in range(8):
                 rng = np.random.default_rng(seed)
                 xs = sample_power_law(n, 2.5, 1.0, rng)
-                errs.append(abs(fit_power_law(xs, xmin=1.0).alpha - 2.5))
+                errs.append(abs(_alpha_mle(xs, 1.0) - 2.5))
             errors.append(np.mean(errs))
         assert errors[0] > errors[1] > errors[2]
+
+
+@st.composite
+def fit_samples(draw):
+    """10 to 600 positive samples: power-law draws as drawn, ceil-rounded
+    or rounded to 0.1 (which can reach 0), a resample of 1 to 20 values
+    (heavy ties, or all equal), draws spanning more than
+    MAX_XMIN_CANDIDATES distinct values, or values a few ulps apart."""
+    kind = draw(st.sampled_from(["raw", "ceil", "round", "few", "wide", "ulps"]))
+    n = draw(st.integers(MAX_XMIN_CANDIDATES + 2, 600) if kind == "wide" else st.integers(10, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha, scale = draw(st.floats(1.3, 4.0)), draw(st.sampled_from([0.01, 1.0, 7.0, 300.0]))
+    xs = sample_power_law(n, alpha, scale, rng)
+    if kind == "ceil":
+        xs = np.ceil(xs)
+    elif kind == "round":
+        xs = np.round(xs, 1)
+    elif kind == "few":
+        xs = rng.choice(xs[: draw(st.integers(1, 20))], size=n)
+    elif kind == "ulps":
+        xs = scale + np.spacing(scale) * rng.integers(0, 4, size=n)
+    return xs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fit_samples())
+def test_search_matches_filtered_fit(xs):
+    """The fit on one sorted sample equals the per-candidate
+    filter-and-sort fit of tests/reference_model.py bitwise, or raises
+    the same exception with the same message."""
+    try:
+        want = fit_power_law_filtered(xs)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            fit_power_law(xs)
+        assert str(got.value) == str(exc)
+    else:
+        assert fit_power_law(xs) == want
 
 
 class TestWindowSize:

@@ -600,7 +600,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=lr)
 
-    @pytest.mark.parametrize("field", ["epochs", "d0", "d1", "d2", "negative_tries"])
+    @pytest.mark.parametrize("field", ["epochs", "d0", "d1", "d2"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_bad_size_named(self, field, value):
         with pytest.raises(ValueError, match=field):
