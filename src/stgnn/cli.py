@@ -126,15 +126,21 @@ def _fit_window(train_g, config: ExperimentConfig):
 
     A user-supplied window size replaces the fitted one; the fit is then
     only reported, and omitted when it fails.  Window-ablated runs fall
-    back to no window at all when the fit is degenerate.
+    back to no window at all when the fit is degenerate or overflows (as
+    on gaps a few ulps apart, whose exponent runs to about 1e15).
     """
     try:
         fit = powerlaw.fit_power_law(powerlaw.collect_inter_event_times(train_g))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         if config.window_size is not None:
             return float(config.window_size), None
-        if isinstance(exc, powerlaw.DegenerateFitError) and not ABLATION_FLAGS[config.ablation][1]:
+        degenerate = isinstance(exc, (powerlaw.DegenerateFitError, OverflowError))
+        if degenerate and not ABLATION_FLAGS[config.ablation][1]:
             return None, None
+        if isinstance(exc, OverflowError):
+            raise powerlaw.DegenerateFitError(
+                "the power-law fit of the inter-event times overflowed; supply a window size explicitly"
+            ) from exc
         raise
     if config.window_size is not None:
         return float(config.window_size), _fit_to_dict(fit, delta=None)

@@ -28,10 +28,15 @@ so far predicts for the pairs still missing, plus 64, within the budget.
 
 The held-out set travels as columns: ``labels`` (1 positive, 0
 negative), ``scores``, and the endpoint ids ``u`` and ``v`` are aligned
-1-D arrays with one entry per pair.  Rankings sort by score descending
-and break ties by (u, v), so every metric is deterministic.  The
-list-of-pairs form of these metrics lives on in the tests as their
-oracle (``tests/reference_model.py``).
+1-D arrays with one entry per pair.  Each similarity's scores are ranked
+once, by one stable sort in (-score, u, v) order (node ids narrowed, so
+their keys sort as radix sorts), and every metric reads that order:
+AUC takes each tie group's midrank from its positions in it, global AP
+reads the labels in it, and per-node AP groups it by endpoint with one
+more stable sort.  The (u, v) tie-break makes every metric
+deterministic; a NaN score has no rank and raises.  The list-of-pairs
+form of these metrics lives on in the tests as their oracle
+(``tests/reference_model.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 
 from stgnn.model import NORM_EPS, ModelParams, forward_node
 from stgnn.significance import pair_significance
-from stgnn.temporal_graph import DataSplit, TemporalGraph, pair_keys
+from stgnn.temporal_graph import DataSplit, TemporalGraph, narrow_ids, pair_keys
 from stgnn.training import TrainConfig, named_rng
 
 SIMILARITIES = ("Cos", "Had", "L2")
@@ -93,38 +98,81 @@ def score_pair(h_u: np.ndarray, h_v: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown similarity {kind!r}; expected one of {SIMILARITIES}")
 
 
-def _avg_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged (midrank)."""
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    n = s.shape[0]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+def _ranking(scores: np.ndarray, u: np.ndarray | None = None, v: np.ndarray | None = None) -> np.ndarray:
+    """The order of the ranked list: score descending, then (u, v).
+
+    Without endpoints the order within a tie is left free, as AUC reads
+    each tie group whole.  A NaN score has no place in the list and
+    raises.
+    """
+    if np.isnan(scores).any():
+        raise ValueError("a NaN score cannot be ranked")
+    if u is None:
+        return np.argsort(-scores)
+    return np.lexsort((narrow_ids(v), narrow_ids(u), -scores))
+
+
+def _ranked_auc(labels: np.ndarray, scores: np.ndarray) -> float:
+    """AUC of labels and scores in ranking order (score descending).
+
+    The tie group at ranking positions [a, b) holds the ascending ranks
+    n - b + 1 .. n - a, so each of its pairs takes the midrank
+    n - (a + b - 1) / 2.  Midranks are half-integers, so their sum over
+    the positives is exact in any order.
+    """
+    n = labels.shape[0]
+    n_pos = int(labels.sum())
+    n_neg = n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs at least one positive and one negative")
+    starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
     ends = np.r_[starts[1:], n]
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    return ranks
+    midrank = n - 0.5 * (starts + ends - 1)
+    pos_rank_sum = float(midrank @ np.add.reduceat(labels, starts))
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _precisions(labels: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Precision at each positive of ranked lists laid end to end:
+    ``labels`` in ranking order, and ``start[i]`` where entry i's list
+    begins."""
+    hits = np.cumsum(labels)
+    hits -= (hits - labels)[start]
+    at_pos = labels == 1
+    return hits[at_pos] / (np.flatnonzero(at_pos) - start[at_pos] + 1)
+
+
+def _average_precision(labels: np.ndarray) -> float:
+    """AP of one list, ``labels`` in ranking order."""
+    return float(_precisions(labels, np.zeros(labels.shape[0], dtype=np.int64)).mean())
+
+
+def _per_node_ap(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """Mean of per-endpoint APs in node-id order, of pairs in ranking
+    order: every pair is listed under both endpoints, each node's list
+    keeps the ranking order, and nodes without a positive are skipped."""
+    # a stable sort by node groups the entries and keeps that order in each group
+    node = narrow_ids(np.column_stack([u, v]).ravel())
+    by_node = np.argsort(node, kind="stable")
+    node, lab = node[by_node], np.repeat(labels, 2)[by_node]
+    first = np.r_[True, node[1:] != node[:-1]]
+    seg = np.cumsum(first) - 1  # the node group of each entry
+    precision = _precisions(lab, np.flatnonzero(first)[seg])
+    seg = seg[lab == 1]
+    n_hit = np.bincount(seg)
+    ap_sum = np.bincount(seg, weights=precision)
+    return float(np.mean(ap_sum[n_hit > 0] / n_hit[n_hit > 0]))
 
 
 def auc(labels, scores) -> float:
     """Probability a random positive outranks a random negative, ties at
     half credit (Mann-Whitney).  ``labels`` (1 positive, 0 negative) and
-    ``scores`` are aligned 1-D arrays, one entry per pair."""
+    ``scores`` are aligned 1-D arrays, one entry per pair; a NaN score
+    raises."""
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    n_pos = int(labels.sum())
-    n_neg = labels.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs at least one positive and one negative")
-    ranks = _avg_ranks(scores)
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _average_precision(sorted_labels: np.ndarray) -> float:
-    hits = np.cumsum(sorted_labels)
-    ranks = np.arange(1, sorted_labels.shape[0] + 1)
-    at_pos = sorted_labels == 1
-    return float((hits[at_pos] / ranks[at_pos]).mean())
+    order = _ranking(scores)
+    return _ranked_auc(labels[order], scores[order])
 
 
 def mean_average_precision(labels, scores, u, v, per_node: bool = False) -> float:
@@ -132,35 +180,21 @@ def mean_average_precision(labels, scores, u, v, per_node: bool = False) -> floa
 
     ``labels``, ``scores`` and the endpoint ids ``u`` and ``v`` are
     aligned 1-D arrays, one entry per pair; the list ranks by score
-    descending, then by (u, v).  The default is the global AP of that one
-    list.  ``per_node`` switches to the mean of per-endpoint APs in node-id
-    order: every pair is listed under both endpoints, and nodes without a
-    positive are skipped.  Each node's list keeps the global ranking order.
+    descending, then by (u, v), and a NaN score raises.  The default is
+    the global AP of that one list.  ``per_node`` switches to the mean of
+    per-endpoint APs in node-id order: every pair is listed under both
+    endpoints, and nodes without a positive are skipped.  Each node's list
+    keeps the global ranking order.
     """
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     if not (labels == 1).any():
         raise ValueError("MAP needs at least one positive")
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    uv = u * (v.max() + 1) + v  # one sort key in (u, v) order
-    order = np.lexsort((uv, -scores))
+    order = _ranking(scores, u, v)
     if not per_node:
         return _average_precision(labels[order])
-    # Every pair once under each endpoint, in the global order; a stable
-    # sort by node groups the entries and keeps that order within a group.
-    node = np.column_stack([u[order], v[order]]).ravel()
-    by_node = np.argsort(node, kind="stable")
-    node, lab = node[by_node], np.repeat(labels[order], 2)[by_node]
-    first = np.r_[True, node[1:] != node[:-1]]
-    seg = np.cumsum(first) - 1  # the node group of each entry
-    start = np.flatnonzero(first)[seg]  # where that group begins
-    hits = np.cumsum(lab)
-    hits -= (hits - lab)[start]
-    at_pos = lab == 1
-    precision = hits[at_pos] / (np.flatnonzero(at_pos) - start[at_pos] + 1)
-    n_hit = np.bincount(seg[at_pos])
-    ap_sum = np.bincount(seg[at_pos], weights=precision)
-    return float(np.mean(ap_sum[n_hit > 0] / n_hit[n_hit > 0]))
+    return _per_node_ap(labels[order], u[order], v[order])
 
 
 def sample_test_negatives(split: DataSplit, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -242,9 +276,11 @@ def evaluate(
     per_sim: dict[str, dict[str, float]] = {}
     for kind in SIMILARITIES:
         scores = score_pair(h_u, h_v, kind)
-        per_sim[kind] = {"auc": auc(label, scores), "map": mean_average_precision(label, scores, u, v)}
+        order = _ranking(scores, u, v)  # one ranking for every metric
+        lab = label[order]
+        per_sim[kind] = {"auc": _ranked_auc(lab, scores[order]), "map": _average_precision(lab)}
         if per_node_map:
-            per_sim[kind]["map_per_node"] = mean_average_precision(label, scores, u, v, per_node=True)
+            per_sim[kind]["map_per_node"] = _per_node_ap(lab, u[order], v[order])
 
     best_auc_sim = max(SIMILARITIES, key=lambda k: per_sim[k]["auc"])
     best_map_sim = max(SIMILARITIES, key=lambda k: per_sim[k]["map"])

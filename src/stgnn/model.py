@@ -216,14 +216,14 @@ def forward_batch(fb: _FlatBatch, params: ModelParams, feats: np.ndarray) -> Act
     xw1n = feats @ params.w1_nbr
 
     phi_e = _masked_phi(fb.scores, fb.mask, params.beta)
-    nbr_gather = xw1n[fb.nbrs]
-    pre = xw1s[fb.owner] + np.einsum("em,emd->ed", phi_e, nbr_gather)
+    nbr_gather = np.take(xw1n, fb.nbrs, axis=0)
+    pre = np.take(xw1s, fb.owner, axis=0) + np.einsum("em,emd->ed", phi_e, nbr_gather)
     h1 = np.maximum(pre, 0.0)
 
-    phi_r = phi_e[fb.root_entry]
-    h1_nbr = h1[fb.root_nbrs]
+    phi_r = np.take(phi_e, fb.root_entry, axis=0)
+    h1_nbr = np.take(h1, fb.root_nbrs, axis=0)
     agg = np.einsum("rm,rmd->rd", phi_r, h1_nbr)
-    h2 = h1[fb.root_entry] @ params.w2_self + agg @ params.w2_nbr
+    h2 = np.take(h1, fb.root_entry, axis=0) @ params.w2_self + agg @ params.w2_nbr
     return Activations(phi_e, nbr_gather, pre, h1, phi_r, h1_nbr, agg, h2)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stgnn.temporal_graph import TemporalGraph
+from stgnn.temporal_graph import TemporalGraph, narrow_ids
 
 DEFAULT_DECAY = 1.0
 
@@ -79,13 +79,17 @@ def top_m_neighbors(
     before t; isolated nodes get an empty row.  With ``rng`` each row is
     instead a ``sample_m`` draw from all of the node's candidates, the
     nodes drawn in id order.
+
+    The lists come from one stable sort of every (node, neighbor) entry by
+    node, score descending and neighbor id, with the ids narrowed
+    (``narrow_ids``): up to 65,536 nodes the id keys sort as radix sorts.
     """
     if m < 1:
         raise ValueError(f"capacity must be at least 1, got {m}")
     if not lam > 0:
         raise ValueError(f"decay rate must be positive, got {lam}")
     pairs, sums = pair_significance(g, t, lam)
-    ends = g.pair_ends()[pairs]
+    ends = narrow_ids(g.pair_ends()[pairs])
     # each pair from both ends, ranked within each node
     node, nbr, score = ends.T.reshape(-1), ends[:, ::-1].T.reshape(-1), np.tile(sums, 2)
     order = np.lexsort((nbr, -score, node))
@@ -209,9 +213,10 @@ class TopMTable:
     significant ones or, in a table built with an ``rng``, a uniform draw
     of up to m of them, new in each build and ranked the same way.  Rows
     are sorted by the int64 key node * len(times) + time rank, where
-    ``times`` are the distinct event times.  A query (u, t) reads u's last
-    row strictly before t and rescales its scores by exp(-lam * (t -
-    row_t)): u's candidates change only at u's own events, and between
+    ``times`` are the distinct event times; ``first[u]`` is u's first row,
+    or where its rows would start if it has none.  A query (u, t) reads
+    u's last row strictly before t and rescales its scores by exp(-lam *
+    (t - row_t)): u's candidates change only at u's own events, and between
     them every score decays by the same factor.  The rows are therefore
     exact (a drawn row is a uniform subset of the pure route's candidates,
     with their exact scores) while no score underflows.  Once the
@@ -227,6 +232,7 @@ class TopMTable:
     ids: np.ndarray     # (rows, m) zero-padded
     scores: np.ndarray  # (rows, m) zero-padded
     lens: np.ndarray    # (rows,)
+    first: np.ndarray   # (num_nodes,) each node's first row
 
     @classmethod
     def build(
@@ -247,7 +253,8 @@ class TopMTable:
         n_t = times.shape[0]
         keys = np.unique(np.concatenate([g.src, g.dst]) * n_t + np.tile(rank, 2))
         # a node's rows are consecutive and in time order: fill them in sweep order
-        cursor = np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * n_t).tolist()
+        first = np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * n_t)
+        cursor = first.tolist()
         ids = np.zeros((keys.shape[0], m), dtype=np.int64)
         scores = np.zeros((keys.shape[0], m), dtype=np.float64)
         lens = np.zeros(keys.shape[0], dtype=np.int64)
@@ -267,7 +274,7 @@ class TopMTable:
                 cursor[u] += 1
                 lens[row] = k = nbr.shape[0]
                 ids[row, :k], scores[row, :k] = nbr, sc
-        return cls(m, lam, times, keys, times[keys % n_t], ids, scores, lens)
+        return cls(m, lam, times, keys, times[keys % n_t], ids, scores, lens, first)
 
     def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate lists of nodes[i] at ts[i], as (k, m) ids, scores and
@@ -276,12 +283,11 @@ class TopMTable:
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         n_t = self.times.shape[0]
-        first = np.searchsorted(self.keys, nodes * n_t)
         row = np.searchsorted(self.keys, nodes * n_t + np.searchsorted(self.times, ts)) - 1
-        found = row >= first  # u has an event-time group strictly before t
+        found = row >= np.take(self.first, nodes)  # u has an event-time group strictly before t
         row = np.where(found, row, 0)
-        mask = np.arange(self.m) < np.where(found, self.lens[row], 0)[:, None]
-        decay = np.exp(-self.lam * np.where(found, ts - self.row_t[row], 0.0))
-        ids = np.where(mask, self.ids[row], 0)
-        scores = np.where(mask, self.scores[row] * decay[:, None], 0.0)
+        mask = np.arange(self.m) < np.where(found, np.take(self.lens, row), 0)[:, None]
+        decay = np.exp(-self.lam * np.where(found, ts - np.take(self.row_t, row), 0.0))
+        ids = np.where(mask, np.take(self.ids, row, axis=0), 0)
+        scores = np.where(mask, np.take(self.scores, row, axis=0) * decay[:, None], 0.0)
         return ids, scores, mask

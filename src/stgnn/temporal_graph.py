@@ -72,6 +72,19 @@ def pair_keys(u, v, num_nodes: int) -> np.ndarray:
     return np.minimum(u, v) * num_nodes + np.maximum(u, v)
 
 
+def narrow_ids(ids) -> np.ndarray:
+    """Integer ids on the narrowest integer type that holds them.
+
+    A stable sort gives the same permutation on any integer type, and
+    numpy runs it as a radix sort on keys of 16 bits or fewer, so every
+    stable sort keyed on node ids sorts them narrowed.
+    """
+    ids = np.asarray(ids)
+    if not ids.size:
+        return ids
+    return ids.astype(np.result_type(np.min_scalar_type(ids.min()), np.min_scalar_type(ids.max())))
+
+
 def from_columns(src, dst, t, num_nodes: int | None = None, raw_ids: list[str] | None = None) -> TemporalGraph:
     """Build a TemporalGraph from contact columns with dense node ids.
 

@@ -41,9 +41,10 @@
   the sample anew for each candidate cutoff: the oracle for
   ``stgnn.powerlaw.fit_power_law``, which sorts once and reads each tail
   as a suffix.
-* ``ScoredPair`` with the list-of-pairs ``auc`` and
-  ``mean_average_precision``, the oracle for the column metrics of
-  ``stgnn.evaluation``, plus brute-force AUC and AP over such lists.
+* ``ScoredPair`` with the list-of-pairs ``auc`` (midranks from an
+  ascending sort) and ``mean_average_precision`` (one sort per list),
+  the oracle for the column metrics of ``stgnn.evaluation``, which rank
+  each score column once; plus brute-force AUC and AP over such lists.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stgnn.evaluation import _average_precision, _avg_ranks
 from stgnn.model import (
     NORM_EPS,
     ModelParams,
@@ -706,6 +706,25 @@ class ScoredPair:
     v: int
     score: float
     label: int
+
+
+def _avg_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties averaged (midrank), from an ascending sort."""
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    n = s.shape[0]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    return ranks
+
+
+def _average_precision(sorted_labels: np.ndarray) -> float:
+    hits = np.cumsum(sorted_labels)
+    ranks = np.arange(1, sorted_labels.shape[0] + 1)
+    at_pos = sorted_labels == 1
+    return float((hits[at_pos] / ranks[at_pos]).mean())
 
 
 def auc(pairs: list[ScoredPair]) -> float:

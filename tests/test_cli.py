@@ -147,6 +147,40 @@ class TestFitWindow:
             _fit_window(short_gap_stream(), ablated)
 
 
+@pytest.fixture(scope="module")
+def ulp_gap_dataset(tmp_path_factory):
+    """Twelve pairs meeting twice in training, nine 0.5 apart and three one
+    ulp further, whose power-law fit overflows; then five late contacts."""
+    gap = float(np.nextafter(0.5, 1.0))
+    rows = [f"{2 * i} {2 * i + 1} {t!r}" for i in range(12) for t in (0.0, 0.5 if i < 9 else gap)]
+    rows += [f"{i} {i + 2} 10.0" for i in range(0, 20, 4)]
+    path = tmp_path_factory.mktemp("ulp") / "edges.txt"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+class TestOverflowingFit:
+    """A fit that overflows takes the fallbacks of a degenerate one."""
+
+    def run(self, dataset, outdir, *flags):
+        argv = ["run", "--dataset", str(dataset), "--time-unit", "1", "--outdir", str(outdir)]
+        return main(argv + ["--epochs", "1", *flags])
+
+    def test_window_size_fallback(self, ulp_gap_dataset, tmp_path):
+        assert self.run(ulp_gap_dataset, tmp_path, "--window-size", "1.5") == 0
+        doc = json.loads((tmp_path / "seed_00" / "metrics.json").read_text())
+        assert doc["fit"] is None and doc["config"]["window_size"] == 1.5
+
+    def test_window_ablated_fallback(self, ulp_gap_dataset, tmp_path):
+        assert self.run(ulp_gap_dataset, tmp_path, "--ablation", "BGNN+S") == 0
+        assert json.loads((tmp_path / "seed_00" / "metrics.json").read_text())["fit"] is None
+
+    def test_stgnn_fails_naming_the_fit(self, ulp_gap_dataset, tmp_path, caplog):
+        assert self.run(ulp_gap_dataset, tmp_path) == 1
+        assert "power-law fit of the inter-event times overflowed" in caplog.text
+        assert not (tmp_path / "seed_00").exists()
+
+
 class TestRun:
     def test_single_rep_outputs(self, dataset, tmp_path):
         cfg = quick_config(dataset, tmp_path / "run")

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stgnn import evaluation
 from stgnn.evaluation import (
     SIMILARITIES,
     MetricsReport,
@@ -435,3 +438,77 @@ class TestNegativeSampling:
         split = split_train_test(g, 0.9)
         with pytest.raises(ValueError, match="dense"):
             sample_test_negatives(split, 3, named_rng(0, "x"))
+
+
+# node counts whose ids need uint8, uint16 and uint32 sort keys
+KEY_WIDTHS = (200, 5000, 70_000)
+
+
+@st.composite
+def ranking_cases(draw):
+    """A split over one of KEY_WIDTHS nodes whose held-out pairs join a
+    few hub nodes, the largest id always among them, and per similarity
+    one score per held-out pair: tie-heavy, with -0.0 beside 0.0."""
+    n_nodes = draw(st.sampled_from(KEY_WIDTHS))
+    hubs = draw(st.lists(st.integers(0, n_nodes - 2), min_size=2, max_size=12, unique=True)) + [n_nodes - 1]
+    hub = st.sampled_from(hubs)
+    k = draw(st.integers(0, 60))
+    late = [(hubs[0], n_nodes - 1)] + draw(st.lists(st.tuples(hub, hub), min_size=k, max_size=k))
+    late = [(u, v) for u, v in late if u != v]
+    events = [Event(hubs[0], hubs[1], 1.0)] + [Event(u, v, 10.0 + i) for i, (u, v) in enumerate(late)]
+    split = split_train_test(from_events(events, num_nodes=n_nodes), 0.5)
+    n = 2 * split.test_pairs.shape[0]  # the positives, then as many negatives
+    score = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5]) | st.floats(-1.0, 1.0)
+    scores = {kind: draw(st.lists(score, min_size=n, max_size=n)) for kind in SIMILARITIES}
+    return split, scores
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ranking_cases())
+def test_evaluate_ranks_like_the_list_oracle(case):
+    """``evaluate`` ranks each similarity's scores once for AUC, MAP and
+    per-node MAP; each equals the ScoredPair oracle on the same pairs.
+    Per-node MAP is bitwise the oracle's below eight positives per node
+    (see test_tie_heavy_matches_list_oracle)."""
+    split, scores = case
+    cfg = TrainConfig(m=2, d0=4, d1=4, d2=4, seed=9)
+    feats = random_features(split.train.num_nodes, 4, named_rng(9, "features"))
+    params = init_params(named_rng(9, "params"), 4, 4, 4, 2)
+    with mock.patch.object(evaluation, "score_pair", lambda h_u, h_v, kind: np.asarray(scores[kind])):
+        report = evaluate(split, params, feats, cfg, per_node_map=True)
+
+    positives = split.test_pairs.tolist()
+    negatives = sample_test_negatives(split, len(positives), named_rng(9, "eval-negatives")).tolist()
+    labeled = [(u, v, 1) for u, v in positives] + [(u, v, 0) for u, v in negatives]
+    positives_per_node = np.bincount([x for u, v, lab in labeled if lab for x in (u, v)])
+    for kind in SIMILARITIES:
+        pairs = [ScoredPair(u, v, s, lab) for (u, v, lab), s in zip(labeled, scores[kind])]
+        got = report.per_similarity[kind]
+        assert got["auc"] == list_auc(pairs)
+        assert got["map"] == list_map(pairs)
+        if positives_per_node.max() < 8:
+            assert got["map_per_node"] == list_map(pairs, per_node=True)
+        else:
+            assert got["map_per_node"] == pytest.approx(list_map(pairs, per_node=True), abs=1e-12)
+
+
+class TestNanScores:
+    """A NaN score has no rank: every metric raises before ranking."""
+
+    def test_auc_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auc([1, 0, 0], [0.5, np.nan, 0.1])
+
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_map_raises(self, per_node):
+        with pytest.raises(ValueError, match="NaN"):
+            mean_average_precision([1, 0], [np.nan, 0.1], [0, 1], [2, 3], per_node=per_node)
+
+    def test_evaluate_raises(self, rng):
+        split = split_train_test(random_stream(rng, n_nodes=10, n_events=60), 0.75)
+        cfg = TrainConfig(m=2, d0=4, d1=4, d2=4, seed=3)
+        feats = random_features(10, 4, named_rng(3, "features"))
+        params = init_params(named_rng(3, "params"), 4, 4, 4, 2)
+        nan_scores = lambda h_u, h_v, kind: np.full(h_u.shape[0], np.nan)
+        with mock.patch.object(evaluation, "score_pair", nan_scores), pytest.raises(ValueError, match="NaN"):
+            evaluate(split, params, feats, cfg)

@@ -176,6 +176,27 @@ class TestTopM:
                     assert not ids[u, k:].any() and not scores[u, k:].any()
                 assert not mask[12:].any()
 
+    @pytest.mark.parametrize("n_nodes", [200, 5000, 70_000])
+    def test_wide_ids_match_pure_oracle(self, n_nodes):
+        # node ids on uint8, uint16 and uint32 sort keys; contacts share
+        # timestamps, so equal scores fall back to the neighbor id order
+        rng = np.random.default_rng(n_nodes)
+        nodes = np.r_[rng.choice(n_nodes - 1, size=15, replace=False), n_nodes - 1]
+        events = [
+            Event(int(u), int(v), float(rng.integers(5)))
+            for u, v in (rng.choice(nodes, size=2, replace=False) for _ in range(120))
+        ]
+        g = from_events(events, num_nodes=n_nodes)
+        for t, m in ((2.0, 3), (5.0, 4), (5.0, 16)):
+            ids, scores, mask = top_m_neighbors(g, t, m)
+            for u in nodes.tolist():
+                ref_ids, ref_scores = pure_top_m(g, u, t, m)
+                k = ref_ids.shape[0]
+                assert mask[u].tolist() == [True] * k + [False] * (m - k)
+                assert ids[u, :k].tolist() == ref_ids.tolist()
+                np.testing.assert_allclose(scores[u, :k], ref_scores, rtol=1e-12, atol=0.0)
+            assert mask.sum() == sum(pure_top_m(g, u, t, m)[0].shape[0] for u in nodes.tolist())
+
     def test_query_at_event_time_is_strictly_before(self):
         g = from_events(
             [Event(0, 1, 1.0), Event(0, 2, 2.0), Event(2, 0, 2.0), Event(0, 1, 2.0)],
