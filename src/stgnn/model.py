@@ -19,8 +19,9 @@ deduplicates roots and their candidates on (time, node) keys and takes
 the candidate lists from a batched ``lookup(nodes, ts) -> (ids, scores,
 mask)``.  Training looks them up in a TopMTable of stgnn.significance
 (top-m lists for STGNN, uniform draws for the selection-ablated
-variants); ``forward_node`` indexes the rows of one
-``top_m_neighbors`` pass at its single query time.
+variants, each keeping the m candidates with the smallest random keys);
+``forward_node`` indexes the rows of one ``top_m_neighbors`` pass at its
+single query time.
 """
 
 from __future__ import annotations
@@ -241,7 +242,8 @@ def forward_node(
     Every candidate list comes from one ``top_m_neighbors`` pass at t
     with m = params.m, so a node's list is the same whether it appears
     as a root, as a neighbor, or both.  ``rng`` draws uniform lists
-    instead (the selection-ablated variants).
+    instead (the selection-ablated variants): one random key per
+    candidate of each node with more than m, the m smallest kept.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     ids, scores, mask = top_m_neighbors(g, float(t), params.m, lam, rng)

@@ -22,7 +22,9 @@ routes produce them:
   events, and between them every score decays by the same factor.
 
 Given an ``rng``, both routes replace each list by a uniform draw of up
-to m candidates from ``sample_m`` (the selection-ablated variants).
+to m candidates (the selection-ablated variants): each candidate of a node
+with more than m gets one ``rng.random`` key and the m smallest keys are
+kept (``sample_m``).
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ def sample_m(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Up to m candidates drawn uniformly without replacement, ranked.
 
-    Used by the selection-ablated model variants.  The sampled subset is
-    returned score-descending so downstream rank corrections stay
-    aligned.
+    Used by the selection-ablated model variants.  With more than m
+    candidates, each gets one ``rng.random`` key, in the order given, and
+    the m with the smallest keys are kept (the earlier candidate on equal
+    keys): a uniform draw without replacement.  The subset is returned
+    score-descending so downstream rank corrections stay aligned.
     """
     if ids.size > m:
-        pick = rng.choice(ids.size, size=m, replace=False)
+        pick = rng.random(ids.size).argsort(kind="stable")[:m]
         ids, scores = ids[pick], scores[pick]
     order = _rank_order(ids, scores)
     return ids[order], scores[order]
@@ -77,8 +81,9 @@ def top_m_neighbors(
 
     A neighbor qualifies once it has at least one contact with u strictly
     before t; isolated nodes get an empty row.  With ``rng`` each row is
-    instead a ``sample_m`` draw from all of the node's candidates, the
-    nodes drawn in id order.
+    instead a ``sample_m`` draw from all of the node's candidates in their
+    ranked order, the nodes drawn in id order: one ``rng.random`` call
+    gives every key of the nodes with more than m candidates.
 
     The lists come from one stable sort of every (node, neighbor) entry by
     node, score descending and neighbor id, with the ids narrowed
@@ -98,15 +103,22 @@ def top_m_neighbors(
     deg = np.bincount(node, minlength=n)
     start = np.cumsum(deg) - deg
     rank = np.arange(node.shape[0]) - start[node]
+    if rng is not None:
+        # each drawn node keeps its m smallest keys, every other node all its entries
+        drawn = np.repeat(deg > m, deg)
+        key = np.zeros(node.shape[0])
+        key[drawn] = rng.random(np.count_nonzero(drawn))
+        picked = np.empty_like(drawn)
+        picked[np.lexsort((key, node))] = rank < m
+        node, nbr, score = node[picked], nbr[picked], score[picked]
+        deg = np.minimum(deg, m)
+        start = np.cumsum(deg) - deg
+        rank = np.arange(node.shape[0]) - start[node]
     keep = rank < m
     ids = np.zeros((n, m), dtype=np.int64)
     scores = np.zeros((n, m), dtype=np.float64)
     ids[node[keep], rank[keep]] = nbr[keep]
     scores[node[keep], rank[keep]] = score[keep]
-    if rng is not None:
-        for u in np.flatnonzero(deg > m).tolist():
-            seg = slice(start[u], start[u] + deg[u])
-            ids[u], scores[u] = sample_m(nbr[seg], score[seg], m, rng)
     mask = np.arange(m) < np.minimum(deg, m)[:, None]
     return ids, scores, mask
 
@@ -117,10 +129,14 @@ class SignificanceIndex:
     Events are inserted in non-decreasing time order and queries must not
     run behind the insertion frontier.  Per neighbor the index stores the
     score decayed to the last contact time, split into the part strictly
-    before that time and the count at exactly that time.  The candidate
-    lists (``neighbor_scores``, ``top_m``, ``random_m``) count every
-    contact held, so a query at a time t ahead of the frontier sees the
-    contacts strictly before t.
+    before that time and the count at exactly that time, and the last
+    contact time.  The candidate lists (``neighbor_scores``, ``top_m``,
+    ``random_m``) count every contact held, so a query at a time t ahead
+    of the frontier sees the contacts strictly before t.
+
+    Each node's neighbors sit in slots in first-contact order, in per-node
+    numpy arrays of ids, s_strict, n_last and last contact time that double
+    when full, so that a query computes every score from views.
 
     ``TopMTable.build`` sweeps it and stores each node's ``top_m`` list,
     or a ``random_m`` draw, at each of the node's event times.
@@ -133,10 +149,10 @@ class SignificanceIndex:
         self.lam = lam
         self.t_frontier = -np.inf
         self._slot: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
-        self._nbr: list[list[int]] = [[] for _ in range(num_nodes)]
-        self._s_strict: list[list[float]] = [[] for _ in range(num_nodes)]
-        self._n_last: list[list[float]] = [[] for _ in range(num_nodes)]
-        self._last_t: list[list[float]] = [[] for _ in range(num_nodes)]
+        self._nbr: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * num_nodes
+        self._s_strict: list[np.ndarray] = [np.empty(0)] * num_nodes
+        self._n_last: list[np.ndarray] = [np.empty(0)] * num_nodes
+        self._last_t: list[np.ndarray] = [np.empty(0)] * num_nodes
 
     def add_event(self, u: int, v: int, t: float) -> None:
         """Record a contact; time must not run backwards."""
@@ -150,20 +166,30 @@ class SignificanceIndex:
         slots = self._slot[u]
         slot = slots.get(v)
         if slot is None:
-            slots[v] = len(self._nbr[u])
-            self._nbr[u].append(v)
-            self._s_strict[u].append(0.0)
-            self._n_last[u].append(1.0)
-            self._last_t[u].append(t)
+            slots[v] = k = len(slots)
+            if k == self._nbr[u].shape[0]:
+                self._grow(u, k)
+            self._nbr[u][k] = v
+            self._s_strict[u][k] = 0.0
+            self._n_last[u][k] = 1.0
+            self._last_t[u][k] = t
             return
-        last = self._last_t[u][slot]
+        s_strict, n_last, last_t = self._s_strict[u], self._n_last[u], self._last_t[u]
+        last = last_t.item(slot)
         if t == last:
-            self._n_last[u][slot] += 1.0
+            n_last[slot] += 1.0
         else:
             decay = float(np.exp(-self.lam * (t - last)))
-            self._s_strict[u][slot] = (self._s_strict[u][slot] + self._n_last[u][slot]) * decay
-            self._n_last[u][slot] = 1.0
-            self._last_t[u][slot] = t
+            s_strict[slot] = (s_strict.item(slot) + n_last.item(slot)) * decay
+            n_last[slot] = 1.0
+            last_t[slot] = t
+
+    def _grow(self, u: int, k: int) -> None:
+        cap = max(2 * k, 4)
+        for arrays in (self._nbr, self._s_strict, self._n_last, self._last_t):
+            grown = np.empty(cap, dtype=arrays[u].dtype)
+            grown[:k] = arrays[u]
+            arrays[u] = grown
 
     def _check_query_time(self, t: float) -> None:
         if t < self.t_frontier:
@@ -173,14 +199,15 @@ class SignificanceIndex:
 
     def neighbor_scores(self, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Neighbors of u with their scores at time t, counting every
-        contact the index holds, those at exactly t included."""
+        contact the index holds, those at exactly t included.
+
+        The ids are a read-only view of the index's storage, in slot order.
+        """
         self._check_query_time(t)
-        ids = np.asarray(self._nbr[u], dtype=np.int64)
-        if ids.size == 0:
-            return ids, np.empty(0, dtype=np.float64)
-        s_strict = np.asarray(self._s_strict[u], dtype=np.float64)
-        n_last = np.asarray(self._n_last[u], dtype=np.float64)
-        last_t = np.asarray(self._last_t[u], dtype=np.float64)
+        k = len(self._slot[u])
+        ids = self._nbr[u][:k]
+        ids.flags.writeable = False
+        s_strict, n_last, last_t = self._s_strict[u][:k], self._n_last[u][:k], self._last_t[u][:k]
         return ids, (s_strict + n_last) * np.exp(-self.lam * (t - last_t))
 
     def top_m(self, u: int, t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,6 +229,22 @@ class SignificanceIndex:
         counting every contact the index holds as ``top_m`` does; see
         ``sample_m``.  It is the row of a table built with an ``rng``."""
         return sample_m(*self.neighbor_scores(u, t), m, rng)
+
+
+# Rows a table build gathers per scatter.  One scatter after the whole sweep
+# would hold every row's small arrays at once (14 MiB more peak RSS on a
+# 20k-event stream).
+_SCATTER_ROWS = 1024
+
+
+def _scatter_rows(rows, lists, ids, scores, lens) -> None:
+    """Write the (ids, scores) lists into table rows ``rows``, in order."""
+    made = np.fromiter((a.shape[0] for a, _ in lists), dtype=np.int64, count=len(lists))
+    lens[rows] = made
+    row = np.repeat(rows, made)
+    col = np.arange(row.shape[0]) - np.repeat(np.cumsum(made) - made, made)
+    ids[row, col] = np.concatenate([a for a, _ in lists])
+    scores[row, col] = np.concatenate([b for _, b in lists])
 
 
 @dataclass(frozen=True)
@@ -242,7 +285,8 @@ class TopMTable:
 
         Each row is the index's ``top_m`` list, or with ``rng`` its
         ``random_m`` draw; within one event time the rows are drawn in
-        node order.
+        node order.  The rows are gathered during the sweep and written
+        into the table by one scatter per block of ``_SCATTER_ROWS``.
         """
         if m < 1:
             raise ValueError(f"capacity must be at least 1, got {m}")
@@ -252,29 +296,31 @@ class TopMTable:
         times, rank = np.unique(g.t, return_inverse=True)
         n_t = times.shape[0]
         keys = np.unique(np.concatenate([g.src, g.dst]) * n_t + np.tile(rank, 2))
-        # a node's rows are consecutive and in time order: fill them in sweep order
         first = np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * n_t)
-        cursor = first.tolist()
-        ids = np.zeros((keys.shape[0], m), dtype=np.int64)
-        scores = np.zeros((keys.shape[0], m), dtype=np.float64)
-        lens = np.zeros(keys.shape[0], dtype=np.int64)
-        bounds = np.flatnonzero(np.diff(rank)) + 1
+        key_rank = keys % n_t
+        # the sweep makes the rows in (time rank, node) order
+        sweep = np.argsort(key_rank, kind="stable")
+        row_nodes = (keys[sweep] // n_t).tolist()
+        row_ends = np.cumsum(np.bincount(key_rank, minlength=n_t)).tolist()
+        event_ends = np.cumsum(np.bincount(rank, minlength=n_t)).tolist()
+        n_rows = keys.shape[0]
+        ids = np.zeros((n_rows, m), dtype=np.int64)
+        scores = np.zeros((n_rows, m), dtype=np.float64)
+        lens = np.zeros(n_rows, dtype=np.int64)
         src, dst, t = g.src.tolist(), g.dst.tolist(), g.t.tolist()
-        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), g.num_events]):
-            touched = set()
+        lists = []
+        lo = r0 = written = 0
+        for hi, r1 in zip(event_ends, row_ends):
             for u, v, ti in zip(src[lo:hi], dst[lo:hi], t[lo:hi]):
                 index.add_event(u, v, ti)
-                touched.update((u, v))
-            for u in sorted(touched):
-                if rng is None:
-                    nbr, sc = index.top_m(u, index.t_frontier, m)
-                else:
-                    nbr, sc = index.random_m(u, index.t_frontier, m, rng)
-                row = cursor[u]
-                cursor[u] += 1
-                lens[row] = k = nbr.shape[0]
-                ids[row, :k], scores[row, :k] = nbr, sc
-        return cls(m, lam, times, keys, times[keys % n_t], ids, scores, lens, first)
+            tf = index.t_frontier
+            for u in row_nodes[r0:r1]:
+                lists.append(index.top_m(u, tf, m) if rng is None else index.random_m(u, tf, m, rng))
+            if len(lists) >= _SCATTER_ROWS or r1 == n_rows:
+                _scatter_rows(sweep[written:r1], lists, ids, scores, lens)
+                lists, written = [], r1
+            lo, r0 = hi, r1
+        return cls(m, lam, times, keys, times[key_rank], ids, scores, lens, first)
 
     def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate lists of nodes[i] at ts[i], as (k, m) ids, scores and
@@ -286,8 +332,12 @@ class TopMTable:
         row = np.searchsorted(self.keys, nodes * n_t + np.searchsorted(self.times, ts)) - 1
         found = row >= np.take(self.first, nodes)  # u has an event-time group strictly before t
         row = np.where(found, row, 0)
-        mask = np.arange(self.m) < np.where(found, np.take(self.lens, row), 0)[:, None]
         decay = np.exp(-self.lam * np.where(found, ts - np.take(self.row_t, row), 0.0))
-        ids = np.where(mask, np.take(self.ids, row, axis=0), 0)
-        scores = np.where(mask, np.take(self.scores, row, axis=0) * decay[:, None], 0.0)
+        # stored rows are zero past their length: only the queries with no row need zeroing
+        ids = np.take(self.ids, row, axis=0)
+        scores = np.take(self.scores, row, axis=0)
+        scores *= decay[:, None]
+        missing = np.flatnonzero(~found)
+        ids[missing], scores[missing] = 0, 0.0
+        mask = np.arange(self.m) < np.where(found, np.take(self.lens, row), 0)[:, None]
         return ids, scores, mask

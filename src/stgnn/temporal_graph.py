@@ -167,7 +167,9 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
         logger.warning("%s: dropped %d self-loop row(s)", path, n_self)
     if n_self == len(ts):
         raise EdgeListParseError(f"{path}: all rows were self-loops")
-    return from_columns(u[keep], v[keep], t[keep], num_nodes=len(ordered), raw_ids=ordered)
+    # labels of their own: the parsed ones would pin the parse's freed memory
+    raw_ids = [lab.encode().decode() for lab in ordered]
+    return from_columns(u[keep], v[keep], t[keep], num_nodes=len(ordered), raw_ids=raw_ids)
 
 
 def _is_int(token: str) -> bool:

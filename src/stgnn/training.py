@@ -13,8 +13,9 @@ strictly before each sample's time.  They come from a
 stgnn.significance.TopMTable, two batched lookups per chunk: STGNN's
 table holds the top-m lists and is built once per ``train`` call, and
 the selection-ablated variants build a table of uniform ``random_m``
-draws in each epoch, so the draws are new in every epoch and shared
-within one, per node and inter-event interval.  The forward pass is
+draws in each epoch (one random key per candidate, the m smallest kept),
+so the draws are new in every epoch and shared within one, per node and
+inter-event interval.  The forward pass is
 stgnn.model.forward_batch, shared with evaluation.  Gradients of the full
 loss -> output layer -> hidden layer -> softmax rank-weighting
 composition are derived by hand from its activations and evaluated in

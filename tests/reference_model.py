@@ -12,6 +12,13 @@
   node's pair histories: the oracle for the array pass
   ``stgnn.significance.top_m_neighbors``, the top-m table and the
   streaming index.
+* ``m_smallest_keys``, one uniform draw of up to m candidates from a list
+  (one random key per candidate, the m smallest kept): the oracle for the
+  uniform draws of ``stgnn.significance``.
+* ``ListSignificanceIndex`` and ``sweep_table``, the streaming index with
+  its state in Python lists and the table filled row by row during its
+  sweep: the bitwise oracle for ``SignificanceIndex`` and
+  ``TopMTable.build``.
 * A per-node recursive forward pass, the oracle for the batched one: the
   readable form of the two-layer aggregation, where one call embeds one
   node by recursing through its candidate lists, and each layer is a
@@ -67,6 +74,7 @@ from stgnn.model import (
     random_features,
 )
 from stgnn.powerlaw import MAX_XMIN_CANDIDATES, DegenerateFitError, PowerLawFit, _alpha_mle, _ks_distance
+from stgnn.significance import TopMTable
 from stgnn.temporal_graph import COMMENT_PREFIXES, EdgeListParseError, TemporalGraph, from_columns
 from stgnn.training import TrainConfig, _forward_backward
 
@@ -242,6 +250,117 @@ def pure_top_m(
     sc_a = np.asarray(scores, dtype=np.float64)
     order = np.lexsort((ids_a, -sc_a))[:m]
     return ids_a[order], sc_a[order]
+
+
+def m_smallest_keys(ids, scores, m: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:
+    """Up to m of the candidates (ids[i], scores[i]), given in candidate
+    order: with more than m, ``rng.random`` gives one key per candidate
+    and the m with the smallest keys are kept, the earlier candidate on
+    equal keys.  Returned score-descending with the smaller id first on
+    ties.  The list oracle for the uniform draws of
+    ``stgnn.significance``: ``sample_m``, ``SignificanceIndex.random_m``,
+    ``top_m_neighbors`` with an rng and a ``TopMTable`` built with one.
+    """
+    cands = list(zip(list(ids), list(scores)))
+    if len(cands) > m:
+        keys = rng.random(len(cands)).tolist()
+        cands = [cands[i] for i in sorted(range(len(cands)), key=lambda i: (keys[i], i))[:m]]
+    cands.sort(key=lambda c: (-c[1], c[0]))
+    return [int(c[0]) for c in cands], [float(c[1]) for c in cands]
+
+
+class ListSignificanceIndex:
+    """The streaming significance index with its per-neighbor state in
+    Python lists, converted to arrays at each query: the oracle for the
+    array-backed ``stgnn.significance.SignificanceIndex``, which runs the
+    same recurrence.
+
+    Per neighbor it stores the score decayed to the last contact time,
+    split into the part strictly before that time and the count at
+    exactly that time; a query counts every contact held.
+    """
+
+    def __init__(self, num_nodes: int, lam: float = 1.0):
+        self.lam = lam
+        self.t_frontier = -np.inf
+        self._slot: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
+        self._nbr: list[list[int]] = [[] for _ in range(num_nodes)]
+        self._s_strict: list[list[float]] = [[] for _ in range(num_nodes)]
+        self._n_last: list[list[float]] = [[] for _ in range(num_nodes)]
+        self._last_t: list[list[float]] = [[] for _ in range(num_nodes)]
+
+    def add_event(self, u: int, v: int, t: float) -> None:
+        assert t >= self.t_frontier
+        self.t_frontier = t
+        self._add_directed(u, v, t)
+        self._add_directed(v, u, t)
+
+    def _add_directed(self, u: int, v: int, t: float) -> None:
+        slots = self._slot[u]
+        slot = slots.get(v)
+        if slot is None:
+            slots[v] = len(self._nbr[u])
+            self._nbr[u].append(v)
+            self._s_strict[u].append(0.0)
+            self._n_last[u].append(1.0)
+            self._last_t[u].append(t)
+            return
+        last = self._last_t[u][slot]
+        if t == last:
+            self._n_last[u][slot] += 1.0
+        else:
+            decay = float(np.exp(-self.lam * (t - last)))
+            self._s_strict[u][slot] = (self._s_strict[u][slot] + self._n_last[u][slot]) * decay
+            self._n_last[u][slot] = 1.0
+            self._last_t[u][slot] = t
+
+    def neighbor_scores(self, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """u's neighbors in first-contact order and their scores at t."""
+        assert t >= self.t_frontier
+        ids = np.asarray(self._nbr[u], dtype=np.int64)
+        s_strict = np.asarray(self._s_strict[u], dtype=np.float64)
+        n_last = np.asarray(self._n_last[u], dtype=np.float64)
+        last_t = np.asarray(self._last_t[u], dtype=np.float64)
+        return ids, (s_strict + n_last) * np.exp(-self.lam * (t - last_t))
+
+
+def sweep_table(g: TemporalGraph, m: int, lam: float = 1.0, rng: np.random.Generator | None = None) -> TopMTable:
+    """The top-m table filled row by row during one chronological sweep of
+    a ``ListSignificanceIndex``: after each event-time group, each touched
+    node's list goes straight into its next row.  With ``rng`` each row is
+    an ``m_smallest_keys`` draw from the node's candidates in first-contact
+    order, the rows of one event time drawn in node order.  The oracle for
+    ``stgnn.significance.TopMTable.build``.
+    """
+    index = ListSignificanceIndex(g.num_nodes, lam=lam)
+    times, rank = np.unique(g.t, return_inverse=True)
+    n_t = times.shape[0]
+    keys = np.unique(np.concatenate([g.src, g.dst]) * n_t + np.tile(rank, 2))
+    # a node's rows are consecutive and in time order: fill them in sweep order
+    first = np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * n_t)
+    cursor = first.tolist()
+    ids = np.zeros((keys.shape[0], m), dtype=np.int64)
+    scores = np.zeros((keys.shape[0], m), dtype=np.float64)
+    lens = np.zeros(keys.shape[0], dtype=np.int64)
+    bounds = np.flatnonzero(np.diff(rank)) + 1
+    src, dst, t = g.src.tolist(), g.dst.tolist(), g.t.tolist()
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), g.num_events]):
+        touched = set()
+        for u, v, ti in zip(src[lo:hi], dst[lo:hi], t[lo:hi]):
+            index.add_event(u, v, ti)
+            touched.update((u, v))
+        for u in sorted(touched):
+            nbr, sc = index.neighbor_scores(u, index.t_frontier)
+            if rng is None:
+                order = np.lexsort((nbr, -sc))[:m]
+                nbr, sc = nbr[order], sc[order]
+            else:
+                nbr, sc = m_smallest_keys(nbr.tolist(), sc.tolist(), m, rng)
+            row = cursor[u]
+            cursor[u] += 1
+            lens[row] = k = len(nbr)
+            ids[row, :k], scores[row, :k] = nbr, sc
+    return TopMTable(m, lam, times, keys, times[keys % n_t], ids, scores, lens, first)
 
 
 def phi(scores, beta) -> np.ndarray:

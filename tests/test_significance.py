@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import stgnn.significance
 from stgnn.significance import (
     SignificanceIndex,
     TopMTable,
@@ -17,9 +20,11 @@ from reference_model import (
     events_of,
     from_events,
     initial_significance,
+    m_smallest_keys,
     pair_history,
     pure_top_m,
     significance_label,
+    sweep_table,
 )
 
 
@@ -36,6 +41,32 @@ def assert_uniform(counts, builds, m, k):
     bound = 4.5 * np.sqrt(builds * p * (1 - p))
     assert counts.sum() == m * builds
     assert np.all(np.abs(counts - builds * p) <= bound), counts
+
+
+def coarse_tied_stream(rng):
+    """A random stream on a coarse time grid: most event times are shared."""
+    g = random_stream(rng, n_nodes=12, n_events=400)
+    return from_events([Event(e.u, e.v, round(e.t, 1)) for e in events_of(g)], num_nodes=12)
+
+
+def long_gap_stream(rng):
+    """A random stream broken by two gaps of 800 time units, across which
+    every decayed score underflows to 0 (exp(-800) is below the smallest
+    double)."""
+    events = events_of(random_stream(rng, n_nodes=12, n_events=400))
+    return from_events([Event(e.u, e.v, e.t + 800.0 * (3 * i // 400)) for i, e in enumerate(events)], num_nodes=12)
+
+
+def named_stream(name, rng):
+    """The tied, coarse-tie or long-gap stream."""
+    return {"tied": lambda: tied_stream(32), "coarse": lambda: coarse_tied_stream(rng),
+            "long-gap": lambda: long_gap_stream(rng)}[name]()
+
+
+def assert_same_table(got, want):
+    for name in ("m", "lam", "times", "keys", "row_t", "ids", "scores", "lens", "first"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def uneven_star():
@@ -333,6 +364,18 @@ class TestTopMTable:
             i = j
         assert probes > 20
 
+    @pytest.mark.parametrize("block", [stgnn.significance._SCATTER_ROWS, 7])
+    @pytest.mark.parametrize("stream", ["tied", "coarse", "long-gap"])
+    def test_matches_list_sweep_bitwise(self, stream, block, rng, monkeypatch):
+        # block: the rows the build gathers per scatter
+        monkeypatch.setattr(stgnn.significance, "_SCATTER_ROWS", block)
+        g = named_stream(stream, rng)
+        for m in (1, 3, 8):
+            table = TopMTable.build(g, m, lam=0.7)
+            assert_same_table(table, sweep_table(g, m, lam=0.7))
+        if stream == "long-gap":  # stored rows hold underflowed scores
+            assert (table.scores[np.arange(m) < table.lens[:, None]] == 0.0).any()
+
     def test_rescale_is_exact(self):
         g = from_events([Event(0, 1, 0.0), Event(0, 2, 1.0)], num_nodes=3)
         table = TopMTable.build(g, 2)
@@ -414,12 +457,6 @@ class TestTopMTable:
             TopMTable.build(from_events([], num_nodes=2), 2)
 
 
-def coarse_tied_stream(rng):
-    """A random stream on a coarse time grid: most event times are shared."""
-    g = random_stream(rng, n_nodes=12, n_events=400)
-    return from_events([Event(e.u, e.v, round(e.t, 1)) for e in events_of(g)], num_nodes=12)
-
-
 class TestRandomTable:
     """A TopMTable built with an rng: each row a uniform draw of the node's
     candidates just after one of its event times."""
@@ -455,6 +492,15 @@ class TestRandomTable:
             counts[table_list(table, 0, 3.0)[0]] += 1
         assert counts[0] == 0
         assert_uniform(counts[1:], builds, m, k)
+
+    @pytest.mark.parametrize("stream", ["tied", "coarse", "long-gap"])
+    def test_matches_list_sweep_bitwise(self, stream, rng):
+        # every row the m smallest of one key per candidate, in first-contact order
+        g = named_stream(stream, rng)
+        for m in (1, 3):
+            got_rng, want_rng = np.random.default_rng(m), np.random.default_rng(m)
+            assert_same_table(TopMTable.build(g, m, rng=got_rng), sweep_table(g, m, rng=want_rng))
+            assert got_rng.random() == want_rng.random()
 
     def test_equal_seeds_build_equal_tables(self, rng):
         g = random_stream(rng, n_nodes=12, n_events=300)
@@ -522,6 +568,15 @@ class TestStreamingIndex:
         with pytest.raises(ValueError):
             idx.random_m(0, 1.5, 2, rng)
 
+    def test_neighbor_ids_are_read_only(self):
+        idx = SignificanceIndex(3)
+        idx.add_event(0, 1, 1.0)
+        ids, _ = idx.neighbor_scores(0, 1.0)
+        with pytest.raises(ValueError):
+            ids[0] = 2
+        idx.add_event(0, 2, 2.0)  # the next slot of the same storage
+        assert idx.neighbor_scores(0, 2.0)[0].tolist() == [1, 2]
+
     def test_random_m_subset_ordered(self, rng):
         idx = SignificanceIndex(30)
         for v in range(1, 25):
@@ -530,3 +585,50 @@ class TestStreamingIndex:
         assert ids.shape[0] == 5
         assert all(scores[i] >= scores[i + 1] for i in range(4))
         assert set(ids).issubset(set(range(1, 25)))
+
+
+@st.composite
+def draw_cases(draw):
+    """A stream on a grid of six times (repeat contacts and shared times
+    common), a capacity m and a seed."""
+    n = draw(st.integers(3, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    rows = draw(st.lists(st.tuples(pair, st.integers(0, 5)), min_size=12, max_size=80))
+    g = from_events([Event(u, v, float(t)) for (u, v), t in rows], num_nodes=n)
+    return g, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(draw_cases())
+def test_draws_keep_the_m_smallest_keys(case):
+    """``random_m`` and ``top_m_neighbors`` with an rng against the list
+    oracle ``m_smallest_keys``: random_m keys a node's candidates in
+    first-contact order, the array pass in ranked order, and both draw
+    the nodes in id order from one generator."""
+    g, m, seed = case
+    n, t = g.num_nodes, g.t_max + 1.0
+    idx, seen = SignificanceIndex(n), [dict() for _ in range(n)]
+    for e in events_of(g):
+        idx.add_event(e.u, e.v, e.t)
+        seen[e.u].setdefault(e.v)
+        seen[e.v].setdefault(e.u)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for u in range(n):
+        by_id = dict(zip(*(a.tolist() for a in pure_top_m(g, u, t, m=n))))
+        ids, scores = idx.random_m(u, t, m, got_rng)
+        want_ids, want_scores = m_smallest_keys(list(seen[u]), [by_id[v] for v in seen[u]], m, want_rng)
+        assert ids.tolist() == want_ids
+        np.testing.assert_allclose(scores, want_scores, rtol=1e-12, atol=0.0)
+    assert got_rng.random() == want_rng.random()
+
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ids, scores, mask = top_m_neighbors(g, t, m, rng=got_rng)
+    for u in range(n):
+        ref_ids, ref_scores = pure_top_m(g, u, t, m=n)
+        want_ids, want_scores = m_smallest_keys(ref_ids.tolist(), ref_scores.tolist(), m, want_rng)
+        k = len(want_ids)
+        assert mask[u].tolist() == [True] * k + [False] * (m - k)
+        assert ids[u, :k].tolist() == want_ids
+        np.testing.assert_allclose(scores[u, :k], want_scores, rtol=1e-12, atol=0.0)
+        assert not ids[u, k:].any() and not scores[u, k:].any()
+    assert got_rng.random() == want_rng.random()
