@@ -8,7 +8,8 @@ Verbs:
            and emit a plot-ready CSV.
     synth  generate a planted-ties synthetic edge list.
     fit    power-law fit and window size only, printed as JSON; the same
-           checked configuration and window stage (``_fit_window``) as run.
+           config flags and file, checks and window stage (``_fit_window``)
+           as run.
     eval   score a saved checkpoint against a dataset split.
 
 Configuration comes from an optional JSON file plus CLI flags; flags win.
@@ -126,21 +127,15 @@ def _fit_window(train_g, config: ExperimentConfig):
 
     A user-supplied window size replaces the fitted one; the fit is then
     only reported, and omitted when it fails.  Window-ablated runs fall
-    back to no window at all when the fit is degenerate or overflows (as
-    on gaps a few ulps apart, whose exponent runs to about 1e15).
+    back to no window at all when the fit is degenerate.
     """
     try:
         fit = powerlaw.fit_power_law(powerlaw.collect_inter_event_times(train_g))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         if config.window_size is not None:
             return float(config.window_size), None
-        degenerate = isinstance(exc, (powerlaw.DegenerateFitError, OverflowError))
-        if degenerate and not ABLATION_FLAGS[config.ablation][1]:
+        if isinstance(exc, powerlaw.DegenerateFitError) and not ABLATION_FLAGS[config.ablation][1]:
             return None, None
-        if isinstance(exc, OverflowError):
-            raise powerlaw.DegenerateFitError(
-                "the power-law fit of the inter-event times overflowed; supply a window size explicitly"
-            ) from exc
         raise
     if config.window_size is not None:
         return float(config.window_size), _fit_to_dict(fit, delta=None)
@@ -381,10 +376,7 @@ def main(argv=None) -> int:
     p_synth.add_argument("--gap-alpha", type=float, default=2.2)
 
     p_fit = subs.add_parser("fit", help="power-law fit and window size only")
-    p_fit.add_argument("--dataset", required=True)
-    p_fit.add_argument("--time-unit", dest="time_unit", type=float, required=True)
-    p_fit.add_argument("--split-ratio", dest="split_ratio", type=float, default=0.75)
-    p_fit.add_argument("--p", type=float, default=0.5)
+    _add_config_flags(p_fit)
 
     p_eval = subs.add_parser("eval", help="evaluate a saved checkpoint")
     _add_config_flags(p_eval)
@@ -418,9 +410,7 @@ def main(argv=None) -> int:
             )
             print(json.dumps({"edge_list": str(out), "planted_pairs": str(pairs)}))
         elif args.verb == "fit":
-            config = ExperimentConfig(
-                dataset=args.dataset, time_unit=args.time_unit, split_ratio=args.split_ratio, p=args.p
-            )
+            config = _config_from_args(args)
             g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
             split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
             _, fit_dict = _fit_window(split.train, config)

@@ -10,9 +10,10 @@ can span [-1, 1].
 Everything here is plain numpy and pure: given (graph, features,
 parameters, time) the embedding of a node is deterministic.  The forward
 pass exists once, batched over a flattened computation tree
-(``forward_batch``): training builds the tree from its mini-batch samples
-and backpropagates through the returned activations, and evaluation
-embeds all of its nodes at the split time through ``forward_node``.
+(``forward_batch``): training builds the tree from the nodes of its
+mini-batch samples, pairs its roots into loss samples and backpropagates
+through the returned activations, and evaluation embeds all of its nodes
+at the split time through ``forward_node``.
 
 One builder, ``build_batch``, makes every tree with array operations: it
 deduplicates roots and their candidates on (time, node) keys and takes
@@ -102,10 +103,11 @@ class _FlatBatch:
     mask: np.ndarray        # (E, m) bool
     root_entry: np.ndarray  # (R,)
     root_nbrs: np.ndarray   # (R, m) entry ids, zero-padded
-    su: np.ndarray          # (S,) root ids
-    sv: np.ndarray          # (S,)
-    positive: np.ndarray    # (S,) bool
-    weight: np.ndarray      # (S,) s_delta for positives, s_bar for negatives
+    # the loss samples, set by training: sample j pairs roots su[j] and sv[j]
+    su: np.ndarray | None = None        # (S,) root ids
+    sv: np.ndarray | None = None        # (S,)
+    positive: np.ndarray | None = None  # (S,) bool
+    weight: np.ndarray | None = None    # (S,) s_delta for positives, s_bar for negatives
 
 
 Lookup = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -121,9 +123,7 @@ def _first_unique(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
-def build_batch(
-    node, t, lookup: Lookup, m: int, su=(), sv=(), positive=(), s_delta=()
-) -> tuple[_FlatBatch, np.ndarray]:
+def build_batch(node, t, lookup: Lookup, m: int) -> tuple[_FlatBatch, np.ndarray]:
     """Flattened two-hop computation trees rooted at (node[i], t[i]).
 
     An *entry* is one (time, node) layer-1 unit: the node plus its
@@ -136,9 +136,8 @@ def build_batch(
 
     ``lookup(nodes, ts)`` returns zero-padded (k, m) candidate ids,
     scores and mask, score-descending; it is called once for the roots
-    and once for the other entries.  Sample j pairs the roots at input
-    positions su[j] and sv[j].  Returns the batch and the root index of
-    each input position.
+    and once for the other entries.  Returns the batch, without loss
+    samples, and the root index of each input position.
     """
     node = np.asarray(node, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
@@ -164,16 +163,7 @@ def build_batch(
     rest = np.ones(owner.shape[0], dtype=bool)
     rest[root_entry] = False
     nbrs[rest], scores[rest], mask[rest] = lookup(owner[rest], e_t[rest])
-
-    positive = np.asarray(positive, dtype=bool)
-    s_delta = np.asarray(s_delta, dtype=np.float64)
-    pos_sd = s_delta[positive]
-    s_bar = float(pos_sd.mean()) if pos_sd.size else 1.0
-    su = root_of[np.asarray(su, dtype=np.int64)]
-    sv = root_of[np.asarray(sv, dtype=np.int64)]
-    weight = np.where(positive, s_delta, s_bar)
-    fb = _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs, su, sv, positive, weight)
-    return fb, root_of
+    return _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs), root_of
 
 
 def _masked_phi(scores: np.ndarray, mask: np.ndarray, beta: np.ndarray) -> np.ndarray:

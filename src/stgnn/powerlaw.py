@@ -12,6 +12,7 @@ by one ``searchsorted``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,8 @@ def fit_power_law(xs) -> PowerLawFit:
     (quantile-subsampled to at most MAX_XMIN_CANDIDATES) to minimize the
     KS distance between the empirical and fitted tail CDFs, with ties
     broken toward the smallest cutoff.  The sample is sorted once, so each
-    candidate's tail x >= xmin is a suffix of it.
+    candidate's tail x >= xmin is a suffix of it.  A fit whose constant c
+    overflows or is not positive is degenerate.
     """
     xs = np.sort(np.asarray(xs, dtype=np.float64), axis=None)
     if xs.size == 0 or np.any(xs <= 0.0) or not np.all(np.isfinite(xs)):
@@ -103,19 +105,28 @@ def fit_power_law(xs) -> PowerLawFit:
         idx = np.unique((qs * (candidates.size - 1)).astype(int))
         candidates = candidates[idx]
 
-    best: PowerLawFit | None = None
+    best = None
     for xmin, start in zip(candidates.tolist(), np.searchsorted(xs, candidates).tolist()):
         tail = xs[start:]
         alpha = _alpha_mle(tail, xmin)
         if alpha is None:
             continue
         ks = _ks_distance(tail, alpha, xmin)
-        if best is None or ks < best.ks_distance:
-            c = (alpha - 1.0) * xmin ** (1.0 - alpha)
-            best = PowerLawFit(alpha=alpha, xmin=xmin, c=c, n_tail=tail.size, ks_distance=ks)
+        if best is None or ks < best[3]:
+            best = (alpha, xmin, tail.size, ks)
     if best is None:
         raise DegenerateFitError("no candidate cutoff admits a finite exponent")
-    return best
+    alpha, xmin, n_tail, ks = best
+    try:
+        c = (alpha - 1.0) * xmin ** (1.0 - alpha)
+    except OverflowError:
+        c = math.inf
+    if not (math.isfinite(c) and c > 0.0):
+        # as on gaps a few ulps apart, whose exponent runs to about 1e15
+        raise DegenerateFitError(
+            "the power-law fit of the inter-event times overflowed; supply a window size explicitly"
+        )
+    return PowerLawFit(alpha=alpha, xmin=xmin, c=c, n_tail=n_tail, ks_distance=ks)
 
 
 def intimate_window_size(fit: PowerLawFit, p: float) -> float:

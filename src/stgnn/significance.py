@@ -231,22 +231,6 @@ class SignificanceIndex:
         return sample_m(*self.neighbor_scores(u, t), m, rng)
 
 
-# Rows a table build gathers per scatter.  One scatter after the whole sweep
-# would hold every row's small arrays at once (14 MiB more peak RSS on a
-# 20k-event stream).
-_SCATTER_ROWS = 1024
-
-
-def _scatter_rows(rows, lists, ids, scores, lens) -> None:
-    """Write the (ids, scores) lists into table rows ``rows``, in order."""
-    made = np.fromiter((a.shape[0] for a, _ in lists), dtype=np.int64, count=len(lists))
-    lens[rows] = made
-    row = np.repeat(rows, made)
-    col = np.arange(row.shape[0]) - np.repeat(np.cumsum(made) - made, made)
-    ids[row, col] = np.concatenate([a for a, _ in lists])
-    scores[row, col] = np.concatenate([b for _, b in lists])
-
-
 @dataclass(frozen=True)
 class TopMTable:
     """Every node's candidate list just after each of its event times.
@@ -285,8 +269,8 @@ class TopMTable:
 
         Each row is the index's ``top_m`` list, or with ``rng`` its
         ``random_m`` draw; within one event time the rows are drawn in
-        node order.  The rows are gathered during the sweep and written
-        into the table by one scatter per block of ``_SCATTER_ROWS``.
+        node order.  The sweep writes each row into the table as it makes
+        it.
         """
         if m < 1:
             raise ValueError(f"capacity must be at least 1, got {m}")
@@ -308,17 +292,15 @@ class TopMTable:
         scores = np.zeros((n_rows, m), dtype=np.float64)
         lens = np.zeros(n_rows, dtype=np.int64)
         src, dst, t = g.src.tolist(), g.dst.tolist(), g.t.tolist()
-        lists = []
-        lo = r0 = written = 0
+        lo = r0 = 0
         for hi, r1 in zip(event_ends, row_ends):
             for u, v, ti in zip(src[lo:hi], dst[lo:hi], t[lo:hi]):
                 index.add_event(u, v, ti)
             tf = index.t_frontier
-            for u in row_nodes[r0:r1]:
-                lists.append(index.top_m(u, tf, m) if rng is None else index.random_m(u, tf, m, rng))
-            if len(lists) >= _SCATTER_ROWS or r1 == n_rows:
-                _scatter_rows(sweep[written:r1], lists, ids, scores, lens)
-                lists, written = [], r1
+            for r, u in zip(sweep[r0:r1].tolist(), row_nodes[r0:r1]):
+                a, b = index.top_m(u, tf, m) if rng is None else index.random_m(u, tf, m, rng)
+                k = a.shape[0]
+                ids[r, :k], scores[r, :k], lens[r] = a, b, k
             lo, r0 = hi, r1
         return cls(m, lam, times, keys, times[key_rank], ids, scores, lens, first)
 

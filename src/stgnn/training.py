@@ -9,13 +9,15 @@ columns; their labels come from the graph's CSR pair index
 
 Each chronological chunk of samples becomes one computation tree
 (stgnn.model.build_batch), whose candidate lists see only the contacts
-strictly before each sample's time.  They come from a
-stgnn.significance.TopMTable, two batched lookups per chunk: STGNN's
-table holds the top-m lists and is built once per ``train`` call, and
-the selection-ablated variants build a table of uniform ``random_m``
-draws in each epoch (one random key per candidate, the m smallest kept),
-so the draws are new in every epoch and shared within one, per node and
-inter-event interval.  The forward pass is
+strictly before each sample's time; ``_capture_chunk`` then pairs the
+tree's roots into the chunk's samples and weights them, each positive by
+its label and each negative by the chunk's mean label.  The candidate
+lists come from a stgnn.significance.TopMTable, two batched lookups per
+chunk: STGNN's table holds the top-m lists and is built once per
+``train`` call, and the selection-ablated variants build a table of
+uniform ``random_m`` draws in each epoch (one random key per candidate,
+the m smallest kept), so the draws are new in every epoch and shared
+within one, per node and inter-event interval.  The forward pass is
 stgnn.model.forward_batch, shared with evaluation.  Gradients of the full
 loss -> output layer -> hidden layer -> softmax rank-weighting
 composition are derived by hand from its activations and evaluated in
@@ -347,24 +349,26 @@ def _capture_chunk(
     m: int,
     lookup: Lookup,
 ) -> _FlatBatch:
-    """The computation tree of one chronological chunk.
+    """The computation tree of one chronological chunk, with its samples.
 
-    Positive k is (u[k], v[k]) at t[k] with label s_delta[k]; its
-    negative is (u[k], w[k]), absent where w[k] is -1.  ``lookup``
-    answers every candidate list of the chunk (see build_batch).
+    Positive k is (u[k], v[k]) at t[k], weighted by its label s_delta[k];
+    its negative is (u[k], w[k]), absent where w[k] is -1, weighted by the
+    chunk's mean label s_bar.  ``lookup`` answers every candidate list of
+    the chunk (see build_batch).
     """
     n = u.shape[0]
     # the roots in sample order: u[k], v[k], then w[k] where a negative was found
     keep = np.column_stack([np.ones((n, 2), dtype=bool), w >= 0])
     node, root_t = np.column_stack([u, v, w])[keep], np.repeat(t, keep.sum(axis=1))
     pos = (np.cumsum(keep) - 1).reshape(n, 3)
+    fb, root_of = build_batch(node, root_t, lookup, m)
     # samples: each positive (u, v), then its negative (u, w)
     pair = keep[:, 1:]
-    su = np.repeat(pos[:, 0], keep.sum(axis=1) - 1)
-    sv = pos[:, 1:][pair]
-    positive = np.broadcast_to([True, False], (n, 2))[pair]
-    sd = np.column_stack([s_delta, np.zeros(n)])[pair]
-    return build_batch(node, root_t, lookup, m, su, sv, positive, sd)[0]
+    fb.su = root_of[np.repeat(pos[:, 0], keep.sum(axis=1) - 1)]
+    fb.sv = root_of[pos[:, 1:][pair]]
+    fb.positive = np.broadcast_to([True, False], (n, 2))[pair]
+    fb.weight = np.column_stack([s_delta, np.full(n, s_delta.mean())])[pair]
+    return fb
 
 
 def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> TrainResult:

@@ -954,6 +954,10 @@ def fit_power_law_filtered(xs) -> PowerLawFit:
             best = fit
     if best is None:
         raise DegenerateFitError("no candidate cutoff admits a finite exponent")
+    if not (math.isfinite(best.c) and best.c > 0.0):
+        raise DegenerateFitError(
+            "the power-law fit of the inter-event times overflowed; supply a window size explicitly"
+        )
     return best
 
 
@@ -965,5 +969,8 @@ def _try_fit_at(xs: np.ndarray, xmin: float) -> PowerLawFit | None:
     if alpha is None:
         return None
     ks = _ks_distance(tail, alpha, xmin)
-    c = (alpha - 1.0) * xmin ** (1.0 - alpha)
+    try:
+        c = (alpha - 1.0) * xmin ** (1.0 - alpha)
+    except OverflowError:
+        c = math.inf
     return PowerLawFit(alpha=alpha, xmin=xmin, c=c, n_tail=int(tail.size), ks_distance=ks)

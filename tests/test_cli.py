@@ -148,37 +148,47 @@ class TestFitWindow:
 
 
 @pytest.fixture(scope="module")
-def ulp_gap_dataset(tmp_path_factory):
-    """Twelve pairs meeting twice in training, nine 0.5 apart and three one
-    ulp further, whose power-law fit overflows; then five late contacts."""
-    gap = float(np.nextafter(0.5, 1.0))
-    rows = [f"{2 * i} {2 * i + 1} {t!r}" for i in range(12) for t in (0.0, 0.5 if i < 9 else gap)]
-    rows += [f"{i} {i + 2} 10.0" for i in range(0, 20, 4)]
-    path = tmp_path_factory.mktemp("ulp") / "edges.txt"
-    path.write_text("\n".join(rows) + "\n")
-    return path
+def ulp_gap_datasets(tmp_path_factory):
+    """Twelve pairs meeting twice in training, nine a gap of 0.5 (or 2.0)
+    apart and three one ulp further, then five late contacts.  The
+    power-law fit overflows at 0.5, and its constant c underflows to 0 at
+    2.0."""
+    paths = []
+    for scale in (0.5, 2.0):
+        gap = float(np.nextafter(scale, 3.0))
+        rows = [f"{2 * i} {2 * i + 1} {t!r}" for i in range(12) for t in (0.0, scale if i < 9 else gap)]
+        rows += [f"{i} {i + 2} 10.0" for i in range(0, 20, 4)]
+        path = tmp_path_factory.mktemp("ulp") / "edges.txt"
+        path.write_text("\n".join(rows) + "\n")
+        paths.append(path)
+    return paths
 
 
 class TestOverflowingFit:
-    """A fit that overflows takes the fallbacks of a degenerate one."""
+    """A fit that overflows takes the fallbacks of a degenerate one, at
+    both gap scales of ``ulp_gap_datasets``."""
 
     def run(self, dataset, outdir, *flags):
         argv = ["run", "--dataset", str(dataset), "--time-unit", "1", "--outdir", str(outdir)]
         return main(argv + ["--epochs", "1", *flags])
 
-    def test_window_size_fallback(self, ulp_gap_dataset, tmp_path):
-        assert self.run(ulp_gap_dataset, tmp_path, "--window-size", "1.5") == 0
-        doc = json.loads((tmp_path / "seed_00" / "metrics.json").read_text())
-        assert doc["fit"] is None and doc["config"]["window_size"] == 1.5
+    def test_window_size_fallback(self, ulp_gap_datasets, tmp_path):
+        for i, dataset in enumerate(ulp_gap_datasets):
+            assert self.run(dataset, tmp_path / str(i), "--window-size", "1.5") == 0, dataset
+            doc = json.loads((tmp_path / str(i) / "seed_00" / "metrics.json").read_text())
+            assert doc["fit"] is None and doc["config"]["window_size"] == 1.5
 
-    def test_window_ablated_fallback(self, ulp_gap_dataset, tmp_path):
-        assert self.run(ulp_gap_dataset, tmp_path, "--ablation", "BGNN+S") == 0
-        assert json.loads((tmp_path / "seed_00" / "metrics.json").read_text())["fit"] is None
+    def test_window_ablated_fallback(self, ulp_gap_datasets, tmp_path):
+        for i, dataset in enumerate(ulp_gap_datasets):
+            assert self.run(dataset, tmp_path / str(i), "--ablation", "BGNN+S") == 0, dataset
+            assert json.loads((tmp_path / str(i) / "seed_00" / "metrics.json").read_text())["fit"] is None
 
-    def test_stgnn_fails_naming_the_fit(self, ulp_gap_dataset, tmp_path, caplog):
-        assert self.run(ulp_gap_dataset, tmp_path) == 1
-        assert "power-law fit of the inter-event times overflowed" in caplog.text
-        assert not (tmp_path / "seed_00").exists()
+    def test_stgnn_fails_naming_the_fit(self, ulp_gap_datasets, tmp_path, caplog):
+        for i, dataset in enumerate(ulp_gap_datasets):
+            caplog.clear()
+            assert self.run(dataset, tmp_path / str(i)) == 1, dataset
+            assert "power-law fit of the inter-event times overflowed" in caplog.text
+            assert not (tmp_path / str(i) / "seed_00").exists()
 
 
 class TestRun:
@@ -324,6 +334,17 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["alpha"] > 1.0
         assert doc["delta"] > 0.0
+
+    def test_fit_verb_reads_the_config_file(self, dataset, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"dataset": str(dataset), "time_unit": 1.0, "p": 0.5}))
+        assert main(["fit", "--config", str(cfg_file)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["fit", "--dataset", str(dataset), "--time-unit", "1.0", "--p", "0.5"]) == 0
+        assert doc == json.loads(capsys.readouterr().out)
+        # --window-size reaches the window stage as in run: the fit is only reported
+        assert main(["fit", "--config", str(cfg_file), "--window-size", "2.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] is None
 
     def test_fit_verb_checks_flags_before_reading(self, tmp_path, caplog):
         rc = main(["fit", "--dataset", str(tmp_path / "missing.txt"), "--time-unit", "1.0", "--p", "1.5"])

@@ -68,6 +68,14 @@ class TestFit:
         with pytest.raises(DegenerateFitError):
             fit_power_law([3.0] * 50)
 
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_ulp_gaps_are_degenerate(self, scale):
+        # the exponent runs to about 1e15, so c = (alpha - 1) * xmin^(1 - alpha)
+        # overflows below xmin = 1 and underflows to 0 above it
+        xs = [scale] * 9 + [float(np.nextafter(scale, 3.0))] * 3
+        with pytest.raises(DegenerateFitError, match="overflowed"):
+            fit_power_law(xs)
+
     def test_small_sample_needs_forced_xmin(self):
         with pytest.raises(ValueError, match="at least 10"):
             fit_power_law([1.0, 2.0, 4.0])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import stgnn.significance
 from stgnn.significance import (
     SignificanceIndex,
     TopMTable,
@@ -364,11 +363,8 @@ class TestTopMTable:
             i = j
         assert probes > 20
 
-    @pytest.mark.parametrize("block", [stgnn.significance._SCATTER_ROWS, 7])
     @pytest.mark.parametrize("stream", ["tied", "coarse", "long-gap"])
-    def test_matches_list_sweep_bitwise(self, stream, block, rng, monkeypatch):
-        # block: the rows the build gathers per scatter
-        monkeypatch.setattr(stgnn.significance, "_SCATTER_ROWS", block)
+    def test_matches_list_sweep_bitwise(self, stream, rng):
         g = named_stream(stream, rng)
         for m in (1, 3, 8):
             table = TopMTable.build(g, m, lam=0.7)
