@@ -363,10 +363,12 @@ class TestTopMTable:
             i = j
         assert probes > 20
 
+    @pytest.mark.parametrize("m_max", [1024, 7])
     @pytest.mark.parametrize("stream", ["tied", "coarse", "long-gap"])
-    def test_matches_list_sweep_bitwise(self, stream, rng):
+    def test_matches_list_sweep_bitwise(self, stream, m_max, rng):
+        # m_max = 1024 is above every node's candidate count, so no row is cut
         g = named_stream(stream, rng)
-        for m in (1, 3, 8):
+        for m in (1, 3, m_max):
             table = TopMTable.build(g, m, lam=0.7)
             assert_same_table(table, sweep_table(g, m, lam=0.7))
         if stream == "long-gap":  # stored rows hold underflowed scores
