@@ -71,6 +71,13 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # a JSON config file can hold any type; the annotations are strings here
+        kinds = {"int": int, "bool": bool, "float": (int, float), "float | None": (int, float, type(None))}
+        for f in dataclasses.fields(self):
+            value, kind = getattr(self, f.name), kinds.get(f.type)
+            # a bool is an int, so it passes only where a bool is asked for
+            if kind and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.ablation not in ABLATION_FLAGS:
@@ -265,18 +272,17 @@ def run_sweep(config: ExperimentConfig, parameter: str, values: list) -> Path:
     if not values:
         raise ValueError("sweep needs at least one value")
     for v in values:
-        if parameter == "p" and not 0.0 <= v < 1.0:
-            raise ValueError(f"swept p values must lie in [0, 1), got {v}")
         if parameter == "m" and not (float(v).is_integer() and v >= 1):
             raise ValueError(f"swept m values must be positive integers, got {v}")
     # typed as the config field, so outputs are named m_2 rather than m_2.0
     values = [float(v) if parameter == "p" else int(v) for v in values]
 
     outdir = Path(config.outdir)
+    # every value is checked, as its config, before the first run writes anything
+    subs = [dataclasses.replace(config, outdir=str(outdir / f"{parameter}_{v}"), **{parameter: v}) for v in values]
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for v in values:
-        sub = dataclasses.replace(config, outdir=str(outdir / f"{parameter}_{v}"), **{parameter: v})
+    for v, sub in zip(values, subs):
         agg = run_experiment(sub)
         rows.append(
             (
@@ -362,18 +368,21 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--param", required=True, choices=("p", "m"))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
 
-    p_synth = subs.add_parser("synth", help="generate a planted-ties synthetic stream")
-    p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--nodes", type=int, default=100)
-    p_synth.add_argument("--pairs", type=int, default=20)
-    p_synth.add_argument("--background-events", type=int, default=600)
-    p_synth.add_argument("--horizon", type=float, default=100.0)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--events-per-pair", type=int, default=70)
-    p_synth.add_argument("--communities", type=int, default=10)
-    p_synth.add_argument("--within-prob", type=float, default=0.9)
-    p_synth.add_argument("--background-recurrence", type=float, default=0.5)
-    p_synth.add_argument("--gap-alpha", type=float, default=2.2)
+    # flags left out take generate_synthetic's defaults
+    p_synth = subs.add_parser(
+        "synth", help="generate a planted-ties synthetic stream", argument_default=argparse.SUPPRESS
+    )
+    p_synth.add_argument("--out", dest="path", required=True)
+    p_synth.add_argument("--nodes", dest="n_nodes", type=int)
+    p_synth.add_argument("--pairs", dest="n_significant_pairs", type=int)
+    p_synth.add_argument("--background-events", dest="n_background_events", type=int)
+    p_synth.add_argument("--horizon", type=float)
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--events-per-pair", dest="events_per_significant_pair", type=int)
+    p_synth.add_argument("--communities", dest="n_communities", type=int)
+    p_synth.add_argument("--within-prob", dest="within_community_prob", type=float)
+    p_synth.add_argument("--background-recurrence", type=float)
+    p_synth.add_argument("--gap-alpha", type=float)
 
     p_fit = subs.add_parser("fit", help="power-law fit and window size only")
     _add_config_flags(p_fit)
@@ -395,19 +404,8 @@ def main(argv=None) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
             run_sweep(config, args.param, values)
         elif args.verb == "synth":
-            out, pairs = synthetic.generate_synthetic(
-                args.out,
-                n_nodes=args.nodes,
-                n_significant_pairs=args.pairs,
-                n_background_events=args.background_events,
-                horizon=args.horizon,
-                seed=args.seed,
-                events_per_significant_pair=args.events_per_pair,
-                n_communities=args.communities,
-                within_community_prob=args.within_prob,
-                gap_alpha=args.gap_alpha,
-                background_recurrence=args.background_recurrence,
-            )
+            given = {k: v for k, v in vars(args).items() if k != "verb"}
+            out, pairs = synthetic.generate_synthetic(**given)
             print(json.dumps({"edge_list": str(out), "planted_pairs": str(pairs)}))
         elif args.verb == "fit":
             config = _config_from_args(args)

@@ -7,10 +7,11 @@ int64 pair keys min * N + max against the graphs' CSR pair keys.  Every
 pair is scored under three similarities (cosine, hadamard/dot, negated
 squared L2) and the best per metric is reported,
 alongside a no-learning reference that ranks pairs by their decayed
-historical contact count.  Every involved node is embedded once at the
-split time from one ``top_m_neighbors`` pass over the training graph,
-and the reference reads the same decayed pair counts
-(``significance.pair_significance``, from the CSR pair index).
+historical contact count.  Every node is embedded at the split time
+in one dense forward pass over one ``top_m_neighbors`` pass on the
+training graph, and each pair reads its endpoints' rows; the reference
+reads the same decayed pair counts (``significance.pair_significance``,
+from the CSR pair index).
 
 The negative sampler is specified as a loop: each try draws two scalar
 node ids a, b from the generator and accepts the pair unless a == b, it
@@ -238,20 +239,15 @@ def heuristic_reference(
 
 
 def node_embeddings(
-    g_train: TemporalGraph,
-    params: ModelParams,
-    feats: np.ndarray,
-    nodes,
-    t0: float,
-    config: TrainConfig,
+    g_train: TemporalGraph, params: ModelParams, feats: np.ndarray, t0: float, config: TrainConfig
 ) -> np.ndarray:
-    """Embed every node once at the evaluation time t0; row i embeds nodes[i].
+    """Every node's embedding at the evaluation time t0; row u embeds node u.
 
     Selection-ablated variants keep their uniform neighbor sampling here
     too, fed by a seeded stream so reports stay reproducible.
     """
     rng = None if config.use_significant_selection else named_rng(config.seed, "eval-selection")
-    return forward_node(g_train, feats, params, nodes, t0, lam=config.lam, rng=rng)
+    return forward_node(g_train, feats, params, t0, lam=config.lam, rng=rng)
 
 
 def evaluate(
@@ -269,9 +265,8 @@ def evaluate(
     u, v = np.concatenate([split.test_pairs, negatives]).T
     label = np.repeat([1, 0], [n_pos, negatives.shape[0]])
 
-    involved, row = np.unique(np.concatenate([u, v]), return_inverse=True)
-    emb = node_embeddings(split.train, params, feats, involved, split.t_split, config)
-    h_u, h_v = emb[row[: u.shape[0]]], emb[row[u.shape[0] :]]
+    emb = node_embeddings(split.train, params, feats, split.t_split, config)
+    h_u, h_v = emb[u], emb[v]
 
     per_sim: dict[str, dict[str, float]] = {}
     for kind in SIMILARITIES:

@@ -10,29 +10,25 @@ can span [-1, 1].
 Everything here is plain numpy and pure: given (graph, features,
 parameters, time) the embedding of a node is deterministic.  The forward
 pass exists once, batched over a flattened computation tree
-(``forward_batch``): training builds the tree from the nodes of its
-mini-batch samples, pairs its roots into loss samples and backpropagates
-through the returned activations, and evaluation embeds all of its nodes
-at the split time through ``forward_node``.
-
-One builder, ``build_batch``, makes every tree with array operations: it
-deduplicates roots and their candidates on (time, node) keys and takes
-the candidate lists from a batched ``lookup(nodes, ts) -> (ids, scores,
-mask)``.  Training looks them up in a TopMTable of stgnn.significance
-(top-m lists for STGNN, uniform draws for the selection-ablated
-variants, each keeping the m candidates with the smallest random keys);
-``forward_node`` indexes the rows of one ``top_m_neighbors`` pass at its
-single query time.
+(``forward_batch``).  Training builds the tree of each mini-batch with
+``build_batch``: it deduplicates the samples' roots and their candidates
+on (time, node) keys and takes the candidate lists from a TopMTable of
+stgnn.significance (top-m lists for STGNN, uniform draws for the
+selection-ablated variants, each keeping the m candidates with the
+smallest random keys), then backpropagates through the returned
+activations.  Evaluation embeds every node at one time, where the tree
+is the node set itself: ``forward_node`` takes one ``top_m_neighbors``
+pass as the entries and roots of one dense batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from stgnn.significance import top_m_neighbors
+from stgnn.significance import TopMTable, top_m_neighbors
 from stgnn.temporal_graph import TemporalGraph
 
 NORM_EPS = 1e-12
@@ -110,9 +106,6 @@ class _FlatBatch:
     weight: np.ndarray | None = None    # (S,) s_delta for positives, s_bar for negatives
 
 
-Lookup = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
 def _first_unique(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the distinct keys in order of first appearance, and
     the index of each key among them."""
@@ -123,7 +116,7 @@ def _first_unique(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
-def build_batch(node, t, lookup: Lookup, m: int) -> tuple[_FlatBatch, np.ndarray]:
+def build_batch(node, t, table: TopMTable) -> tuple[_FlatBatch, np.ndarray]:
     """Flattened two-hop computation trees rooted at (node[i], t[i]).
 
     An *entry* is one (time, node) layer-1 unit: the node plus its
@@ -134,17 +127,17 @@ def build_batch(node, t, lookup: Lookup, m: int) -> tuple[_FlatBatch, np.ndarray
     order of first appearance, and entries that of a walk over each root
     followed by its candidates.
 
-    ``lookup(nodes, ts)`` returns zero-padded (k, m) candidate ids,
-    scores and mask, score-descending; it is called once for the roots
-    and once for the other entries.  Returns the batch, without loss
-    samples, and the root index of each input position.
+    The candidate lists are ``table.lookup`` rows, (k, table.m) and
+    score-descending, looked up once for the roots and once for the
+    other entries.  Returns the batch, without loss samples, and the
+    root index of each input position.
     """
     node = np.asarray(node, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
     t_rank = np.unique(t, return_inverse=True)[1].astype(np.int64) << 32
     root_pos, root_of = _first_unique(t_rank + node)
     r_node, r_t, r_rank = node[root_pos], t[root_pos], t_rank[root_pos]
-    r_ids, r_scores, r_mask = lookup(r_node, r_t)
+    r_ids, r_scores, r_mask = table.lookup(r_node, r_t)
 
     # the walk: each root, then its candidates
     walk = np.column_stack([np.ones(r_node.shape[0], dtype=bool), r_mask])
@@ -156,13 +149,13 @@ def build_batch(node, t, lookup: Lookup, m: int) -> tuple[_FlatBatch, np.ndarray
     slots[walk] = entry_of
     root_entry, root_nbrs = slots[:, 0], slots[:, 1:]
 
-    nbrs = np.zeros((owner.shape[0], m), dtype=np.int64)
-    scores = np.zeros((owner.shape[0], m), dtype=np.float64)
-    mask = np.zeros((owner.shape[0], m), dtype=bool)
+    nbrs = np.zeros((owner.shape[0], table.m), dtype=np.int64)
+    scores = np.zeros((owner.shape[0], table.m), dtype=np.float64)
+    mask = np.zeros((owner.shape[0], table.m), dtype=bool)
     nbrs[root_entry], scores[root_entry], mask[root_entry] = r_ids, r_scores, r_mask
     rest = np.ones(owner.shape[0], dtype=bool)
     rest[root_entry] = False
-    nbrs[rest], scores[rest], mask[rest] = lookup(owner[rest], e_t[rest])
+    nbrs[rest], scores[rest], mask[rest] = table.lookup(owner[rest], e_t[rest])
     return _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs), root_of
 
 
@@ -222,24 +215,23 @@ def forward_node(
     g: TemporalGraph,
     feats: np.ndarray,
     params: ModelParams,
-    nodes,
     t: float,
     lam: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Embeddings of ``nodes`` at time t; row i embeds nodes[i].
+    """Embeddings of every node at time t, (num_nodes, d2); row u embeds
+    node u.
 
-    Every candidate list comes from one ``top_m_neighbors`` pass at t
-    with m = params.m, so a node's list is the same whether it appears
-    as a root, as a neighbor, or both.  ``rng`` draws uniform lists
-    instead (the selection-ablated variants): one random key per
-    candidate of each node with more than m, the m smallest kept.
+    One ``top_m_neighbors`` pass at t with m = params.m gives every
+    node's candidate list, and at one time the tree is the node set
+    itself: entry u is node u with its list, every entry is a root, and a
+    root's candidates are the entries of their ids.  ``rng`` draws
+    uniform lists instead (the selection-ablated variants): one random
+    key per candidate of each node with more than m, the m smallest kept.
     """
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     ids, scores, mask = top_m_neighbors(g, float(t), params.m, lam, rng)
-    rows = lambda u, _: (ids[u], scores[u], mask[u])
-    fb, root = build_batch(nodes, np.full(nodes.shape[0], float(t)), rows, params.m)
-    return forward_batch(fb, params, feats).h2[root]
+    every = np.arange(g.num_nodes)
+    return forward_batch(_FlatBatch(every, ids, scores, mask, every, ids), params, feats).h2
 
 
 def save_checkpoint(path, params: ModelParams, feats: np.ndarray, seed: int) -> None:

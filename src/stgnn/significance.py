@@ -12,14 +12,16 @@ ties, counting only contacts strictly before the query time.  Two
 routes produce them:
 
 * ``top_m_neighbors`` gives every node's list at one time t in a single
-  array pass over the graph's CSR pair index (``pair_significance``;
-  evaluation embeds at one fixed time).
+  array pass over the graph's CSR pair index (``pair_significance``).
+  Evaluation embeds every node at one time, so its (num_nodes, m) rows
+  are the candidate lists of one dense forward pass as they stand.
 * ``SignificanceIndex`` sweeps events chronologically and keeps each
   neighbor's score up to date in O(1) per contact.  One sweep of it over
   the training stream's time-sorted columns builds a ``TopMTable`` from
-  its lists at each event time, and the table answers any batch of
-  training-time queries: a node's candidate set changes only at its own
-  events, and between them every score decays by the same factor.
+  its lists at each event time, and the table answers the batched
+  queries of the training trees at their samples' times: a node's
+  candidate set changes only at its own events, and between them every
+  score decays by the same factor.
 
 Given an ``rng``, both routes replace each list by a uniform draw of up
 to m candidates (the selection-ablated variants): each candidate of a node

@@ -47,7 +47,6 @@ import numpy as np
 
 from stgnn.model import (
     NORM_EPS,
-    Lookup,
     ModelParams,
     _FlatBatch,
     build_batch,
@@ -346,22 +345,21 @@ def _capture_chunk(
     t: np.ndarray,
     s_delta: np.ndarray,
     w: np.ndarray,
-    m: int,
-    lookup: Lookup,
+    table: TopMTable,
 ) -> _FlatBatch:
     """The computation tree of one chronological chunk, with its samples.
 
     Positive k is (u[k], v[k]) at t[k], weighted by its label s_delta[k];
     its negative is (u[k], w[k]), absent where w[k] is -1, weighted by the
-    chunk's mean label s_bar.  ``lookup`` answers every candidate list of
-    the chunk (see build_batch).
+    chunk's mean label s_bar.  Every candidate list of the chunk is a
+    ``table`` row (see build_batch).
     """
     n = u.shape[0]
     # the roots in sample order: u[k], v[k], then w[k] where a negative was found
     keep = np.column_stack([np.ones((n, 2), dtype=bool), w >= 0])
     node, root_t = np.column_stack([u, v, w])[keep], np.repeat(t, keep.sum(axis=1))
     pos = (np.cumsum(keep) - 1).reshape(n, 3)
-    fb, root_of = build_batch(node, root_t, lookup, m)
+    fb, root_of = build_batch(node, root_t, table)
     # samples: each positive (u, v), then its negative (u, w)
     pair = keep[:, 1:]
     fb.su = root_of[np.repeat(pos[:, 0], keep.sum(axis=1) - 1)]
@@ -425,7 +423,7 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
         n_seen = 0
         for start in range(0, n_pos, config.batch_size):
             c = slice(start, start + config.batch_size)
-            fb = _capture_chunk(pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], config.m, table.lookup)
+            fb = _capture_chunk(pos_u[c], pos_v[c], pos_t[c], pos_s[c], neg_w[c], table)
             loss, grads = _forward_backward(fb, params, feats)
             # checked before the step, so the exception carries finite parameters
             if not (np.isfinite(loss) and all(np.isfinite(a).all() for _, a in grads.arrays())):

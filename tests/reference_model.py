@@ -24,6 +24,10 @@
   node by recursing through its candidate lists, and each layer is a
   plain loop over neighbor vectors.  ``stgnn.model`` computes the same
   embedding batched over a flattened tree.
+* ``tree_forward_node``, the embeddings of chosen nodes at one time
+  through a training tree (``stgnn.model.build_batch`` over a table
+  whose lookup indexes one ``top_m_neighbors`` pass): the oracle for the
+  dense ``stgnn.model.forward_node``, which embeds every node at once.
 * The scalar per-sample loss and ``cosine``, the oracle for the batched
   loss.
 * ``BatchTree``, the dict-based tree builder that builds one entry at a
@@ -61,6 +65,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,12 +74,13 @@ from stgnn.model import (
     NORM_EPS,
     ModelParams,
     _FlatBatch,
+    build_batch,
     forward_batch,
     init_params,
     random_features,
 )
 from stgnn.powerlaw import MAX_XMIN_CANDIDATES, DegenerateFitError, PowerLawFit, _alpha_mle, _ks_distance
-from stgnn.significance import TopMTable
+from stgnn.significance import TopMTable, top_m_neighbors
 from stgnn.temporal_graph import COMMENT_PREFIXES, EdgeListParseError, TemporalGraph, from_columns
 from stgnn.training import TrainConfig, _forward_backward
 
@@ -460,6 +466,26 @@ def forward_node(
         params.beta,
         activate=False,
     )
+
+
+def tree_forward_node(
+    g: TemporalGraph,
+    feats: np.ndarray,
+    params: ModelParams,
+    nodes,
+    t: float,
+    lam: float = 1.0,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Embeddings of ``nodes`` at time t, row i for nodes[i], through the
+    training tree: ``build_batch`` over a table whose ``lookup`` indexes
+    the rows of one ``top_m_neighbors`` pass at t (drawn with ``rng``,
+    as the selection-ablated variants do)."""
+    ids, scores, mask = top_m_neighbors(g, float(t), params.m, lam, rng)
+    table = SimpleNamespace(m=params.m, lookup=lambda u, _: (ids[u], scores[u], mask[u]))
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    fb, root = build_batch(nodes, np.full(nodes.shape[0], float(t)), table)
+    return forward_batch(fb, params, feats).h2[root]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -114,6 +114,25 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", 2.5), ("epochs", 1.5), ("batch_size", 64.5), ("d1", 8.5), ("repetitions", 1.5),
+            ("jobs", 1.5), ("seed", 1.5), ("m", True), ("per_node_map", "no"), ("lr", "0.01"),
+        ],
+    )
+    def test_config_file_field_types(self, tmp_path, dataset, caplog, field, value):
+        # each used to pass the checks: the run then failed after writing
+        # its config (or, for seed and per_node_map, ran with another value)
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "cfg.json"
+        cfg = {"dataset": str(dataset), "time_unit": 1.0, "outdir": str(out), "epochs": 1, field: value}
+        cfg_file.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        assert f"{field} must be of type" in caplog.text
+        assert not out.exists()
+
+
 def equal_gap_stream():
     """One pair meeting every time unit: its gap fit is degenerate."""
     return from_events([Event(0, 1, float(t)) for t in range(20)])
@@ -325,6 +344,13 @@ class TestMain:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         edges, planted = generate_synthetic(tmp_path / "lib.txt", **spec)
+        assert Path(out["edge_list"]).read_bytes() == edges.read_bytes()
+        assert Path(out["planted_pairs"]).read_bytes() == planted.read_bytes()
+
+    def test_synth_verb_defaults_are_the_library_defaults(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "a.txt")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        edges, planted = generate_synthetic(tmp_path / "b.txt")
         assert Path(out["edge_list"]).read_bytes() == edges.read_bytes()
         assert Path(out["planted_pairs"]).read_bytes() == planted.read_bytes()
 

@@ -308,10 +308,9 @@ class TestEvaluate:
         positives = split.test_pairs.tolist()
         negatives = sample_test_negatives(split, len(positives), named_rng(6, "eval-negatives")).tolist()
         labeled = [(u, v, 1) for u, v in positives] + [(u, v, 0) for u, v in negatives]
-        involved = sorted({x for u, v, _ in labeled for x in (u, v)})
-        emb = node_embeddings(split.train, params, feats, involved, split.t_split, cfg)
-        h_u = emb[np.searchsorted(involved, [u for u, _, _ in labeled])]
-        h_v = emb[np.searchsorted(involved, [v for _, v, _ in labeled])]
+        emb = node_embeddings(split.train, params, feats, split.t_split, cfg)
+        h_u = emb[[u for u, _, _ in labeled]]
+        h_v = emb[[v for _, v, _ in labeled]]
         for kind in SIMILARITIES:
             scores = score_pair(h_u, h_v, kind).tolist()
             pairs = [ScoredPair(u, v, s, lab) for (u, v, lab), s in zip(labeled, scores)]

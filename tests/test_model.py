@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stgnn.model
 from stgnn.model import (
@@ -18,6 +20,7 @@ from stgnn.training import TrainConfig, named_rng
 from conftest import random_stream
 from reference_model import Event, check_finite, cosine, from_events, phi, pure_top_m, stagg_layer
 from reference_model import forward_node as reference_forward_node
+from reference_model import tree_forward_node
 
 
 class TestPhi:
@@ -108,7 +111,7 @@ class TestForwardNode:
         g = from_events([Event(0, 1, 0.0)], num_nodes=3)
         feats = random_features(3, 4, rng)
         params = init_params(rng, 4, 3, 2, m=2)
-        (h,) = forward_node(g, feats, params, [2], 5.0)
+        h = forward_node(g, feats, params, 5.0)[2]
         expected = np.maximum(feats[2] @ params.w1_self, 0.0) @ params.w2_self
         np.testing.assert_allclose(h, expected, rtol=1e-12)
 
@@ -143,38 +146,32 @@ class TestForwardNode:
                     acc = acc + wi * (h1(vi) @ params.w2_nbr)
             return acc
 
-        rows = forward_node(g, feats, params, range(5), t)
+        rows = forward_node(g, feats, params, t)
         assert rows.shape == (5, 3)
         for u in range(5):
             np.testing.assert_allclose(rows[u], oracle(u), rtol=1e-10)
 
     def test_each_distinct_node_selected_once(self, rng, monkeypatch):
+        # one array pass at the query time gives every node's list, and the
+        # dense batch needs no training tree on top of it
         g = random_stream(rng, n_nodes=8, n_events=80)
         feats = random_features(8, 4, rng)
         params = init_params(rng, 4, 3, 3, m=3)
         t = g.t_max * 0.8
-        passes, looked_up = [], []
-        array_pass, build = stgnn.model.top_m_neighbors, stgnn.model.build_batch
+        passes = []
+        array_pass = stgnn.model.top_m_neighbors
 
         def counting_pass(*args):
             passes.append(args[1])
             return array_pass(*args)
 
-        def recording_build(node, ts, lookup, m):
-            def recorded(nodes, ts_):
-                looked_up.extend(np.asarray(nodes).tolist())
-                return lookup(nodes, ts_)
-            return build(node, ts, recorded, m)
+        def no_tree(*args):
+            raise AssertionError("forward_node built a training tree")
 
         monkeypatch.setattr(stgnn.model, "top_m_neighbors", counting_pass)
-        monkeypatch.setattr(stgnn.model, "build_batch", recording_build)
-        nodes = [0, 3, 5, 3]
-        forward_node(g, feats, params, nodes, t)
+        monkeypatch.setattr(stgnn.model, "build_batch", no_tree)
+        assert forward_node(g, feats, params, t).shape == (8, 3)
         assert passes == [t]  # one array pass at the query time
-        in_tree = set(nodes)
-        for u in set(nodes):
-            in_tree.update(pure_top_m(g, u, t, 3)[0].tolist())
-        assert sorted(looked_up) == sorted(in_tree)
 
     def test_random_list_shared_by_root_and_neighbor(self, rng):
         # every node has more historical neighbors than m, so each draw is
@@ -187,7 +184,7 @@ class TestForwardNode:
         params.beta = rng.normal(size=2)
         t = g.t_max
         assert all(len(pure_top_m(g, u, t, 8)[0]) > 2 for u in range(8))
-        rows = forward_node(g, feats, params, range(8), t, rng=np.random.default_rng(7))
+        rows = forward_node(g, feats, params, t, rng=np.random.default_rng(7))
         ids, scores, mask = top_m_neighbors(g, t, 2, rng=np.random.default_rng(7))
         top_ids = top_m_neighbors(g, t, 2)[0]
         assert not np.array_equal(ids, top_ids)  # the draws are not the top-m lists
@@ -207,12 +204,12 @@ class TestForwardNode:
         params = init_params(rng, 4, 3, 3, m=2)
         params.beta = rng.normal(size=2)
         t, nodes = g.t_max * 0.9, [1, 4, 6]
-        got = node_embeddings(g, params, feats, nodes, t, cfg)
+        got = node_embeddings(g, params, feats, t, cfg)
         ids, scores, mask = top_m_neighbors(g, t, 2, cfg.lam, rng=named_rng(5, "eval-selection"))
         replay = lambda g_, node, t_, m_: (ids[node][mask[node]], scores[node][mask[node]])
-        for i, u in enumerate(nodes):
+        for u in nodes:
             np.testing.assert_allclose(
-                got[i], reference_forward_node(g, feats, params, u, t, selector=replay), rtol=1e-10
+                got[u], reference_forward_node(g, feats, params, u, t, selector=replay), rtol=1e-10
             )
 
     def test_membership_stable_past_last_event(self, rng):
@@ -230,16 +227,47 @@ class TestForwardNode:
         feats = random_features(6, 4, rng)
         params = init_params(rng, 4, 3, 3, m=2).zeros_like()
         np.testing.assert_array_equal(
-            forward_node(g, feats, params, range(6), g.t_max), np.zeros((6, 3))
+            forward_node(g, feats, params, g.t_max), np.zeros((6, 3))
         )
 
     def test_deterministic(self, rng):
         g = random_stream(rng, n_nodes=6, n_events=60)
         feats = random_features(6, 4, rng)
         params = init_params(rng, 4, 3, 3, m=3)
-        a = forward_node(g, feats, params, [1, 4], 4.2)
-        b = forward_node(g, feats, params, [1, 4], 4.2)
+        a = forward_node(g, feats, params, 4.2)
+        b = forward_node(g, feats, params, 4.2)
         np.testing.assert_array_equal(a, b)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(2, 12),
+    n_events=st.integers(1, 60),
+    m=st.integers(1, 5),
+    at=st.one_of(st.floats(0.0, 1.2), st.integers(0, 59)),
+    lam=st.sampled_from([0.5, 1.0, 4.0]),
+    draw=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    subset=st.booleans(),
+)
+def test_dense_forward_matches_tree_oracle(seed, n_nodes, n_events, m, at, lam, draw, subset):
+    # ``at`` is a fraction of the horizon or, as an int, the time of one
+    # event (its contact is not yet seen); a subset may repeat nodes
+    rng = np.random.default_rng(seed)
+    g = random_stream(rng, n_nodes=n_nodes, n_events=n_events)
+    feats = random_features(n_nodes, 4, rng)
+    params = init_params(rng, 4, 3, 3, m=m)
+    params.beta = rng.normal(size=m)
+    t = float(g.t[at % n_events]) if isinstance(at, int) else g.t_max * at
+    nodes = rng.integers(n_nodes, size=int(rng.integers(1, n_nodes + 1))) if subset else np.arange(n_nodes)
+    sel = lambda: None if draw is None else np.random.default_rng(draw)
+    dense = forward_node(g, feats, params, t, lam, sel())
+    want = tree_forward_node(g, feats, params, nodes, t, lam, sel())
+    assert dense.shape == (n_nodes, 3)
+    if subset:  # the tree's matrix products run over fewer rows
+        np.testing.assert_allclose(dense[nodes], want, rtol=1e-12, atol=0.0)
+    else:
+        assert dense.tobytes() == want.tobytes()
 
 
 class TestCosine:
@@ -302,7 +330,7 @@ def test_forward_uses_shared_beta_across_layers(rng):
     )
     feats = random_features(3, 4, rng)
     params = init_params(rng, 4, 3, 3, m=2)
-    base = forward_node(g, feats, params, [0], 3.0)
+    base = forward_node(g, feats, params, 3.0)[0]
     params.beta = params.beta + np.array([1.0, -1.0])
-    moved = forward_node(g, feats, params, [0], 3.0)
+    moved = forward_node(g, feats, params, 3.0)[0]
     assert not np.allclose(base, moved)

@@ -194,7 +194,7 @@ class TestCaptureChunk:
         table = TopMTable.build(g, cfg.m, cfg.lam)
         n_chunks = 0
         for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
-            got = _capture_chunk(*cols, cfg.m, table.lookup)
+            got = _capture_chunk(*cols, table)
             assert_same_batch(got, tree_from_graph(samples, g, cfg), score_rtol=1e-12)
             n_chunks += 1
         assert n_chunks == 4
@@ -209,7 +209,7 @@ class TestCaptureChunk:
         row = lambda u, t, m: table_list(table, u, t)
         n_chunks = 0
         for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
-            got = _capture_chunk(*cols, cfg.m, table.lookup)
+            got = _capture_chunk(*cols, table)
             tree = BatchTree(cfg.m, row)
             for s in samples:
                 tree.add_sample(tree.add_root(s.u, s.t), tree.add_root(s.v, s.t), s.positive, s.s_delta)
@@ -246,7 +246,7 @@ class TestBackwardMatchesReference:
         params, feats = self.model(g.num_nodes)
         n_chunks = 0
         for cols, _ in chunks_with_negatives(g, cfg, delta=0.3):
-            assert_same_gradients(_capture_chunk(*cols, cfg.m, table.lookup), params, feats)
+            assert_same_gradients(_capture_chunk(*cols, table), params, feats)
             n_chunks += 1
         assert n_chunks == 4
 
@@ -270,7 +270,7 @@ class TestBackwardMatchesReference:
             np.array([p.s_delta for p in positives], dtype=np.float64),
             np.array([-1 if n is None else n.v for n in neg]),
         )
-        fb = _capture_chunk(*cols, cfg.m, table.lookup)
+        fb = _capture_chunk(*cols, table)
         hits = np.bincount(fb.nbrs[fb.mask], minlength=30)
         assert hits[0] > 0.2 * fb.mask.sum()  # uniform bins would take 1/30 each
         params, feats = self.model(g.num_nodes)
