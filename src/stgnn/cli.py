@@ -161,10 +161,24 @@ def _fit_to_dict(fit: powerlaw.PowerLawFit, delta: float | None) -> dict:
     }
 
 
+def _check_negative_supply(g, split) -> None:
+    """Raise unless the never-linked pairs can supply one test negative
+    per held-out positive; the training and held-out pairs together are
+    the stream's pairs."""
+    supply = g.num_nodes * (g.num_nodes - 1) // 2 - g.pair_key.shape[0]
+    n_pos = split.test_pairs.shape[0]
+    if supply < n_pos:
+        raise ValueError(
+            f"graph too dense for the evaluation protocol: {supply} never-linked pairs "
+            f"cannot supply a negative for each of the {n_pos} held-out pairs"
+        )
+
+
 def run_single_rep(config: ExperimentConfig, rep: int) -> dict:
     """One seed of the full pipeline; returns the per-seed report dict."""
     g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
     split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
+    _check_negative_supply(g, split)
     delta, fit_dict = _fit_window(split.train, config)
     tc = config.train_config(rep)
     result = training.train(split.train, tc, delta)
@@ -215,14 +229,15 @@ def _aggregate(per_seed: list[dict]) -> dict:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute all repetitions of one configuration and aggregate them.
 
-    Per-seed outputs are written as they finish, so a late failure still
-    leaves partial results on disk.
+    The dataset is loaded before anything is written.  Per-seed outputs
+    are written as they finish, so a late failure still leaves partial
+    results on disk.
     """
+    g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2)
-    g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
     temporal_graph.write_node_map(g, outdir / "node_map.csv")
 
     reps = list(range(config.repetitions))
@@ -318,6 +333,7 @@ def eval_checkpoint(
             f"{g.num_nodes} nodes"
         )
     split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
+    _check_negative_supply(g, split)
     tc = config.train_config(rep)
     tc = dataclasses.replace(tc, seed=seed)
     return evaluation.evaluate(split, params, feats, tc, per_node_map=config.per_node_map)

@@ -49,7 +49,8 @@ def generate_synthetic(
     gap_alpha: float = 2.2,
     background_recurrence: float = 0.5,
 ) -> tuple[Path, Path]:
-    """Write an edge-list file plus the ground-truth planted-pair CSV.
+    """Write an edge-list file plus the ground-truth planted-pair CSV,
+    next to it; the file's directory is made if it does not exist.
 
     Each background contact is first made within-community with
     probability ``within_community_prob`` (always, with one community),
@@ -120,6 +121,7 @@ def generate_synthetic(
         events.append((*pair, float(rng.uniform(0.0, horizon))))
 
     events.sort(key=lambda e: e[2])
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# synthetic planted-ties stream\n")
         for u, v, t in events:

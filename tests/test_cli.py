@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stgnn import evaluation, training
 from stgnn.cli import (
     ABLATION_FLAGS,
     ExperimentConfig,
@@ -18,6 +19,7 @@ from stgnn.cli import (
     run_single_rep,
     run_sweep,
 )
+from stgnn.model import init_params, save_checkpoint
 from stgnn.powerlaw import DegenerateFitError
 from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import load_edge_list
@@ -292,6 +294,43 @@ class TestEvalCheckpointChecks:
         assert "beta of length 4" in caplog.text and "m = 6" in caplog.text
 
 
+@pytest.fixture(scope="module")
+def dense_dataset(tmp_path_factory):
+    """60 nodes and 3,000 uniform contacts: fewer never-linked pairs than
+    held-out pairs."""
+    rng = np.random.default_rng(0)
+    path = tmp_path_factory.mktemp("dense") / "dense.txt"
+    lines = []
+    for t in np.sort(rng.uniform(0.0, 100.0, size=3000)).tolist():
+        u, v = rng.choice(60, size=2, replace=False)
+        lines.append(f"{u} {v} {t!r}\n")
+    path.write_text("".join(lines))
+    return path
+
+
+class TestTooDense:
+    def test_run_fails_before_training(self, dense_dataset, tmp_path, monkeypatch):
+        def entered(*args, **kwargs):
+            raise AssertionError("training.train was entered")
+
+        monkeypatch.setattr(training, "train", entered)
+        g = load_edge_list(dense_dataset)
+        assert g.num_nodes == 60
+        with pytest.raises(ValueError, match=r"too dense for the evaluation protocol: \d+ never-linked pairs .* \d+ held-out pairs"):
+            run_single_rep(quick_config(dense_dataset, tmp_path), 0)
+
+    def test_eval_fails_before_evaluating(self, dense_dataset, tmp_path, monkeypatch):
+        def entered(*args, **kwargs):
+            raise AssertionError("evaluation.evaluate was entered")
+
+        monkeypatch.setattr(evaluation, "evaluate", entered)
+        cfg = quick_config(dense_dataset, tmp_path)
+        params = init_params(np.random.default_rng(0), d0=cfg.d0, d1=cfg.d1, d2=cfg.d2, m=cfg.m)
+        save_checkpoint(tmp_path / "ckpt.npz", params, np.zeros((60, cfg.d0)), 0)
+        with pytest.raises(ValueError, match="too dense for the evaluation protocol"):
+            eval_checkpoint(str(tmp_path / "ckpt.npz"), cfg)
+
+
 class TestGridAndSweep:
     def test_ablation_grid_emits_four_aggregates(self, dataset, tmp_path):
         cfg = quick_config(dataset, tmp_path / "grid", epochs=1)
@@ -409,6 +448,15 @@ class TestMain:
         assert not (tmp_path / "bad_sweep").exists()
 
     def test_failure_returns_nonzero(self, tmp_path):
-        rc = main(["run", "--dataset", str(tmp_path / "missing.txt"),
-                   "--time-unit", "1.0", "--outdir", str(tmp_path / "x")])
-        assert rc == 1
+        for verb in (["run"], ["sweep", "--param", "m", "--values", "2"]):
+            rc = main([*verb, "--dataset", str(tmp_path / "missing.txt"),
+                       "--time-unit", "1.0", "--outdir", str(tmp_path / "x")])
+            assert rc == 1
+            # the dataset is loaded before the first output is written
+            assert not list(tmp_path.rglob("config.json"))
+
+    def test_synth_verb_makes_the_directory(self, tmp_path, capsys):
+        out = tmp_path / "data" / "s.txt"
+        assert main(["synth", "--out", str(out), "--nodes", "40", "--pairs", "20",
+                     "--background-events", "400"]) == 0
+        assert out.exists() and (tmp_path / "data" / "s_planted.csv").exists()

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stgnn import powerlaw
 from stgnn.powerlaw import (
+    KS_BOUND_STRIDE,
     MAX_XMIN_CANDIDATES,
     DegenerateFitError,
     _alpha_mle,
+    _cdf_deviation,
+    _ks_distance,
     collect_inter_event_times,
     fit_power_law,
     intimate_window_size,
@@ -133,6 +137,68 @@ def test_search_matches_filtered_fit(xs):
         assert str(got.value) == str(exc)
     else:
         assert fit_power_law(xs) == want
+
+
+@pytest.mark.parametrize("rounding", [None, np.ceil], ids=["raw", "ceil"])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.5])
+def test_long_sample_matches_filtered_fit(alpha, rounding):
+    """The bounded search on 20,000 samples, where a bound spans 1,250
+    points, equals the oracle that scores every candidate in full."""
+    xs = sample_power_law(20_000, alpha, 1.0, np.random.default_rng(7))
+    if rounding is not None:
+        xs = rounding(xs)
+    assert fit_power_law(xs) == fit_power_law_filtered(xs)
+
+
+def _deviation_calls(xs) -> list[tuple]:
+    """(stride, value, tail, alpha, xmin) of each CDF deviation the fit of
+    xs computes, in call order."""
+    calls = []
+
+    def record(tail, alpha, xmin, stride):
+        value = _cdf_deviation(tail, alpha, xmin, stride)
+        calls.append((stride, value, tail, alpha, xmin))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerlaw, "_cdf_deviation", record)
+        try:
+            fit_power_law(xs)
+        except ValueError:
+            pass
+    return calls
+
+
+def _assert_bounds_hold(calls) -> None:
+    for stride, bound, tail, alpha, xmin in calls:
+        if stride == KS_BOUND_STRIDE:
+            assert bound <= _ks_distance(tail, alpha, xmin)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fit_samples())
+def test_bound_is_at_most_the_ks_distance(xs):
+    _assert_bounds_hold(_deviation_calls(xs))
+
+
+def test_few_candidates_are_scored_in_full():
+    calls = _deviation_calls(sample_power_law(20_000, 2.0, 1.0, np.random.default_rng(3)))
+    strides = [call[0] for call in calls]
+    assert strides.count(KS_BOUND_STRIDE) == MAX_XMIN_CANDIDATES
+    assert 1 <= strides.count(1) < 25
+    _assert_bounds_hold(calls)  # on tails of up to 20,000 points
+
+
+def test_bound_equal_to_the_best_distance_is_scored(monkeypatch):
+    """Every KS distance is 0.5, as is every bound but the largest
+    cutoff's: the smallest cutoff wins the tie only if a bound equal to
+    the best distance does not stop the search."""
+    def deviation(tail, alpha, xmin, stride):
+        return 0.4 if stride > 1 and xmin == 19.0 else 0.5
+
+    monkeypatch.setattr(powerlaw, "_cdf_deviation", deviation)
+    fit = fit_power_law(np.arange(1.0, 21.0))
+    assert (fit.xmin, fit.ks_distance) == (1.0, 0.5)
 
 
 class TestWindowSize:
