@@ -35,53 +35,28 @@ from stgnn import evaluation, model, powerlaw, synthetic, temporal_graph, traini
 
 logger = logging.getLogger(__name__)
 
-ABLATIONS = ("BGNN", "BGNN+S", "BGNN+I", "STGNN")
-# ablation name -> (use_significant_selection, use_intimate_window)
-ABLATION_FLAGS = {
-    "BGNN": (False, False),
-    "BGNN+S": (True, False),
-    "BGNN+I": (False, True),
-    "STGNN": (True, True),
-}
 
-
-@dataclass
-class ExperimentConfig:
-    """Everything needed to reproduce one experiment end to end."""
+@dataclass(kw_only=True)
+class ExperimentConfig(training.TrainConfig):
+    """Everything needed to reproduce one experiment end to end: the
+    training fields of stgnn.training.TrainConfig, whose ``seed`` is here
+    the master seed of the repetitions, plus the data, window and run
+    fields."""
 
     dataset: str
     time_unit: float
     outdir: str = "runs"
     split_ratio: float = 0.75
     repetitions: int = 10
-    seed: int = 0
-    ablation: str = "STGNN"
-    lr: float = 0.01
-    epochs: int = 50
-    batch_size: int = 128
-    m: int = 10
     p: float = 0.5
-    lam: float = 1.0
-    d0: int = 128
-    d1: int = 16
-    d2: int = 16
-    early_stop_patience: int = 10
     window_size: float | None = None  # overrides the power-law window
     per_node_map: bool = False
     jobs: int = 1
 
     def __post_init__(self):
-        # a JSON config file can hold any type; the annotations are strings here
-        kinds = {"int": int, "bool": bool, "float": (int, float), "float | None": (int, float, type(None))}
-        for f in dataclasses.fields(self):
-            value, kind = getattr(self, f.name), kinds.get(f.type)
-            # a bool is an int, so it passes only where a bool is asked for
-            if kind and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        super().__post_init__()
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if self.ablation not in ABLATION_FLAGS:
-            raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
         temporal_graph.check_time_unit(self.time_unit)
@@ -91,27 +66,6 @@ class ExperimentConfig:
             raise ValueError(f"window_size must be positive and finite, got {self.window_size}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        self.train_config(0)  # TrainConfig checks the training fields
-
-    def train_config(self, rep: int) -> training.TrainConfig:
-        sel, win = ABLATION_FLAGS[self.ablation]
-        return training.TrainConfig(
-            lr=self.lr,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            m=self.m,
-            lam=self.lam,
-            seed=rep_seed(self.seed, rep),
-            d0=self.d0,
-            d1=self.d1,
-            d2=self.d2,
-            use_significant_selection=sel,
-            use_intimate_window=win,
-            early_stop_patience=self.early_stop_patience,
-        )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def rep_seed(master_seed: int, rep: int) -> int:
@@ -141,7 +95,7 @@ def _fit_window(train_g, config: ExperimentConfig):
     except ValueError as exc:
         if config.window_size is not None:
             return float(config.window_size), None
-        if isinstance(exc, powerlaw.DegenerateFitError) and not ABLATION_FLAGS[config.ablation][1]:
+        if isinstance(exc, powerlaw.DegenerateFitError) and not config.use_intimate_window:
             return None, None
         raise
     if config.window_size is not None:
@@ -151,14 +105,7 @@ def _fit_window(train_g, config: ExperimentConfig):
 
 
 def _fit_to_dict(fit: powerlaw.PowerLawFit, delta: float | None) -> dict:
-    return {
-        "alpha": fit.alpha,
-        "xmin": fit.xmin,
-        "c": fit.c,
-        "ks_distance": fit.ks_distance,
-        "n_tail": fit.n_tail,
-        "delta": delta,
-    }
+    return {**dataclasses.asdict(fit), "delta": delta}
 
 
 def _check_negative_supply(g, split) -> None:
@@ -180,7 +127,7 @@ def run_single_rep(config: ExperimentConfig, rep: int) -> dict:
     split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
     _check_negative_supply(g, split)
     delta, fit_dict = _fit_window(split.train, config)
-    tc = config.train_config(rep)
+    tc = dataclasses.replace(config, seed=rep_seed(config.seed, rep))
     result = training.train(split.train, tc, delta)
     report = evaluation.evaluate(
         split, result.params, result.feats, tc, per_node_map=config.per_node_map
@@ -205,7 +152,7 @@ def run_single_rep(config: ExperimentConfig, rep: int) -> dict:
         "epochs_ran": len(result.loss_history),
         "final_loss": result.loss_history[-1] if result.loss_history else None,
         "skipped_negatives": result.skipped_negatives,
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
     }
     with open(seed_dir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -237,13 +184,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
+        json.dump(dataclasses.asdict(config), fh, indent=2)
     temporal_graph.write_node_map(g, outdir / "node_map.csv")
 
     reps = list(range(config.repetitions))
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_seed = list(pool.map(_rep_worker, [(config.to_dict(), r) for r in reps]))
+            per_seed = list(pool.map(run_single_rep, [config] * len(reps), reps))
     else:
         per_seed = [run_single_rep(config, r) for r in reps]
 
@@ -251,23 +198,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "dataset": config.dataset,
         "ablation": config.ablation,
         **_aggregate(per_seed),
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
     }
     with open(outdir / "aggregate.json", "w", encoding="utf-8") as fh:
         json.dump(agg, fh, indent=2)
     return agg
 
 
-def _rep_worker(args: tuple[dict, int]) -> dict:
-    cfg_dict, rep = args
-    return run_single_rep(ExperimentConfig(**cfg_dict), rep)
-
-
 def run_ablation_grid(config: ExperimentConfig) -> dict:
     """Run all four model variants under identical seeds and data."""
     outdir = Path(config.outdir)
     grid = {}
-    for name in ABLATIONS:
+    for name in training.ABLATION_FLAGS:
         sub = dataclasses.replace(
             config,
             ablation=name,
@@ -316,9 +258,7 @@ def run_sweep(config: ExperimentConfig, parameter: str, values: list) -> Path:
     return csv_path
 
 
-def eval_checkpoint(
-    checkpoint: str, config: ExperimentConfig, rep: int = 0
-) -> evaluation.MetricsReport:
+def eval_checkpoint(checkpoint: str, config: ExperimentConfig) -> evaluation.MetricsReport:
     """Score a saved checkpoint against the configured dataset split.
 
     The checkpoint must match the configured m and the dataset's node
@@ -334,9 +274,8 @@ def eval_checkpoint(
         )
     split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
     _check_negative_supply(g, split)
-    tc = config.train_config(rep)
-    tc = dataclasses.replace(tc, seed=seed)
-    return evaluation.evaluate(split, params, feats, tc, per_node_map=config.per_node_map)
+    config = dataclasses.replace(config, seed=seed)
+    return evaluation.evaluate(split, params, feats, config, per_node_map=config.per_node_map)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +291,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
     sub.add_argument("--reps", dest="repetitions", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--ablation", type=str, default=None, choices=ABLATIONS)
+    sub.add_argument("--ablation", type=str, default=None, choices=training.ABLATION_FLAGS)
     sub.add_argument("--lr", type=float, default=None)
     sub.add_argument("--epochs", type=int, default=None)
     sub.add_argument("--batch-size", dest="batch_size", type=int, default=None)
@@ -433,6 +372,10 @@ def main(argv=None) -> int:
             config = _config_from_args(args)
             report = eval_checkpoint(args.checkpoint, config)
             print(json.dumps(report.to_dict(), indent=2))
+    except ValueError as exc:
+        # the library's own errors (config, parse, fit, density) need no traceback
+        logger.error("run failed; partial results (if any) were preserved: %s", exc)
+        return 1
     except Exception:
         logger.exception("run failed; partial results (if any) were preserved")
         return 1

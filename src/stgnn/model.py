@@ -62,9 +62,7 @@ class ModelParams:
         return ModelParams(**{name: np.zeros_like(a) for name, a in self.arrays()})
 
 
-def init_params(
-    rng: np.random.Generator, d0: int = 128, d1: int = 16, d2: int = 16, m: int = 10
-) -> ModelParams:
+def init_params(rng: np.random.Generator, d0: int, d1: int, d2: int, m: int) -> ModelParams:
     """Glorot-uniform weight matrices; rank corrections start at zero
     (uniform neighbor weights)."""
 
@@ -246,11 +244,5 @@ def save_checkpoint(path, params: ModelParams, feats: np.ndarray, seed: int) -> 
 
 def load_checkpoint(path) -> tuple[ModelParams, np.ndarray, int]:
     with np.load(path) as data:
-        params = ModelParams(
-            w1_self=data["w1_self"],
-            w1_nbr=data["w1_nbr"],
-            w2_self=data["w2_self"],
-            w2_nbr=data["w2_nbr"],
-            beta=data["beta"],
-        )
+        params = ModelParams(**{f.name: data[f.name] for f in fields(ModelParams)})
         return params, data["feats"], int(data["seed"])

@@ -41,9 +41,13 @@ import logging
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+# numpy loads its random module on first use; load it with this module
+# rather than inside whichever pipeline stage draws first
+import numpy.random  # noqa: F401
 
 from stgnn.model import (
     NORM_EPS,
@@ -76,9 +80,24 @@ def named_rng(seed: int, *names) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
+# ablation name -> (use_significant_selection, use_intimate_window)
+ABLATION_FLAGS = {
+    "BGNN": (False, False),
+    "BGNN+S": (True, False),
+    "BGNN+I": (False, True),
+    "STGNN": (True, True),
+}
+
+
 @dataclass
 class TrainConfig:
-    """Training hyperparameters and model-variant switches."""
+    """Training hyperparameters and the model variant.
+
+    ``ablation`` names one of the paper's four variants; the two switches
+    it sets are read-only properties.  Every field, a subclass's too, is
+    checked against its annotation here, since a JSON config file can
+    hold any type.
+    """
 
     lr: float = 0.01
     epochs: int = 50
@@ -89,11 +108,21 @@ class TrainConfig:
     d0: int = 128
     d1: int = 16
     d2: int = 16
-    use_significant_selection: bool = True
-    use_intimate_window: bool = True
     early_stop_patience: int = 10
+    ablation: str = "STGNN"
 
     def __post_init__(self):
+        # the annotations are strings here
+        kinds = {"int": int, "bool": bool, "str": str, "float": (int, float), "float | None": (int, float, type(None))}
+        for f in fields(self):
+            value, kind = getattr(self, f.name), kinds.get(f.type)
+            # a bool is an int, so it passes only where a bool is asked for
+            if kind and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if self.ablation not in ABLATION_FLAGS:
+            raise ValueError(f"ablation must be one of {tuple(ABLATION_FLAGS)}, got {self.ablation!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr (learning rate) must be positive and finite, got {self.lr}")
         if self.epochs < 1:
@@ -107,6 +136,14 @@ class TrainConfig:
         for name in ("d0", "d1", "d2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} (layer width) must be at least 1, got {getattr(self, name)}")
+
+    @property
+    def use_significant_selection(self) -> bool:
+        return ABLATION_FLAGS[self.ablation][0]
+
+    @property
+    def use_intimate_window(self) -> bool:
+        return ABLATION_FLAGS[self.ablation][1]
 
 
 @dataclass

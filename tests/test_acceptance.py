@@ -13,14 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from stgnn.cli import ABLATION_FLAGS, ExperimentConfig, run_ablation_grid, run_single_rep
+from stgnn.cli import ExperimentConfig, run_ablation_grid, run_single_rep
 from stgnn.evaluation import auc, mean_average_precision
 from stgnn.model import init_params, random_features
 from stgnn.powerlaw import PowerLawFit, fit_power_law, intimate_window_size, sample_power_law
 from stgnn.significance import SignificanceIndex, TopMTable
 from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import load_edge_list, split_train_test
-from stgnn.training import TrainConfig, train
+from stgnn.training import ABLATION_FLAGS, TrainConfig, train
 
 from conftest import index_pair_score, random_stream
 from reference_model import (

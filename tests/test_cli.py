@@ -7,7 +7,6 @@ import pytest
 
 from stgnn import evaluation, training
 from stgnn.cli import (
-    ABLATION_FLAGS,
     ExperimentConfig,
     _fit_window,
     eval_checkpoint,
@@ -23,6 +22,7 @@ from stgnn.model import init_params, save_checkpoint
 from stgnn.powerlaw import DegenerateFitError
 from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import load_edge_list
+from stgnn.training import ABLATION_FLAGS
 from reference_model import Event, from_events
 
 
@@ -121,6 +121,7 @@ class TestConfigValidation:
         [
             ("m", 2.5), ("epochs", 1.5), ("batch_size", 64.5), ("d1", 8.5), ("repetitions", 1.5),
             ("jobs", 1.5), ("seed", 1.5), ("m", True), ("per_node_map", "no"), ("lr", "0.01"),
+            ("dataset", 5), ("ablation", ["STGNN"]),
         ],
     )
     def test_config_file_field_types(self, tmp_path, dataset, caplog, field, value):
@@ -132,6 +133,14 @@ class TestConfigValidation:
         cfg_file.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_file)]) == 1
         assert f"{field} must be of type" in caplog.text
+        assert not out.exists()
+
+    def test_negative_seed_fails_before_output(self, tmp_path, dataset, caplog):
+        # it used to fail only in rep_seed, with a message that named no field
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", str(dataset), "--time-unit", "1", "--outdir", str(out), "--epochs", "1"]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "seed must be a non-negative integer, got -1" in caplog.text
         assert not out.exists()
 
 
@@ -446,6 +455,17 @@ class TestMain:
         assert rc == 1
         assert f"swept m values must be positive integers, got {float(value)}\n" in caplog.text
         assert not (tmp_path / "bad_sweep").exists()
+
+    def test_value_error_is_one_line(self, tmp_path, caplog):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({"dataset": "edges.txt", "time_unit": 1.0, "m": 2.5}))
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        assert "m must be of type int, got 2.5" in caplog.text
+        assert "Traceback" not in caplog.text
+        # any other exception keeps its traceback
+        caplog.clear()
+        assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+        assert "Traceback" in caplog.text
 
     def test_failure_returns_nonzero(self, tmp_path):
         for verb in (["run"], ["sweep", "--param", "m", "--values", "2"]):

@@ -299,7 +299,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("selection", [True, False])
     def test_matches_scored_pair_oracle(self, selection):
         split = self.planted_split(seed=3)
-        cfg = TrainConfig(m=4, d0=16, d1=8, d2=8, seed=6, use_significant_selection=selection)
+        cfg = TrainConfig(m=4, d0=16, d1=8, d2=8, seed=6, ablation="STGNN" if selection else "BGNN+I")
         feats = random_features(20, 16, named_rng(6, "features"))
         params = init_params(named_rng(6, "params"), 16, 8, 8, 4)
         report = evaluate(split, params, feats, cfg, per_node_map=True)

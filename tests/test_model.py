@@ -199,7 +199,7 @@ class TestForwardNode:
         # evaluation's selection-ablated embeddings come from rows drawn
         # with the "eval-selection" stream; replayed, the reference agrees
         g = random_stream(rng, n_nodes=10, n_events=250)
-        cfg = TrainConfig(m=2, d0=4, d1=3, d2=3, seed=5, use_significant_selection=False)
+        cfg = TrainConfig(m=2, d0=4, d1=3, d2=3, seed=5, ablation="BGNN+I")
         feats = random_features(10, 4, rng)
         params = init_params(rng, 4, 3, 3, m=2)
         params.beta = rng.normal(size=2)
@@ -306,7 +306,8 @@ class TestCheckpoint:
         assert np.all(feats >= -1.0) and np.all(feats <= 1.0)
 
     def test_default_dims(self, rng):
-        p = init_params(rng)
+        cfg = TrainConfig()  # the training defaults
+        p = init_params(rng, cfg.d0, cfg.d1, cfg.d2, cfg.m)
         assert p.w1_self.shape == (128, 16)
         assert p.w2_nbr.shape == (16, 16)
         assert p.beta.shape == (10,)

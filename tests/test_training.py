@@ -5,6 +5,7 @@ from stgnn.model import init_params, random_features
 from stgnn.significance import TopMTable
 from stgnn import training
 from stgnn.training import (
+    ABLATION_FLAGS,
     AdamState,
     TrainConfig,
     TrainingDiverged,
@@ -203,7 +204,7 @@ class TestCaptureChunk:
         # the batch of the ablated variants' table equals the one the
         # entry-at-a-time oracle builds from the same rows, taken a node at
         # a time
-        cfg = TrainConfig(m=3, batch_size=32, use_significant_selection=False)
+        cfg = TrainConfig(m=3, batch_size=32, ablation="BGNN+I")
         g = tied_stream(cfg.batch_size)
         table = TopMTable.build(g, cfg.m, cfg.lam, rng=np.random.default_rng(4))
         row = lambda u, t, m: table_list(table, u, t)
@@ -239,7 +240,7 @@ class TestBackwardMatchesReference:
 
     @pytest.mark.parametrize("selection", [True, False])
     def test_every_tied_stream_chunk(self, selection):
-        cfg = TrainConfig(use_significant_selection=selection, **self.cfg)
+        cfg = TrainConfig(ablation="STGNN" if selection else "BGNN+I", **self.cfg)
         g = tied_stream(cfg.batch_size)
         rng = None if selection else np.random.default_rng(4)
         table = TopMTable.build(g, cfg.m, cfg.lam, rng=rng)
@@ -526,14 +527,14 @@ class TestTrainLoop:
         train(g, TrainConfig(**base), delta=1.0)
         assert builds == [None]  # STGNN: one top-m table per run
         builds.clear()
-        train(g, TrainConfig(use_significant_selection=False, **base), delta=1.0)
+        train(g, TrainConfig(ablation="BGNN+I", **base), delta=1.0)
         assert len(builds) == 3 and builds[0] is not None
         assert all(rng is builds[0] for rng in builds)  # one stream, new draws each epoch
 
     def test_window_ablation_uses_flat_labels(self):
         g = self.make_stream()
         cfg = TrainConfig(
-            epochs=2, batch_size=32, m=3, d0=8, d1=4, d2=4, use_intimate_window=False
+            epochs=2, batch_size=32, m=3, d0=8, d1=4, d2=4, ablation="BGNN+S"
         )
         result = train(g, cfg, delta=1.0)  # delta still used for negatives
         assert len(result.loss_history) == 2
@@ -541,14 +542,14 @@ class TestTrainLoop:
     def test_selection_ablation_runs(self):
         g = self.make_stream()
         cfg = TrainConfig(
-            epochs=2, batch_size=32, m=3, d0=8, d1=4, d2=4, use_significant_selection=False
+            epochs=2, batch_size=32, m=3, d0=8, d1=4, d2=4, ablation="BGNN+I"
         )
         result = train(g, cfg, delta=1.0)
         assert all(np.isfinite(result.loss_history))
 
     @pytest.mark.parametrize("selection", [True, False])
     def test_empty_stream_trains_no_batches(self, selection):
-        cfg = TrainConfig(epochs=3, m=3, d0=8, d1=4, d2=4, use_significant_selection=selection)
+        cfg = TrainConfig(epochs=3, m=3, d0=8, d1=4, d2=4, ablation="STGNN" if selection else "BGNN+I")
         result = train(from_events([], num_nodes=4), cfg, delta=1.0)
         assert result.loss_history == [0.0, 0.0, 0.0]
         assert result.skipped_negatives == 0
@@ -618,6 +619,29 @@ class TestConfigValidation:
     def test_bad_lam(self, lam):
         with pytest.raises(ValueError, match="lam"):
             TrainConfig(lam=lam)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 64.5), ("epochs", 1.5), ("m", 2.5), ("d1", 8.5), ("m", True), ("lr", "0.01")],
+    )
+    def test_field_types(self, field, value):
+        # each used to pass and then fail inside train, or train with
+        # another value
+        with pytest.raises(ValueError, match=f"{field} must be of type"):
+            TrainConfig(**{field: value})
+
+    def test_unknown_ablation(self):
+        with pytest.raises(ValueError, match="ablation must be one of"):
+            TrainConfig(ablation="SGNN")
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("name, flags", list(ABLATION_FLAGS.items()))
+    def test_ablation_sets_the_switches(self, name, flags):
+        cfg = TrainConfig(ablation=name)
+        assert (cfg.use_significant_selection, cfg.use_intimate_window) == flags
 
 
 def test_named_rng_streams_independent():
