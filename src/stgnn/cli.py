@@ -1,11 +1,11 @@
 """Experiment orchestration and command-line entry points.
 
 Verbs:
-    run    load -> split -> fit window -> train -> evaluate, repeated over
-           seeds; writes per-seed metrics JSON, loss CSVs, checkpoints,
-           and an aggregate (optionally the full four-variant grid).
-    sweep  repeat an experiment over values of one hyperparameter (p or m)
-           and emit a plot-ready CSV.
+    run    load -> split -> fit window once, then train -> evaluate once
+           per seed; writes per-seed metrics JSON, loss CSVs, checkpoints,
+           and an aggregate.
+    sweep  repeat an experiment over values of one config field (p, m or
+           the ablation name) and emit a plot-ready CSV.
     synth  generate a planted-ties synthetic edge list.
     fit    power-law fit and window size only, printed as JSON; the same
            config flags and file, checks and window stage (``_fit_window``)
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -121,12 +122,24 @@ def _check_negative_supply(g, split) -> None:
         )
 
 
-def run_single_rep(config: ExperimentConfig, rep: int) -> dict:
-    """One seed of the full pipeline; returns the per-seed report dict."""
+def _prepare(config: ExperimentConfig):
+    """The stages a repetition does not change: load, split, the density
+    check and the window fit.  Returns (graph, split, delta, fit dict)."""
     g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
     split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
     _check_negative_supply(g, split)
     delta, fit_dict = _fit_window(split.train, config)
+    return g, split, delta, fit_dict
+
+
+def run_single_rep(config: ExperimentConfig, rep: int) -> dict:
+    """One seed of the full pipeline; returns the per-seed report dict."""
+    return _run_rep(config, *_prepare(config)[1:], rep)
+
+
+def _run_rep(config: ExperimentConfig, split, delta, fit_dict, rep: int) -> dict:
+    """Train and evaluate seed ``rep`` on a prepared split and window, and
+    write its ``seed_NN/`` outputs; returns the per-seed report dict."""
     tc = dataclasses.replace(config, seed=rep_seed(config.seed, rep))
     result = training.train(split.train, tc, delta)
     report = evaluation.evaluate(
@@ -176,23 +189,25 @@ def _aggregate(per_seed: list[dict]) -> dict:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute all repetitions of one configuration and aggregate them.
 
-    The dataset is loaded before anything is written.  Per-seed outputs
-    are written as they finish, so a late failure still leaves partial
-    results on disk.
+    The dataset is loaded, split, checked and fitted once, before anything
+    is written, so bad input leaves no output.  The repetitions share that
+    split and window.  Per-seed outputs are written as they finish, so a
+    late failure still leaves partial results on disk.
     """
-    g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
+    g, split, delta, fit_dict = _prepare(config)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2)
     temporal_graph.write_node_map(g, outdir / "node_map.csv")
 
-    reps = list(range(config.repetitions))
+    rep = functools.partial(_run_rep, config, split, delta, fit_dict)
+    reps = range(config.repetitions)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_seed = list(pool.map(run_single_rep, [config] * len(reps), reps))
+            per_seed = list(pool.map(rep, reps))
     else:
-        per_seed = [run_single_rep(config, r) for r in reps]
+        per_seed = [rep(r) for r in reps]
 
     agg = {
         "dataset": config.dataset,
@@ -205,57 +220,34 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return agg
 
 
-def run_ablation_grid(config: ExperimentConfig) -> dict:
-    """Run all four model variants under identical seeds and data."""
-    outdir = Path(config.outdir)
-    grid = {}
-    for name in training.ABLATION_FLAGS:
-        sub = dataclasses.replace(
-            config,
-            ablation=name,
-            outdir=str(outdir / name.replace("+", "_")),
-        )
-        grid[name] = run_experiment(sub)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "grid.json", "w", encoding="utf-8") as fh:
-        json.dump(grid, fh, indent=2)
-    return grid
-
-
-def run_sweep(config: ExperimentConfig, parameter: str, values: list) -> Path:
-    """Aggregate metrics per value of one hyperparameter; CSV for plotting."""
-    if parameter not in ("p", "m"):
-        raise ValueError(f"sweep parameter must be 'p' or 'm', got {parameter!r}")
+def run_sweep(config: ExperimentConfig, parameter: str, values: list) -> dict:
+    """Run one experiment per value of p, m or the ablation name, each in
+    its own ``<parameter>_<value>`` directory, and write their best AUC and
+    MAP to ``sweep_<parameter>.csv`` for plotting; returns each value's
+    aggregate."""
+    if parameter not in ("p", "m", "ablation"):
+        raise ValueError(f"sweep parameter must be 'p', 'm' or 'ablation', got {parameter!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    for v in values:
-        if parameter == "m" and not (float(v).is_integer() and v >= 1):
-            raise ValueError(f"swept m values must be positive integers, got {v}")
-    # typed as the config field, so outputs are named m_2 rather than m_2.0
-    values = [float(v) if parameter == "p" else int(v) for v in values]
+    if parameter != "ablation":
+        values = [float(v) for v in values]
+        for v in values:
+            if parameter == "m" and not (v.is_integer() and v >= 1):
+                raise ValueError(f"swept m values must be positive integers, got {v}")
+        # typed as the config field, so outputs are named m_2 rather than m_2.0
+        values = [v if parameter == "p" else int(v) for v in values]
 
     outdir = Path(config.outdir)
     # every value is checked, as its config, before the first run writes anything
     subs = [dataclasses.replace(config, outdir=str(outdir / f"{parameter}_{v}"), **{parameter: v}) for v in values]
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for v, sub in zip(values, subs):
-        agg = run_experiment(sub)
-        rows.append(
-            (
-                v,
-                agg["best_auc"]["mean"],
-                agg["best_auc"]["std"],
-                agg["best_map"]["mean"],
-                agg["best_map"]["std"],
-            )
-        )
-    csv_path = outdir / f"sweep_{parameter}.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    aggs = {v: run_experiment(sub) for v, sub in zip(values, subs)}
+    with open(outdir / f"sweep_{parameter}.csv", "w", encoding="utf-8") as fh:
         fh.write("value,mean_auc,std_auc,mean_map,std_map\n")
-        for row in rows:
-            fh.write(",".join(repr(x) for x in row) + "\n")
-    return csv_path
+        for v, agg in aggs.items():
+            row = (v, agg["best_auc"]["mean"], agg["best_auc"]["std"], agg["best_map"]["mean"], agg["best_map"]["std"])
+            fh.write(",".join(map(str, row)) + "\n")
+    return aggs
 
 
 def eval_checkpoint(checkpoint: str, config: ExperimentConfig) -> evaluation.MetricsReport:
@@ -316,11 +308,10 @@ def main(argv=None) -> int:
 
     p_run = subs.add_parser("run", help="train and evaluate over repeated seeds")
     _add_config_flags(p_run)
-    p_run.add_argument("--grid", action="store_true", help="run all four ablation variants")
 
-    p_sweep = subs.add_parser("sweep", help="sweep hyperparameter p or m")
+    p_sweep = subs.add_parser("sweep", help="sweep p, m or the ablation variant")
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=("p", "m"))
+    p_sweep.add_argument("--param", required=True, choices=("p", "m", "ablation"))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
 
     # flags left out take generate_synthetic's defaults
@@ -349,15 +340,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
-            config = _config_from_args(args)
-            if args.grid:
-                run_ablation_grid(config)
-            else:
-                run_experiment(config)
+            run_experiment(_config_from_args(args))
         elif args.verb == "sweep":
             config = _config_from_args(args)
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            run_sweep(config, args.param, values)
+            run_sweep(config, args.param, [v.strip() for v in args.values.split(",") if v.strip()])
         elif args.verb == "synth":
             given = {k: v for k, v in vars(args).items() if k != "verb"}
             out, pairs = synthetic.generate_synthetic(**given)

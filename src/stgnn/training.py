@@ -65,6 +65,8 @@ logger = logging.getLogger(__name__)
 
 # Draws per positive before its negative is skipped.
 NEGATIVE_TRIES = 100
+# Epochs without a lower mean loss before training stops.
+EARLY_STOP_PATIENCE = 10
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -108,7 +110,6 @@ class TrainConfig:
     d0: int = 128
     d1: int = 16
     d2: int = 16
-    early_stop_patience: int = 10
     ablation: str = "STGNN"
 
     def __post_init__(self):
@@ -479,7 +480,7 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
             stale = 0
         else:
             stale += 1
-            if stale >= config.early_stop_patience:
+            if stale >= EARLY_STOP_PATIENCE:
                 logger.info("early stop at epoch %d (plateau of %d)", epoch, stale)
                 break
 

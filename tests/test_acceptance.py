@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from stgnn.cli import ExperimentConfig, run_ablation_grid, run_single_rep
+from stgnn.cli import ExperimentConfig, run_single_rep, run_sweep
 from stgnn.evaluation import auc, mean_average_precision
 from stgnn.model import init_params, random_features
 from stgnn.powerlaw import PowerLawFit, fit_power_law, intimate_window_size, sample_power_law
@@ -86,7 +86,7 @@ def grid_results(planted_stream, tmp_path_factory):
         dataset=str(planted_stream), outdir=str(outdir), **RUN_SPEC
     )
     tic = time.perf_counter()
-    grid = run_ablation_grid(config)
+    grid = run_sweep(config, "ablation", list(ABLATION_FLAGS))
     grid["_wall_seconds"] = time.perf_counter() - tic
     return grid
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stgnn import evaluation, training
+from stgnn import evaluation, powerlaw, temporal_graph, training
 from stgnn.cli import (
     ExperimentConfig,
     _fit_window,
@@ -13,7 +14,6 @@ from stgnn.cli import (
     load_config,
     main,
     rep_seed,
-    run_ablation_grid,
     run_experiment,
     run_single_rep,
     run_sweep,
@@ -218,7 +218,18 @@ class TestOverflowingFit:
             caplog.clear()
             assert self.run(dataset, tmp_path / str(i)) == 1, dataset
             assert "power-law fit of the inter-event times overflowed" in caplog.text
-            assert not (tmp_path / str(i) / "seed_00").exists()
+            assert not (tmp_path / str(i)).exists()
+
+
+def seed_outputs(seed_dir):
+    """A seed directory's metrics less the echoed config, its loss column
+    and its checkpoint tensors."""
+    doc = json.loads((seed_dir / "metrics.json").read_text())
+    del doc["config"]
+    losses = [r.rsplit(",", 1)[0] for r in (seed_dir / "loss_history.csv").read_text().splitlines()]
+    with np.load(seed_dir / "checkpoint.npz") as ckpt:
+        tensors = {name: (ckpt[name].dtype, ckpt[name].shape, ckpt[name].tobytes()) for name in ckpt.files}
+    return doc, losses, tensors
 
 
 class TestRun:
@@ -262,6 +273,37 @@ class TestRun:
                    (tmp_path / "r2" / "seed_00" / "loss_history.csv").read_text().splitlines()]
         assert losses1 == losses2  # wall_time column may differ
         assert agg2["best_auc"]["values"] == [doc1["best_auc"]]
+
+    def test_one_load_split_and_fit_per_experiment(self, dataset, tmp_path, monkeypatch):
+        # each repetition used to load, split and fit the dataset again
+        calls = collections.Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(temporal_graph, "load_edge_list")
+        counted(temporal_graph, "split_train_test")
+        counted(powerlaw, "fit_power_law")
+        run_experiment(quick_config(dataset, tmp_path / "run", repetitions=3, epochs=1))
+        assert calls == {"load_edge_list": 1, "split_train_test": 1, "fit_power_law": 1}
+
+    def test_reps_match_single_rep_calls(self, dataset, tmp_path):
+        # the repetitions share one prepared split, serially and in the pool
+        ref = quick_config(dataset, tmp_path / "ref", repetitions=3, epochs=2)
+        for r in range(3):
+            run_single_rep(ref, r)
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs_{jobs}"
+            run_experiment(dataclasses.replace(ref, outdir=str(out), jobs=jobs))
+            for r in range(3):
+                name = f"seed_{r:02d}"
+                assert seed_outputs(out / name) == seed_outputs(tmp_path / "ref" / name), (jobs, name)
 
     def test_eval_checkpoint_matches_run(self, dataset, tmp_path):
         cfg = quick_config(dataset, tmp_path / "run3", epochs=2)
@@ -328,6 +370,15 @@ class TestTooDense:
         with pytest.raises(ValueError, match=r"too dense for the evaluation protocol: \d+ never-linked pairs .* \d+ held-out pairs"):
             run_single_rep(quick_config(dense_dataset, tmp_path), 0)
 
+    def test_run_verb_leaves_no_output(self, dense_dataset, tmp_path, caplog):
+        # the check used to run inside the first repetition, after the
+        # experiment had written its config.json and node_map.csv
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", str(dense_dataset), "--time-unit", "1", "--outdir", str(out)]
+        assert main(argv + ["--epochs", "1"]) == 1
+        assert "too dense for the evaluation protocol" in caplog.text
+        assert not out.exists()
+
     def test_eval_fails_before_evaluating(self, dense_dataset, tmp_path, monkeypatch):
         def entered(*args, **kwargs):
             raise AssertionError("evaluation.evaluate was entered")
@@ -343,16 +394,16 @@ class TestTooDense:
 class TestGridAndSweep:
     def test_ablation_grid_emits_four_aggregates(self, dataset, tmp_path):
         cfg = quick_config(dataset, tmp_path / "grid", epochs=1)
-        grid = run_ablation_grid(cfg)
+        grid = run_sweep(cfg, "ablation", list(ABLATION_FLAGS))
         assert set(grid) == {"BGNN", "BGNN+S", "BGNN+I", "STGNN"}
-        assert (tmp_path / "grid" / "grid.json").exists()
+        assert (tmp_path / "grid" / "sweep_ablation.csv").exists()
         for name in grid:
             assert grid[name]["ablation"] == name
 
     def test_m_sweep_rows(self, dataset, tmp_path):
         cfg = quick_config(dataset, tmp_path / "sweep", epochs=1)
-        csv_path = run_sweep(cfg, "m", [2, 4])
-        lines = csv_path.read_text().strip().splitlines()
+        run_sweep(cfg, "m", [2, 4])
+        lines = (tmp_path / "sweep" / "sweep_m.csv").read_text().strip().splitlines()
         assert lines[0] == "value,mean_auc,std_auc,mean_map,std_map"
         assert len(lines) == 3
 
@@ -445,6 +496,28 @@ class TestMain:
         assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["m_2", "m_4"]
         rows = (out / "sweep_m.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["2", "4"]
+
+    def test_sweep_verb_over_ablation(self, dataset, tmp_path):
+        out = tmp_path / "cli_sweep"
+        rc = main([
+            "sweep", "--dataset", str(dataset), "--time-unit", "1.0", "--outdir", str(out),
+            "--reps", "1", "--epochs", "1", "--batch-size", "64", "--seed", "1",
+            "--param", "ablation", "--values", "BGNN,BGNN+S",
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["ablation_BGNN", "ablation_BGNN+S"]
+        rows = (out / "sweep_ablation.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["BGNN", "BGNN+S"]
+
+    def test_sweep_verb_rejects_unknown_ablation(self, dataset, tmp_path, caplog):
+        out = tmp_path / "bad_sweep"
+        rc = main([
+            "sweep", "--dataset", str(dataset), "--time-unit", "1.0",
+            "--outdir", str(out), "--param", "ablation", "--values", "BGNN,SGNN",
+        ])
+        assert rc == 1
+        assert "ablation must be one of" in caplog.text and "'SGNN'" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["2.5", "0", "inf"])
     def test_sweep_verb_rejects_non_integer_m(self, dataset, tmp_path, caplog, value):

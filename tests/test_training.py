@@ -578,13 +578,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(g, TrainConfig(epochs=1), delta=None)
 
-    def test_early_stop_on_plateau(self):
+    def test_early_stop_on_plateau(self, monkeypatch):
         g = self.make_stream()
         # lr = tiny makes loss flat; patience cuts the run short
-        cfg = TrainConfig(
-            epochs=40, batch_size=64, m=3, d0=8, d1=4, d2=4, lr=1e-12,
-            early_stop_patience=5,
-        )
+        monkeypatch.setattr(training, "EARLY_STOP_PATIENCE", 5)
+        cfg = TrainConfig(epochs=40, batch_size=64, m=3, d0=8, d1=4, d2=4, lr=1e-12)
         result = train(g, cfg, delta=1.0)
         # per-epoch negative resampling jitters the loss, so the plateau
         # can restart a few times, but the run must stop well before 40
