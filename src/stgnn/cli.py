@@ -10,7 +10,9 @@ Verbs:
     fit    power-law fit and window size only, printed as JSON; the same
            config flags and file, checks and window stage (``_fit_window``)
            as run.
-    eval   score a saved checkpoint against a dataset split.
+    eval   score a saved checkpoint against a dataset split, under the
+           model config the checkpoint stores; a dataset whose training
+           split differs from the one trained on is refused.
 
 Configuration comes from an optional JSON file plus CLI flags; flags win.
 Every report echoes the fully resolved configuration so any run can be
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stgnn import evaluation, model, powerlaw, synthetic, temporal_graph, training
+from stgnn import evaluation, model, powerlaw, significance, synthetic, temporal_graph, training
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +69,16 @@ class ExperimentConfig(training.TrainConfig):
             raise ValueError(f"window_size must be positive and finite, got {self.window_size}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+
+
+# the fields that say where a run reads and writes and how it is spread
+# over processes; every other field is part of the model a checkpoint holds
+RUN_FIELDS = ("dataset", "outdir", "repetitions", "per_node_map", "jobs")
+
+
+def model_fields(config: ExperimentConfig) -> dict:
+    """The fields of ``config`` that a checkpoint stores and ``eval`` checks."""
+    return {k: v for k, v in dataclasses.asdict(config).items() if k not in RUN_FIELDS}
 
 
 def rep_seed(master_seed: int, rep: int) -> int:
@@ -124,12 +136,25 @@ def _check_negative_supply(g, split) -> None:
 
 def _prepare(config: ExperimentConfig):
     """The stages a repetition does not change: load, split, the density
-    check and the window fit.  Returns (graph, split, delta, fit dict)."""
+    check and the window fit.  Returns (graph, split, delta, data report),
+    where the data report holds the fit and the zero-score share that
+    every seed's metrics.json repeats: the share of the training pairs
+    with a contact before t_split whose decayed significance score at
+    t_split underflows to 0."""
     g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
     split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
     _check_negative_supply(g, split)
     delta, fit_dict = _fit_window(split.train, config)
-    return g, split, delta, fit_dict
+    # the stream starts at time 0 < t_split, so some pair has a contact before it
+    _, scores = significance.pair_significance(split.train, split.t_split, config.lam)
+    share = float(np.mean(scores == 0.0))
+    if share > 0.5:
+        logger.warning(
+            "%.0f%% of the training pairs' significance scores underflow to 0 at the split; "
+            "rescale time with --time-unit or lower --decay",
+            100 * share,
+        )
+    return g, split, delta, {"fit": fit_dict, "zero_score_share": share}
 
 
 def run_single_rep(config: ExperimentConfig, rep: int) -> dict:
@@ -137,7 +162,7 @@ def run_single_rep(config: ExperimentConfig, rep: int) -> dict:
     return _run_rep(config, *_prepare(config)[1:], rep)
 
 
-def _run_rep(config: ExperimentConfig, split, delta, fit_dict, rep: int) -> dict:
+def _run_rep(config: ExperimentConfig, split, delta, data_report: dict, rep: int) -> dict:
     """Train and evaluate seed ``rep`` on a prepared split and window, and
     write its ``seed_NN/`` outputs; returns the per-seed report dict."""
     tc = dataclasses.replace(config, seed=rep_seed(config.seed, rep))
@@ -148,7 +173,10 @@ def _run_rep(config: ExperimentConfig, split, delta, fit_dict, rep: int) -> dict
 
     seed_dir = Path(config.outdir) / f"seed_{rep:02d}"
     seed_dir.mkdir(parents=True, exist_ok=True)
-    model.save_checkpoint(seed_dir / "checkpoint.npz", result.params, result.feats, tc.seed)
+    model.save_checkpoint(
+        seed_dir / "checkpoint.npz", result.params, result.feats, tc.seed,
+        config=model_fields(config), train_digest=temporal_graph.stream_digest(split.train),
+    )
     with open(seed_dir / "loss_history.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,mean_loss,wall_time\n")
         for i, (loss, secs) in enumerate(zip(result.loss_history, result.epoch_seconds)):
@@ -161,7 +189,7 @@ def _run_rep(config: ExperimentConfig, split, delta, fit_dict, rep: int) -> dict
         "rep_seed": tc.seed,
         "ablation": config.ablation,
         **report.to_dict(),
-        "fit": fit_dict,
+        **data_report,
         "epochs_ran": len(result.loss_history),
         "final_loss": result.loss_history[-1] if result.loss_history else None,
         "skipped_negatives": result.skipped_negatives,
@@ -194,14 +222,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     split and window.  Per-seed outputs are written as they finish, so a
     late failure still leaves partial results on disk.
     """
-    g, split, delta, fit_dict = _prepare(config)
+    g, split, delta, data_report = _prepare(config)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2)
     temporal_graph.write_node_map(g, outdir / "node_map.csv")
 
-    rep = functools.partial(_run_rep, config, split, delta, fit_dict)
+    rep = functools.partial(_run_rep, config, split, delta, data_report)
     reps = range(config.repetitions)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -236,6 +264,9 @@ def run_sweep(config: ExperimentConfig, parameter: str, values: list) -> dict:
                 raise ValueError(f"swept m values must be positive integers, got {v}")
         # typed as the config field, so outputs are named m_2 rather than m_2.0
         values = [v if parameter == "p" else int(v) for v in values]
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"sweep values must be distinct, got {repeated[0]!r} more than once")
 
     outdir = Path(config.outdir)
     # every value is checked, as its config, before the first run writes anything
@@ -253,18 +284,28 @@ def run_sweep(config: ExperimentConfig, parameter: str, values: list) -> dict:
 def eval_checkpoint(checkpoint: str, config: ExperimentConfig) -> evaluation.MetricsReport:
     """Score a saved checkpoint against the configured dataset split.
 
-    The checkpoint must match the configured m and the dataset's node
-    count; a mismatch raises before anything is evaluated.
+    Before anything is evaluated, the model fields of ``config`` must
+    equal the ones the checkpoint was trained with, and the dataset's
+    training split must hash as it did in training; either mismatch
+    raises, naming the fields or both digests.
     """
+    trained, train_digest = model.checkpoint_config(checkpoint)
+    given = model_fields(config)
+    differ = sorted(k for k in given.keys() | trained.keys() if given.get(k) != trained.get(k))
+    if differ:
+        raise ValueError(
+            f"the config differs from the one checkpoint {checkpoint} was trained with: "
+            + ", ".join(f"{k} = {given.get(k)!r} (trained with {trained.get(k)!r})" for k in differ)
+        )
     params, feats, seed = model.load_checkpoint(checkpoint)
     g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
-    if params.m != config.m or feats.shape[0] != g.num_nodes:
-        raise ValueError(
-            f"checkpoint {checkpoint} has beta of length {params.m} and {feats.shape[0]} "
-            f"feature rows, but the config sets m = {config.m} and {config.dataset} has "
-            f"{g.num_nodes} nodes"
-        )
     split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
+    digest = temporal_graph.stream_digest(split.train)
+    if digest != train_digest:
+        raise ValueError(
+            f"the training split of {config.dataset} has digest {digest}, but checkpoint "
+            f"{checkpoint} was trained on a split with digest {train_digest}"
+        )
     _check_negative_supply(g, split)
     config = dataclasses.replace(config, seed=seed)
     return evaluation.evaluate(split, params, feats, config, per_node_map=config.per_node_map)
@@ -333,9 +374,11 @@ def main(argv=None) -> int:
     p_fit = subs.add_parser("fit", help="power-law fit and window size only")
     _add_config_flags(p_fit)
 
+    # the model config comes from the checkpoint
     p_eval = subs.add_parser("eval", help="evaluate a saved checkpoint")
-    _add_config_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
+    p_eval.add_argument("--dataset", required=True)
+    p_eval.add_argument("--per-node-map", dest="per_node_map", action="store_true")
 
     args = parser.parse_args(argv)
     try:
@@ -355,7 +398,8 @@ def main(argv=None) -> int:
             _, fit_dict = _fit_window(split.train, config)
             print(json.dumps(fit_dict, indent=2))
         elif args.verb == "eval":
-            config = _config_from_args(args)
+            trained, _ = model.checkpoint_config(args.checkpoint)
+            config = ExperimentConfig(**trained, dataset=args.dataset, per_node_map=args.per_node_map)
             report = eval_checkpoint(args.checkpoint, config)
             print(json.dumps(report.to_dict(), indent=2))
     except ValueError as exc:

@@ -23,6 +23,7 @@ pass as the entries and roots of one dense batch.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -232,12 +233,18 @@ def forward_node(
     return forward_batch(_FlatBatch(every, ids, scores, mask, every, ids), params, feats).h2
 
 
-def save_checkpoint(path, params: ModelParams, feats: np.ndarray, seed: int) -> None:
-    """Round-trip-exact dump of the five tensors, features, and seed."""
+def save_checkpoint(
+    path, params: ModelParams, feats: np.ndarray, seed: int, *, config: dict, train_digest: str
+) -> None:
+    """Round-trip-exact dump of the five tensors, features, and seed,
+    with the model config the run trained under (JSON) and the digest of
+    its training split."""
     np.savez(
         path,
         feats=feats,
         seed=np.asarray(seed, dtype=np.int64),
+        config=np.asarray(json.dumps(config)),
+        train_digest=np.asarray(train_digest),
         **{name: a for name, a in params.arrays()},
     )
 
@@ -246,3 +253,13 @@ def load_checkpoint(path) -> tuple[ModelParams, np.ndarray, int]:
     with np.load(path) as data:
         params = ModelParams(**{f.name: data[f.name] for f in fields(ModelParams)})
         return params, data["feats"], int(data["seed"])
+
+
+def checkpoint_config(path) -> tuple[dict, str]:
+    """The model config and training-split digest saved with a checkpoint."""
+    with np.load(path) as data:
+        if "config" not in data.files or "train_digest" not in data.files:
+            raise ValueError(
+                f"checkpoint {path} holds no model config or training-split digest; retrain to evaluate it"
+            )
+        return json.loads(str(data["config"])), str(data["train_digest"])

@@ -16,6 +16,7 @@ the one constructor; the loader and the split build through it.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
@@ -106,6 +107,15 @@ def from_columns(src, dst, t, num_nodes: int | None = None, raw_ids: list[str] |
     first = np.flatnonzero(np.diff(key, prepend=-1))
     ptr = np.append(first, key.shape[0])
     return TemporalGraph(num_nodes, src, dst, t, key[first], ptr, t[by_pair], raw_ids)
+
+
+def stream_digest(g: TemporalGraph) -> str:
+    """SHA-256 of the node count and the src, dst and t columns: two
+    streams hash alike when they hold the same contacts in the same order."""
+    h = hashlib.sha256(np.int64(g.num_nodes).tobytes())
+    for col in (g.src, g.dst, g.t):
+        h.update(col.tobytes())
+    return h.hexdigest()
 
 
 def check_time_unit(time_unit: float) -> None:

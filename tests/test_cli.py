@@ -10,18 +10,20 @@ from stgnn import evaluation, powerlaw, temporal_graph, training
 from stgnn.cli import (
     ExperimentConfig,
     _fit_window,
+    _prepare,
     eval_checkpoint,
     load_config,
     main,
+    model_fields,
     rep_seed,
     run_experiment,
     run_single_rep,
     run_sweep,
 )
-from stgnn.model import init_params, save_checkpoint
+from stgnn.model import checkpoint_config, init_params, save_checkpoint
 from stgnn.powerlaw import DegenerateFitError
 from stgnn.synthetic import generate_synthetic
-from stgnn.temporal_graph import load_edge_list
+from stgnn.temporal_graph import load_edge_list, split_train_test, stream_digest
 from stgnn.training import ABLATION_FLAGS
 from reference_model import Event, from_events
 
@@ -247,6 +249,7 @@ class TestRun:
         doc = json.loads((seed_dir / "metrics.json").read_text())
         assert doc["fit"]["alpha"] > 1.0
         assert doc["fit"]["delta"] > 0.0
+        assert doc["zero_score_share"] == 0.0
         assert agg["best_auc"]["mean"] == doc["best_auc"]
 
     def test_aggregate_mean_matches_hand_average(self, dataset, tmp_path):
@@ -313,36 +316,97 @@ class TestRun:
         assert report.best_auc == pytest.approx(doc["best_auc"])
 
 
+# the checkpoint fixture's settings that are not quick_config's defaults
+CKPT_KW = dict(epochs=1, time_unit=2.0, lam=0.5)
+
+
 @pytest.fixture(scope="module")
 def checkpoint(dataset, tmp_path_factory):
-    """A checkpoint trained with m = 4 on the 40-node dataset."""
+    """A checkpoint trained with m = 4, time unit 2 and decay 0.5 on the
+    40-node dataset."""
     out = tmp_path_factory.mktemp("ckpt")
-    run_experiment(quick_config(dataset, out, epochs=1))
+    run_experiment(quick_config(dataset, out, **CKPT_KW))
     return str(out / "seed_00" / "checkpoint.npz")
+
+
+@pytest.fixture
+def no_evaluation(monkeypatch):
+    def entered(*args, **kwargs):
+        raise AssertionError("evaluation.evaluate was entered")
+
+    monkeypatch.setattr(evaluation, "evaluate", entered)
+
+
+def edited_copy(dataset, path):
+    """The dataset with its first contact moved 0.25 later, inside the
+    training window."""
+    lines = Path(dataset).read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    u, v, t = lines[first].split()
+    lines[first] = f"{u} {v} {float(t) + 0.25!r}\n"
+    path.write_text("".join(lines))
+    return path
 
 
 class TestEvalCheckpointChecks:
     @pytest.mark.parametrize("m", [2, 6])
     def test_other_m_rejected(self, dataset, checkpoint, tmp_path, m):
-        n = load_edge_list(dataset).num_nodes
-        with pytest.raises(ValueError, match=rf"beta of length 4 and {n} feature rows.*m = {m} and .* has {n} nodes"):
-            eval_checkpoint(checkpoint, quick_config(dataset, tmp_path, m=m))
+        with pytest.raises(ValueError, match=rf"m = {m} \(trained with 4\)"):
+            eval_checkpoint(checkpoint, quick_config(dataset, tmp_path, **CKPT_KW, m=m))
 
-    def test_other_dataset_rejected(self, dataset, checkpoint, tmp_path):
-        n = load_edge_list(dataset).num_nodes
+    @pytest.mark.parametrize(
+        "field, value", [("ablation", "BGNN"), ("lam", 5.0), ("split_ratio", 0.6), ("time_unit", 3600.0)]
+    )
+    def test_other_model_field_rejected(self, dataset, checkpoint, tmp_path, no_evaluation, field, value):
+        trained = checkpoint_config(checkpoint)[0][field]
+        cfg = quick_config(dataset, tmp_path, **{**CKPT_KW, field: value})
+        with pytest.raises(ValueError, match=rf"{field} = {value!r} \(trained with {trained!r}\)"):
+            eval_checkpoint(checkpoint, cfg)
+
+    def test_run_fields_may_differ(self, dataset, checkpoint, tmp_path):
+        cfg = quick_config(dataset, tmp_path / "elsewhere", **CKPT_KW, repetitions=3, jobs=2, per_node_map=True)
+        report = eval_checkpoint(checkpoint, cfg)
+        assert all("map_per_node" in sim for sim in report.per_similarity.values())
+
+    def test_other_dataset_rejected(self, checkpoint, tmp_path, no_evaluation):
         wider, _ = generate_synthetic(
             tmp_path / "wide.txt", n_nodes=60, n_significant_pairs=6,
             n_background_events=300, horizon=60.0, seed=12, n_communities=4,
         )
         assert load_edge_list(wider).num_nodes == 60
-        with pytest.raises(ValueError, match=rf"{n} feature rows.*m = 4 and .* has 60 nodes"):
-            eval_checkpoint(checkpoint, quick_config(wider, tmp_path))
+        with pytest.raises(ValueError, match="training split of .* has digest [0-9a-f]{64}, .* digest [0-9a-f]{64}"):
+            eval_checkpoint(checkpoint, quick_config(wider, tmp_path, **CKPT_KW))
 
-    def test_eval_verb_fails_with_the_message(self, dataset, checkpoint, tmp_path, caplog):
-        rc = main(["eval", "--checkpoint", checkpoint, "--dataset", str(dataset),
-                   "--time-unit", "1.0", "--m", "6"])
-        assert rc == 1
-        assert "beta of length 4" in caplog.text and "m = 6" in caplog.text
+    def test_edited_training_window_rejected(self, dataset, checkpoint, tmp_path, no_evaluation, caplog):
+        edited = edited_copy(dataset, tmp_path / "edited.txt")
+        _, trained_digest = checkpoint_config(checkpoint)
+        with pytest.raises(ValueError, match=f"has digest [0-9a-f]{{64}}, .* with digest {trained_digest}"):
+            eval_checkpoint(checkpoint, quick_config(edited, tmp_path, **CKPT_KW))
+        assert main(["eval", "--checkpoint", checkpoint, "--dataset", str(edited)]) == 1
+        assert trained_digest in caplog.text and "Traceback" not in caplog.text
+
+    def test_eval_verb_fails_with_the_message(self, dataset, checkpoint, tmp_path, capsys):
+        # the model config comes from the checkpoint, so eval takes no config flag
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", checkpoint, "--dataset", str(dataset), "--time-unit", "1.0", "--m", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --time-unit 1.0 --m 6" in capsys.readouterr().err
+
+    def test_eval_verb_reproduces_the_run(self, checkpoint, dataset, capsys):
+        doc = json.loads((Path(checkpoint).parent / "metrics.json").read_text())
+        assert main(["eval", "--checkpoint", checkpoint, "--dataset", str(dataset)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["best_auc"] == doc["best_auc"]
+        assert report["reference_auc"] == doc["reference_auc"]
+
+    def test_checkpoint_without_config_fails_with_one_line(self, dataset, tmp_path, caplog):
+        params = init_params(np.random.default_rng(0), d0=16, d1=8, d2=8, m=4)
+        path = tmp_path / "bare.npz"
+        np.savez(path, feats=np.zeros((40, 16)), seed=np.asarray(0), **dict(params.arrays()))
+        with pytest.raises(ValueError, match="holds no model config or training-split digest"):
+            checkpoint_config(path)
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(dataset)]) == 1
+        assert "holds no model config" in caplog.text and "Traceback" not in caplog.text
 
 
 @pytest.fixture(scope="module")
@@ -379,16 +443,72 @@ class TestTooDense:
         assert "too dense for the evaluation protocol" in caplog.text
         assert not out.exists()
 
-    def test_eval_fails_before_evaluating(self, dense_dataset, tmp_path, monkeypatch):
-        def entered(*args, **kwargs):
-            raise AssertionError("evaluation.evaluate was entered")
-
-        monkeypatch.setattr(evaluation, "evaluate", entered)
+    def test_eval_fails_before_evaluating(self, dense_dataset, tmp_path, no_evaluation):
         cfg = quick_config(dense_dataset, tmp_path)
         params = init_params(np.random.default_rng(0), d0=cfg.d0, d1=cfg.d1, d2=cfg.d2, m=cfg.m)
-        save_checkpoint(tmp_path / "ckpt.npz", params, np.zeros((60, cfg.d0)), 0)
+        digest = stream_digest(split_train_test(load_edge_list(dense_dataset)).train)
+        save_checkpoint(
+            tmp_path / "ckpt.npz", params, np.zeros((60, cfg.d0)), 0, config=model_fields(cfg), train_digest=digest
+        )
         with pytest.raises(ValueError, match="too dense for the evaluation protocol"):
             eval_checkpoint(str(tmp_path / "ckpt.npz"), cfg)
+
+
+@pytest.fixture(scope="module")
+def seconds_dataset(tmp_path_factory):
+    """200 nodes and 1,500 contacts whose gaps are log-uniform from 1 s
+    to 1 day, in seconds."""
+    rng = np.random.default_rng(0)
+    t = np.cumsum(np.exp(rng.uniform(0.0, np.log(86400.0), size=1500)))
+    lines = []
+    for ti in t.tolist():
+        u, v = rng.choice(200, size=2, replace=False)
+        lines.append(f"{u} {v} {ti!r}\n")
+    path = tmp_path_factory.mktemp("seconds") / "seconds.txt"
+    path.write_text("".join(lines))
+    return path
+
+
+class TestZeroScoreShare:
+    def test_seconds_stream_warns(self, seconds_dataset, tmp_path, caplog):
+        # at one unit per second every training pair's score exp(-age) underflows
+        report = _prepare(quick_config(seconds_dataset, tmp_path, time_unit=1.0))[3]
+        assert report["zero_score_share"] > 0.5
+        assert "underflow to 0" in caplog.text
+        assert "--time-unit" in caplog.text and "--decay" in caplog.text
+
+    def test_days_stream_is_silent(self, seconds_dataset, tmp_path, caplog):
+        report = _prepare(quick_config(seconds_dataset, tmp_path, time_unit=86400.0))[3]
+        assert report["zero_score_share"] == 0.0
+        assert "underflow" not in caplog.text
+
+
+def checkpoint_params(seed_dir):
+    with np.load(seed_dir / "checkpoint.npz") as ckpt:
+        return {name: ckpt[name] for name in ("w1_self", "w1_nbr", "w2_self", "w2_nbr", "beta")}
+
+
+class TestTimeUnitAndDecay:
+    """Times reach the model only as decay * time and through the window,
+    so dividing the timestamps by k and multiplying the decay by k is the
+    same run, with a window k times smaller."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_knob(self, tmp_path, seed):
+        stream, _ = generate_synthetic(
+            tmp_path / "s.txt", n_nodes=40, n_significant_pairs=6, n_background_events=150,
+            events_per_significant_pair=25, horizon=60.0, seed=seed, n_communities=4,
+        )
+        base = run_single_rep(quick_config(stream, tmp_path / "base"), 0)
+        ref = checkpoint_params(tmp_path / "base" / "seed_00")
+        for k in (1e-3, 3600.0):
+            doc = run_single_rep(quick_config(stream, tmp_path / f"k_{k}", time_unit=k, lam=k), 0)
+            assert doc["fit"]["delta"] * k == pytest.approx(base["fit"]["delta"], rel=1e-12, abs=0), k
+            assert doc["final_loss"] == pytest.approx(base["final_loss"], rel=1e-12, abs=0), k
+            assert (doc["best_auc"], doc["reference_auc"]) == (base["best_auc"], base["reference_auc"]), k
+            scaled = checkpoint_params(tmp_path / f"k_{k}" / "seed_00")
+            for name in ref:
+                np.testing.assert_allclose(scaled[name], ref[name], rtol=1e-9, atol=0, err_msg=f"{name}, k = {k}")
 
 
 class TestGridAndSweep:
@@ -416,6 +536,16 @@ class TestGridAndSweep:
         cfg = quick_config(dataset, tmp_path / "sweep3")
         with pytest.raises(ValueError):
             run_sweep(cfg, "lr", [0.1])
+
+    @pytest.mark.parametrize(
+        "parameter, values, repeated", [("m", ["2", "2.0"], "2"), ("ablation", ["BGNN", "BGNN"], "'BGNN'")]
+    )
+    def test_repeated_value_rejected(self, dataset, tmp_path, parameter, values, repeated):
+        # a repeated value used to run twice into one directory
+        out = tmp_path / "dup"
+        with pytest.raises(ValueError, match=f"distinct, got {repeated} more than once"):
+            run_sweep(quick_config(dataset, out), parameter, values)
+        assert not out.exists()
 
 
 class TestMain:

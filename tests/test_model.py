@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import stgnn.model
 from stgnn.model import (
     ModelParams,
+    checkpoint_config,
     forward_node,
     init_params,
     load_checkpoint,
@@ -293,9 +294,10 @@ class TestCheckpoint:
         params.beta = rng.normal(size=3)
         feats = random_features(10, 8, rng)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, params, feats, seed=77)
+        save_checkpoint(path, params, feats, seed=77, config={"m": 3, "lam": 0.5}, train_digest="ab" * 32)
         loaded, feats2, seed = load_checkpoint(path)
         assert seed == 77
+        assert checkpoint_config(path) == ({"m": 3, "lam": 0.5}, "ab" * 32)
         np.testing.assert_array_equal(feats, feats2)
         for (_, a), (_, b) in zip(params.arrays(), loaded.arrays()):
             np.testing.assert_array_equal(a, b)
