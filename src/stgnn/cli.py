@@ -86,6 +86,16 @@ def rep_seed(master_seed: int, rep: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), int(rep)]).generate_state(1)[0])
 
 
+def _experiment_config(given: dict) -> ExperimentConfig:
+    """An ExperimentConfig of the ``given`` fields; a key it does not
+    declare, as in a config file or checkpoint written by another
+    version, is named rather than passed on."""
+    unknown = sorted(given.keys() - {f.name for f in dataclasses.fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
+    return ExperimentConfig(**given)
+
+
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     base: dict = {}
     if path is not None:
@@ -93,7 +103,13 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             base = json.load(fh)
     if overrides:
         base.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig(**base)
+    return _experiment_config(base)
+
+
+def _load_split(config: ExperimentConfig):
+    """The configured dataset, loaded in its time unit, and its split."""
+    g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
+    return g, temporal_graph.split_train_test(g, ratio=config.split_ratio)
 
 
 def _fit_window(train_g, config: ExperimentConfig):
@@ -123,11 +139,16 @@ def _fit_to_dict(fit: powerlaw.PowerLawFit, delta: float | None) -> dict:
 
 def _check_negative_supply(g, split) -> None:
     """Raise unless the never-linked pairs can supply one test negative
-    per held-out positive; the training and held-out pairs together are
-    the stream's pairs."""
-    supply = g.num_nodes * (g.num_nodes - 1) // 2 - g.pair_key.shape[0]
+    per held-out positive, and the sampler expects to find them within its
+    try budget; the training and held-out pairs together are the stream's
+    pairs.  A try draws two of the N nodes, so with i of the S never-linked
+    pairs found it finds a new one with probability 2 (S - i) / N**2."""
+    n = g.num_nodes
+    supply = n * (n - 1) // 2 - g.pair_key.shape[0]
     n_pos = split.test_pairs.shape[0]
-    if supply < n_pos:
+    # the sum over i < n_pos of N**2 / (2 (S - i)), while S >= n_pos
+    expected_tries = n**2 / 2 * np.sum(1.0 / np.arange(max(supply - n_pos, 0) + 1, supply + 1))
+    if supply < n_pos or expected_tries > evaluation.negative_try_budget(n_pos):
         raise ValueError(
             f"graph too dense for the evaluation protocol: {supply} never-linked pairs "
             f"cannot supply a negative for each of the {n_pos} held-out pairs"
@@ -141,17 +162,16 @@ def _prepare(config: ExperimentConfig):
     every seed's metrics.json repeats: the share of the training pairs
     with a contact before t_split whose decayed significance score at
     t_split underflows to 0."""
-    g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
-    split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
+    g, split = _load_split(config)
     _check_negative_supply(g, split)
     delta, fit_dict = _fit_window(split.train, config)
     # the stream starts at time 0 < t_split, so some pair has a contact before it
-    _, scores = significance.pair_significance(split.train, split.t_split, config.lam)
+    _, scores = significance.pair_significance(split.train, split.t_split)
     share = float(np.mean(scores == 0.0))
     if share > 0.5:
         logger.warning(
             "%.0f%% of the training pairs' significance scores underflow to 0 at the split; "
-            "rescale time with --time-unit or lower --decay",
+            "rescale time with a larger --time-unit",
             100 * share,
         )
     return g, split, delta, {"fit": fit_dict, "zero_score_share": share}
@@ -298,8 +318,7 @@ def eval_checkpoint(checkpoint: str, config: ExperimentConfig) -> evaluation.Met
             + ", ".join(f"{k} = {given.get(k)!r} (trained with {trained.get(k)!r})" for k in differ)
         )
     params, feats, seed = model.load_checkpoint(checkpoint)
-    g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
-    split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
+    g, split = _load_split(config)
     digest = temporal_graph.stream_digest(split.train)
     if digest != train_digest:
         raise ValueError(
@@ -330,7 +349,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     sub.add_argument("--m", type=int, default=None)
     sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--decay", dest="lam", type=float, default=None)
     sub.add_argument("--window-size", dest="window_size", type=float, default=None)
     sub.add_argument("--per-node-map", dest="per_node_map", action="store_const", const=True, default=None)
     sub.add_argument("--jobs", type=int, default=None)
@@ -381,6 +399,9 @@ def main(argv=None) -> int:
     p_eval.add_argument("--per-node-map", dest="per_node_map", action="store_true")
 
     args = parser.parse_args(argv)
+    failed = f"{args.verb} failed"
+    if args.verb in ("run", "sweep"):  # the verbs that write as they go
+        failed += "; partial results (if any) were preserved"
     try:
         if args.verb == "run":
             run_experiment(_config_from_args(args))
@@ -393,21 +414,19 @@ def main(argv=None) -> int:
             print(json.dumps({"edge_list": str(out), "planted_pairs": str(pairs)}))
         elif args.verb == "fit":
             config = _config_from_args(args)
-            g = temporal_graph.load_edge_list(config.dataset, time_unit=config.time_unit)
-            split = temporal_graph.split_train_test(g, ratio=config.split_ratio)
-            _, fit_dict = _fit_window(split.train, config)
+            _, fit_dict = _fit_window(_load_split(config)[1].train, config)
             print(json.dumps(fit_dict, indent=2))
         elif args.verb == "eval":
             trained, _ = model.checkpoint_config(args.checkpoint)
-            config = ExperimentConfig(**trained, dataset=args.dataset, per_node_map=args.per_node_map)
+            config = _experiment_config({**trained, "dataset": args.dataset, "per_node_map": args.per_node_map})
             report = eval_checkpoint(args.checkpoint, config)
             print(json.dumps(report.to_dict(), indent=2))
     except ValueError as exc:
-        # the library's own errors (config, parse, fit, density) need no traceback
-        logger.error("run failed; partial results (if any) were preserved: %s", exc)
+        # the library's own errors (config, input, parse, fit, density) need no traceback
+        logger.error("%s: %s", failed, exc)
         return 1
     except Exception:
-        logger.exception("run failed; partial results (if any) were preserved")
+        logger.exception(failed)
         return 1
     return 0
 

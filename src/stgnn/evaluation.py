@@ -7,16 +7,19 @@ int64 pair keys min * N + max against the graphs' CSR pair keys.  Every
 pair is scored under three similarities (cosine, hadamard/dot, negated
 squared L2) and the best per metric is reported,
 alongside a no-learning reference that ranks pairs by their decayed
-historical contact count.  Every node is embedded at the split time
-in one dense forward pass over one ``top_m_neighbors`` pass on the
+historical contact count, each contact weighing exp(-age) with its age
+in the training graph's time unit.  Every node is embedded at the split
+time in one dense forward pass over one ``top_m_neighbors`` pass on the
 training graph, and each pair reads its endpoints' rows; the reference
 reads the same decayed pair counts (``significance.pair_significance``,
 from the CSR pair index).
 
 The negative sampler is specified as a loop: each try draws two scalar
 node ids a, b from the generator and accepts the pair unless a == b, it
-is linked, or it was accepted before, until n pairs are found or
-200 * n + 1000 tries are spent ("graph too dense").  It runs as block
+is linked, or it was accepted before, until n pairs are found or the
+budget of ``negative_try_budget(n)`` = 200 * n + 1000 tries is spent
+("graph too dense"; stgnn.cli checks the expected tries against it
+before training).  It runs as block
 draws with the same result: for a bound below 2**32 (pair keys already
 need N**2 < 2**63), ``rng.integers(N, size=k)`` yields the values of k
 scalar calls, so a block of tries is checked at once (a sorted search
@@ -198,6 +201,11 @@ def mean_average_precision(labels, scores, u, v, per_node: bool = False) -> floa
     return _per_node_ap(labels[order], u[order], v[order])
 
 
+def negative_try_budget(n: int) -> int:
+    """The tries ``sample_test_negatives`` spends at most on n pairs."""
+    return 200 * n + 1000
+
+
 def sample_test_negatives(split: DataSplit, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly sampled distinct pairs with no contact anywhere in the
     data, as (n, 2) endpoint ids (smaller first) in draw order; drawn in
@@ -205,7 +213,7 @@ def sample_test_negatives(split: DataSplit, n: int, rng: np.random.Generator) ->
     num_nodes = split.train.num_nodes
     # every pair key linked in training or held out, and a sentinel above all keys
     linked = np.sort(np.r_[split.train.pair_key, pair_keys(*split.test_pairs.T, num_nodes), num_nodes**2])
-    keys, used, budget = np.empty(0, dtype=np.int64), 0, 200 * n + 1000
+    keys, used, budget = np.empty(0, dtype=np.int64), 0, negative_try_budget(n)
     while keys.size < n and used < budget:
         state, need = rng.bit_generator.state, n - keys.size
         k = min(budget - used, need * (used + 1) // (keys.size + 1) * 9 // 8 + 64)
@@ -224,12 +232,10 @@ def sample_test_negatives(split: DataSplit, n: int, rng: np.random.Generator) ->
     return np.column_stack(np.divmod(keys, num_nodes))
 
 
-def heuristic_reference(
-    g_train: TemporalGraph, u, v, t0: float, lam: float = 1.0
-) -> np.ndarray:
+def heuristic_reference(g_train: TemporalGraph, u, v, t0: float) -> np.ndarray:
     """No-learning reference: decayed historical contact count at t0 of
     each pair (u[i], v[i]), over its training contacts strictly before t0."""
-    pairs, sums = pair_significance(g_train, t0, lam)
+    pairs, sums = pair_significance(g_train, t0)
     # the pairs' sorted keys, then a sentinel above every key, which scores 0
     key = np.append(g_train.pair_key[pairs], np.iinfo(np.int64).max)
     sums = np.append(sums, 0.0)
@@ -247,7 +253,7 @@ def node_embeddings(
     too, fed by a seeded stream so reports stay reproducible.
     """
     rng = None if config.use_significant_selection else named_rng(config.seed, "eval-selection")
-    return forward_node(g_train, feats, params, t0, lam=config.lam, rng=rng)
+    return forward_node(g_train, feats, params, t0, rng=rng)
 
 
 def evaluate(
@@ -279,7 +285,7 @@ def evaluate(
 
     best_auc_sim = max(SIMILARITIES, key=lambda k: per_sim[k]["auc"])
     best_map_sim = max(SIMILARITIES, key=lambda k: per_sim[k]["map"])
-    ref_scores = heuristic_reference(split.train, u, v, split.t_split, lam=config.lam)
+    ref_scores = heuristic_reference(split.train, u, v, split.t_split)
 
     return MetricsReport(
         per_similarity=per_sim,

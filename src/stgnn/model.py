@@ -8,7 +8,9 @@ features and applies ReLU; the output layer is linear so pair cosines
 can span [-1, 1].
 
 Everything here is plain numpy and pure: given (graph, features,
-parameters, time) the embedding of a node is deterministic.  The forward
+parameters, time) the embedding of a node is deterministic.  Time enters
+only through the significance scores, exp(-age) summed over a pair's
+contacts, so the graph's time unit sets how fast they decay.  The forward
 pass exists once, batched over a flattened computation tree
 (``forward_batch``).  Training builds the tree of each mini-batch with
 ``build_batch``: it deduplicates the samples' roots and their candidates
@@ -215,7 +217,6 @@ def forward_node(
     feats: np.ndarray,
     params: ModelParams,
     t: float,
-    lam: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Embeddings of every node at time t, (num_nodes, d2); row u embeds
@@ -228,7 +229,7 @@ def forward_node(
     uniform lists instead (the selection-ablated variants): one random
     key per candidate of each node with more than m, the m smallest kept.
     """
-    ids, scores, mask = top_m_neighbors(g, float(t), params.m, lam, rng)
+    ids, scores, mask = top_m_neighbors(g, float(t), params.m, rng)
     every = np.arange(g.num_nodes)
     return forward_batch(_FlatBatch(every, ids, scores, mask, every, ids), params, feats).h2
 
@@ -256,8 +257,13 @@ def load_checkpoint(path) -> tuple[ModelParams, np.ndarray, int]:
 
 
 def checkpoint_config(path) -> tuple[dict, str]:
-    """The model config and training-split digest saved with a checkpoint."""
-    with np.load(path) as data:
+    """The model config and training-split digest saved with a checkpoint;
+    a ValueError names a path that cannot be opened or holds neither."""
+    try:
+        data = np.load(path)
+    except OSError as exc:
+        raise ValueError(f"cannot open checkpoint {path}: {exc.strerror}") from None
+    with data:
         if "config" not in data.files or "train_digest" not in data.files:
             raise ValueError(
                 f"checkpoint {path} holds no model config or training-split digest; retrain to evaluate it"

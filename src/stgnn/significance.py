@@ -1,7 +1,9 @@
 """Decayed interaction significance and significant-neighbor selection.
 
 The significance of a node pair at time t is the exponentially decayed
-count of their past contacts, sum_i exp(-lambda * (t - t_i)).  Each
+count of their past contacts, sum_i exp(-(t - t_i)): a contact one time
+unit old weighs exp(-1), so the time unit the stream is loaded in (the
+``--time-unit`` of stgnn.cli) sets how fast significance decays.  Each
 node's neighbors are ranked by this score and only the top m are kept
 for aggregation.  (The forward-window labels of the training events are
 counted in stgnn.training.build_positive_samples.)
@@ -37,9 +39,6 @@ import numpy as np
 
 from stgnn.temporal_graph import TemporalGraph, narrow_ids
 
-DEFAULT_DECAY = 1.0
-
-
 def _rank_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Indices sorting by score descending, neighbor id ascending on ties."""
     return np.lexsort((ids, -scores))
@@ -63,20 +62,20 @@ def sample_m(
     return ids[order], scores[order]
 
 
-def pair_significance(g: TemporalGraph, t: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def pair_significance(g: TemporalGraph, t: float) -> tuple[np.ndarray, np.ndarray]:
     """The CSR ids of the pairs of g with a contact strictly before t,
     ascending (so in pair-key order), and each one's decayed contact
     count at t."""
     past = g.pair_t < t
     n_pairs = g.pair_key.shape[0]
     pair = np.repeat(np.arange(n_pairs), np.diff(g.pair_ptr))[past]
-    sums = np.bincount(pair, weights=np.exp(-lam * (t - g.pair_t[past])), minlength=n_pairs)
+    sums = np.bincount(pair, weights=np.exp(-(t - g.pair_t[past])), minlength=n_pairs)
     live = np.flatnonzero(np.bincount(pair, minlength=n_pairs))
     return live, sums[live]
 
 
 def top_m_neighbors(
-    g: TemporalGraph, t: float, m: int, lam: float = DEFAULT_DECAY, rng: np.random.Generator | None = None
+    g: TemporalGraph, t: float, m: int, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every node's m most significant neighbors at time t, as
     (num_nodes, m) ids, scores and mask; row u is node u's list.
@@ -93,9 +92,7 @@ def top_m_neighbors(
     """
     if m < 1:
         raise ValueError(f"capacity must be at least 1, got {m}")
-    if not lam > 0:
-        raise ValueError(f"decay rate must be positive, got {lam}")
-    pairs, sums = pair_significance(g, t, lam)
+    pairs, sums = pair_significance(g, t)
     ends = narrow_ids(g.pair_ends()[pairs])
     # each pair from both ends, ranked within each node
     node, nbr, score = ends.T.reshape(-1), ends[:, ::-1].T.reshape(-1), np.tile(sums, 2)
@@ -144,11 +141,8 @@ class SignificanceIndex:
     or a ``random_m`` draw, at each of the node's event times.
     """
 
-    def __init__(self, num_nodes: int, lam: float = DEFAULT_DECAY):
-        if not lam > 0:
-            raise ValueError(f"decay rate must be positive, got {lam}")
+    def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
-        self.lam = lam
         self.t_frontier = -np.inf
         self._slot: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
         self._nbr: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * num_nodes
@@ -181,7 +175,7 @@ class SignificanceIndex:
         if t == last:
             n_last[slot] += 1.0
         else:
-            decay = float(np.exp(-self.lam * (t - last)))
+            decay = float(np.exp(-(t - last)))
             s_strict[slot] = (s_strict.item(slot) + n_last.item(slot)) * decay
             n_last[slot] = 1.0
             last_t[slot] = t
@@ -210,7 +204,7 @@ class SignificanceIndex:
         ids = self._nbr[u][:k]
         ids.flags.writeable = False
         s_strict, n_last, last_t = self._s_strict[u][:k], self._n_last[u][:k], self._last_t[u][:k]
-        return ids, (s_strict + n_last) * np.exp(-self.lam * (t - last_t))
+        return ids, (s_strict + n_last) * np.exp(-(t - last_t))
 
     def top_m(self, u: int, t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and scores of u's m most significant neighbors at time t,
@@ -244,9 +238,9 @@ class TopMTable:
     are sorted by the int64 key node * len(times) + time rank, where
     ``times`` are the distinct event times; ``first[u]`` is u's first row,
     or where its rows would start if it has none.  A query (u, t) reads
-    u's last row strictly before t and rescales its scores by exp(-lam *
-    (t - row_t)): u's candidates change only at u's own events, and between
-    them every score decays by the same factor.  The rows are therefore
+    u's last row strictly before t and rescales its scores by
+    exp(-(t - row_t)): u's candidates change only at u's own events, and
+    between them every score decays by the same factor.  The rows are therefore
     exact (a drawn row is a uniform subset of the pure route's candidates,
     with their exact scores) while no score underflows.  Once the
     rescaled scores reach 0, a row keeps its order from row_t, where the
@@ -254,7 +248,6 @@ class TopMTable:
     """
 
     m: int
-    lam: float
     times: np.ndarray   # (T,) distinct event times, ascending
     keys: np.ndarray    # (rows,) node * T + time rank, ascending
     row_t: np.ndarray   # (rows,)
@@ -265,7 +258,7 @@ class TopMTable:
 
     @classmethod
     def build(
-        cls, g: TemporalGraph, m: int, lam: float = DEFAULT_DECAY, rng: np.random.Generator | None = None
+        cls, g: TemporalGraph, m: int, rng: np.random.Generator | None = None
     ) -> "TopMTable":
         """One chronological sweep of a SignificanceIndex over g's events.
 
@@ -278,7 +271,7 @@ class TopMTable:
             raise ValueError(f"capacity must be at least 1, got {m}")
         if g.num_events == 0:
             raise ValueError("a top-m table needs at least one event")
-        index = SignificanceIndex(g.num_nodes, lam=lam)
+        index = SignificanceIndex(g.num_nodes)
         times, rank = np.unique(g.t, return_inverse=True)
         n_t = times.shape[0]
         keys = np.unique(np.concatenate([g.src, g.dst]) * n_t + np.tile(rank, 2))
@@ -304,7 +297,7 @@ class TopMTable:
                 k = a.shape[0]
                 ids[r, :k], scores[r, :k], lens[r] = a, b, k
             lo, r0 = hi, r1
-        return cls(m, lam, times, keys, times[key_rank], ids, scores, lens, first)
+        return cls(m, times, keys, times[key_rank], ids, scores, lens, first)
 
     def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate lists of nodes[i] at ts[i], as (k, m) ids, scores and
@@ -316,7 +309,7 @@ class TopMTable:
         row = np.searchsorted(self.keys, nodes * n_t + np.searchsorted(self.times, ts)) - 1
         found = row >= np.take(self.first, nodes)  # u has an event-time group strictly before t
         row = np.where(found, row, 0)
-        decay = np.exp(-self.lam * np.where(found, ts - np.take(self.row_t, row), 0.0))
+        decay = np.exp(-np.where(found, ts - np.take(self.row_t, row), 0.0))
         # stored rows are zero past their length: only the queries with no row need zeroing
         ids = np.take(self.ids, row, axis=0)
         scores = np.take(self.scores, row, axis=0)

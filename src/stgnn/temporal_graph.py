@@ -135,13 +135,18 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
     string breaking ties such as "1" and "01"; lexicographic otherwise);
     the mapping is kept on the graph for report emission.  Self-loops
     are dropped with a counted warning; duplicate rows are kept as
-    distinct repeat contacts.
+    distinct repeat contacts.  A path that cannot be opened raises a
+    ValueError naming it.
     """
     check_time_unit(time_unit)
     us: list[str] = []
     vs: list[str] = []
     ts: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot open dataset {path}: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith(COMMENT_PREFIXES):

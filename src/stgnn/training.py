@@ -105,7 +105,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 128
     m: int = 10
-    lam: float = 1.0
     seed: int = 0
     d0: int = 128
     d1: int = 16
@@ -132,8 +131,6 @@ class TrainConfig:
             raise ValueError(f"m (neighbors per node) must be at least 1, got {self.m}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not self.lam > 0:
-            raise ValueError(f"lam (decay rate) must be positive, got {self.lam}")
         for name in ("d0", "d1", "d2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} (layer width) must be at least 1, got {getattr(self, name)}")
@@ -436,7 +433,7 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
     neg_delta = None if delta is None else float(delta)
     table = None
     if config.use_significant_selection and n_pos:  # no events, no chunks, no table
-        table = TopMTable.build(g_train, config.m, config.lam)
+        table = TopMTable.build(g_train, config.m)
 
     history: list[float] = []
     epoch_seconds: list[float] = []
@@ -456,7 +453,7 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
 
         if not config.use_significant_selection and n_pos:
             table = None  # free the last epoch's draws before drawing the next
-            table = TopMTable.build(g_train, config.m, config.lam, rng=sel_rng)
+            table = TopMTable.build(g_train, config.m, rng=sel_rng)
         loss_sum = 0.0
         n_seen = 0
         for start in range(0, n_pos, config.batch_size):

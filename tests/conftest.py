@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stgnn.significance import TopMTable
+from stgnn.temporal_graph import from_columns
 from reference_model import Event, events_of, from_events
 
 
@@ -25,6 +26,12 @@ def tied_stream(batch_size: int):
     for k in range(batch_size - 2, batch_size + 2):
         events[k] = Event(events[k].u, events[k].v, t_tie)
     return from_events(events, num_nodes=15)
+
+
+def scaled(g, k: float):
+    """g with every timestamp multiplied by k: its scores exp(-(t - t_i))
+    are those of g under the decay rate k, exp(-k (t - t_i))."""
+    return from_columns(g.src, g.dst, g.t * k, g.num_nodes)
 
 
 def table_list(table: TopMTable, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:

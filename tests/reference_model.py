@@ -286,8 +286,7 @@ class ListSignificanceIndex:
     exactly that time; a query counts every contact held.
     """
 
-    def __init__(self, num_nodes: int, lam: float = 1.0):
-        self.lam = lam
+    def __init__(self, num_nodes: int):
         self.t_frontier = -np.inf
         self._slot: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
         self._nbr: list[list[int]] = [[] for _ in range(num_nodes)]
@@ -315,7 +314,7 @@ class ListSignificanceIndex:
         if t == last:
             self._n_last[u][slot] += 1.0
         else:
-            decay = float(np.exp(-self.lam * (t - last)))
+            decay = float(np.exp(-(t - last)))
             self._s_strict[u][slot] = (self._s_strict[u][slot] + self._n_last[u][slot]) * decay
             self._n_last[u][slot] = 1.0
             self._last_t[u][slot] = t
@@ -327,10 +326,10 @@ class ListSignificanceIndex:
         s_strict = np.asarray(self._s_strict[u], dtype=np.float64)
         n_last = np.asarray(self._n_last[u], dtype=np.float64)
         last_t = np.asarray(self._last_t[u], dtype=np.float64)
-        return ids, (s_strict + n_last) * np.exp(-self.lam * (t - last_t))
+        return ids, (s_strict + n_last) * np.exp(-(t - last_t))
 
 
-def sweep_table(g: TemporalGraph, m: int, lam: float = 1.0, rng: np.random.Generator | None = None) -> TopMTable:
+def sweep_table(g: TemporalGraph, m: int, rng: np.random.Generator | None = None) -> TopMTable:
     """The top-m table filled row by row during one chronological sweep of
     a ``ListSignificanceIndex``: after each event-time group, each touched
     node's list goes straight into its next row.  With ``rng`` each row is
@@ -338,7 +337,7 @@ def sweep_table(g: TemporalGraph, m: int, lam: float = 1.0, rng: np.random.Gener
     order, the rows of one event time drawn in node order.  The oracle for
     ``stgnn.significance.TopMTable.build``.
     """
-    index = ListSignificanceIndex(g.num_nodes, lam=lam)
+    index = ListSignificanceIndex(g.num_nodes)
     times, rank = np.unique(g.t, return_inverse=True)
     n_t = times.shape[0]
     keys = np.unique(np.concatenate([g.src, g.dst]) * n_t + np.tile(rank, 2))
@@ -366,7 +365,7 @@ def sweep_table(g: TemporalGraph, m: int, lam: float = 1.0, rng: np.random.Gener
             cursor[u] += 1
             lens[row] = k = len(nbr)
             ids[row, :k], scores[row, :k] = nbr, sc
-    return TopMTable(m, lam, times, keys, times[keys % n_t], ids, scores, lens, first)
+    return TopMTable(m, times, keys, times[keys % n_t], ids, scores, lens, first)
 
 
 def phi(scores, beta) -> np.ndarray:
@@ -474,14 +473,13 @@ def tree_forward_node(
     params: ModelParams,
     nodes,
     t: float,
-    lam: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Embeddings of ``nodes`` at time t, row i for nodes[i], through the
     training tree: ``build_batch`` over a table whose ``lookup`` indexes
     the rows of one ``top_m_neighbors`` pass at t (drawn with ``rng``,
     as the selection-ablated variants do)."""
-    ids, scores, mask = top_m_neighbors(g, float(t), params.m, lam, rng)
+    ids, scores, mask = top_m_neighbors(g, float(t), params.m, rng)
     table = SimpleNamespace(m=params.m, lookup=lambda u, _: (ids[u], scores[u], mask[u]))
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     fb, root = build_batch(nodes, np.full(nodes.shape[0], float(t)), table)
@@ -750,7 +748,7 @@ def forward_backward(
 
 def tree_from_graph(batch: list[TrainSample], g: TemporalGraph, config: TrainConfig) -> _FlatBatch:
     """Build the batch tree with pure (immutable-graph) candidate queries."""
-    tree = BatchTree(config.m, partial(pure_top_m, g, lam=config.lam))
+    tree = BatchTree(config.m, partial(pure_top_m, g))
     for s in batch:
         ru = tree.add_root(s.u, s.t)
         rv = tree.add_root(s.v, s.t)

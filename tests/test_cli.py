@@ -20,7 +20,7 @@ from stgnn.cli import (
     run_single_rep,
     run_sweep,
 )
-from stgnn.model import checkpoint_config, init_params, save_checkpoint
+from stgnn.model import checkpoint_config, init_params, load_checkpoint, save_checkpoint
 from stgnn.powerlaw import DegenerateFitError
 from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import load_edge_list, split_train_test, stream_digest
@@ -86,7 +86,7 @@ class TestConfigValidation:
             ExperimentConfig(dataset="edges.txt", time_unit=1.0, p=1.0)
 
     @pytest.mark.parametrize(
-        "field", ["m", "batch_size", "lam", "time_unit", "split_ratio", "lr", "epochs", "d0", "d1", "d2"]
+        "field", ["m", "batch_size", "time_unit", "split_ratio", "lr", "epochs", "d0", "d1", "d2"]
     )
     def test_bad_training_field_fails_before_load(self, tmp_path, field):
         # the dataset does not exist, so only the config check can raise
@@ -135,6 +135,16 @@ class TestConfigValidation:
         cfg_file.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_file)]) == 1
         assert f"{field} must be of type" in caplog.text
+        assert not out.exists()
+
+    def test_unknown_config_file_field_fails_with_one_line(self, tmp_path, dataset, caplog):
+        # an undeclared key used to reach ExperimentConfig as a TypeError traceback
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "cfg.json"
+        cfg = {"dataset": str(dataset), "time_unit": 1.0, "outdir": str(out), "decay": 0.5}
+        cfg_file.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        assert "unknown config field(s): decay" in caplog.text and "Traceback" not in caplog.text
         assert not out.exists()
 
     def test_negative_seed_fails_before_output(self, tmp_path, dataset, caplog):
@@ -317,13 +327,13 @@ class TestRun:
 
 
 # the checkpoint fixture's settings that are not quick_config's defaults
-CKPT_KW = dict(epochs=1, time_unit=2.0, lam=0.5)
+CKPT_KW = dict(epochs=1, time_unit=2.0)
 
 
 @pytest.fixture(scope="module")
 def checkpoint(dataset, tmp_path_factory):
-    """A checkpoint trained with m = 4, time unit 2 and decay 0.5 on the
-    40-node dataset."""
+    """A checkpoint trained with m = 4 and time unit 2 on the 40-node
+    dataset."""
     out = tmp_path_factory.mktemp("ckpt")
     run_experiment(quick_config(dataset, out, **CKPT_KW))
     return str(out / "seed_00" / "checkpoint.npz")
@@ -355,7 +365,7 @@ class TestEvalCheckpointChecks:
             eval_checkpoint(checkpoint, quick_config(dataset, tmp_path, **CKPT_KW, m=m))
 
     @pytest.mark.parametrize(
-        "field, value", [("ablation", "BGNN"), ("lam", 5.0), ("split_ratio", 0.6), ("time_unit", 3600.0)]
+        "field, value", [("ablation", "BGNN"), ("split_ratio", 0.6), ("time_unit", 3600.0)]
     )
     def test_other_model_field_rejected(self, dataset, checkpoint, tmp_path, no_evaluation, field, value):
         trained = checkpoint_config(checkpoint)[0][field]
@@ -399,6 +409,15 @@ class TestEvalCheckpointChecks:
         assert report["best_auc"] == doc["best_auc"]
         assert report["reference_auc"] == doc["reference_auc"]
 
+    def test_unknown_checkpoint_field_fails_with_one_line(self, dataset, checkpoint, tmp_path, caplog):
+        # a stored field that ExperimentConfig does not declare, as the
+        # decay rate is in checkpoints written before it was removed
+        trained, digest = checkpoint_config(checkpoint)
+        path = tmp_path / "older.npz"
+        save_checkpoint(path, *load_checkpoint(checkpoint), config={**trained, "lam": 1.0}, train_digest=digest)
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(dataset)]) == 1
+        assert "eval failed: unknown config field(s): lam" in caplog.text and "Traceback" not in caplog.text
+
     def test_checkpoint_without_config_fails_with_one_line(self, dataset, tmp_path, caplog):
         params = init_params(np.random.default_rng(0), d0=16, d1=8, d2=8, m=4)
         path = tmp_path / "bare.npz"
@@ -423,12 +442,33 @@ def dense_dataset(tmp_path_factory):
     return path
 
 
-class TestTooDense:
-    def test_run_fails_before_training(self, dense_dataset, tmp_path, monkeypatch):
-        def entered(*args, **kwargs):
-            raise AssertionError("training.train was entered")
+@pytest.fixture(scope="module")
+def budget_dataset(tmp_path_factory):
+    """60 nodes whose 20 never-linked pairs just supply the 20 held-out
+    pairs: the test-negative sampler expects 60**2 / 2 * (1/20 + ... + 1/1),
+    about 6,476 tries, over its budget of 200 * 20 + 1000.  Every other
+    pair has two training contacts, and the held-out pairs a third after
+    the split."""
+    rng = np.random.default_rng(0)
+    pairs = rng.permutation([(u, v) for u in range(60) for v in range(u + 1, 60)]).tolist()
+    rows = [(u, v, t) for u, v in pairs[40:] for t in rng.uniform(0.0, 70.0, size=2).tolist()]
+    rows += [(u, v, 80.0 + i) for i, (u, v) in enumerate(pairs[:20])]
+    rows.sort(key=lambda row: row[2])
+    path = tmp_path_factory.mktemp("budget") / "budget.txt"
+    path.write_text("".join(f"{u} {v} {t!r}\n" for u, v, t in rows))
+    return path
 
-        monkeypatch.setattr(training, "train", entered)
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def entered(*args, **kwargs):
+        raise AssertionError("training.train was entered")
+
+    monkeypatch.setattr(training, "train", entered)
+
+
+class TestTooDense:
+    def test_run_fails_before_training(self, dense_dataset, tmp_path, no_training):
         g = load_edge_list(dense_dataset)
         assert g.num_nodes == 60
         with pytest.raises(ValueError, match=r"too dense for the evaluation protocol: \d+ never-linked pairs .* \d+ held-out pairs"):
@@ -441,6 +481,15 @@ class TestTooDense:
         argv = ["run", "--dataset", str(dense_dataset), "--time-unit", "1", "--outdir", str(out)]
         assert main(argv + ["--epochs", "1"]) == 1
         assert "too dense for the evaluation protocol" in caplog.text
+        assert not out.exists()
+
+    def test_try_budget_fails_before_training(self, budget_dataset, tmp_path, no_training, caplog):
+        # the supply check used to pass, and the sampler to run out of tries after training
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", str(budget_dataset), "--time-unit", "1", "--outdir", str(out), "--epochs", "1"]
+        assert main(argv) == 1
+        assert "too dense for the evaluation protocol: 20 never-linked pairs" in caplog.text
+        assert "Traceback" not in caplog.text
         assert not out.exists()
 
     def test_eval_fails_before_evaluating(self, dense_dataset, tmp_path, no_evaluation):
@@ -475,40 +524,12 @@ class TestZeroScoreShare:
         report = _prepare(quick_config(seconds_dataset, tmp_path, time_unit=1.0))[3]
         assert report["zero_score_share"] > 0.5
         assert "underflow to 0" in caplog.text
-        assert "--time-unit" in caplog.text and "--decay" in caplog.text
+        assert "--time-unit" in caplog.text
 
     def test_days_stream_is_silent(self, seconds_dataset, tmp_path, caplog):
         report = _prepare(quick_config(seconds_dataset, tmp_path, time_unit=86400.0))[3]
         assert report["zero_score_share"] == 0.0
         assert "underflow" not in caplog.text
-
-
-def checkpoint_params(seed_dir):
-    with np.load(seed_dir / "checkpoint.npz") as ckpt:
-        return {name: ckpt[name] for name in ("w1_self", "w1_nbr", "w2_self", "w2_nbr", "beta")}
-
-
-class TestTimeUnitAndDecay:
-    """Times reach the model only as decay * time and through the window,
-    so dividing the timestamps by k and multiplying the decay by k is the
-    same run, with a window k times smaller."""
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_one_knob(self, tmp_path, seed):
-        stream, _ = generate_synthetic(
-            tmp_path / "s.txt", n_nodes=40, n_significant_pairs=6, n_background_events=150,
-            events_per_significant_pair=25, horizon=60.0, seed=seed, n_communities=4,
-        )
-        base = run_single_rep(quick_config(stream, tmp_path / "base"), 0)
-        ref = checkpoint_params(tmp_path / "base" / "seed_00")
-        for k in (1e-3, 3600.0):
-            doc = run_single_rep(quick_config(stream, tmp_path / f"k_{k}", time_unit=k, lam=k), 0)
-            assert doc["fit"]["delta"] * k == pytest.approx(base["fit"]["delta"], rel=1e-12, abs=0), k
-            assert doc["final_loss"] == pytest.approx(base["final_loss"], rel=1e-12, abs=0), k
-            assert (doc["best_auc"], doc["reference_auc"]) == (base["best_auc"], base["reference_auc"]), k
-            scaled = checkpoint_params(tmp_path / f"k_{k}" / "seed_00")
-            for name in ref:
-                np.testing.assert_allclose(scaled[name], ref[name], rtol=1e-9, atol=0, err_msg=f"{name}, k = {k}")
 
 
 class TestGridAndSweep:
@@ -669,6 +690,22 @@ class TestMain:
         caplog.clear()
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert "Traceback" in caplog.text
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "fit"])
+    def test_missing_dataset_fails_with_one_line(self, tmp_path, caplog, verb):
+        # only run and sweep write as they go, so only they speak of partial results
+        missing = tmp_path / "nope.txt"
+        argv = [verb, "--dataset", str(missing), "--time-unit", "1", "--outdir", str(tmp_path / "x")]
+        assert main(argv + (["--param", "m", "--values", "2"] if verb == "sweep" else [])) == 1
+        partial = "; partial results (if any) were preserved" if verb != "fit" else ""
+        assert f"{verb} failed{partial}: cannot open dataset {missing}: " in caplog.text
+        assert "Traceback" not in caplog.text
+
+    def test_missing_checkpoint_fails_with_one_line(self, dataset, tmp_path, caplog):
+        missing = tmp_path / "nope.npz"
+        assert main(["eval", "--checkpoint", str(missing), "--dataset", str(dataset)]) == 1
+        assert f"eval failed: cannot open checkpoint {missing}: " in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_failure_returns_nonzero(self, tmp_path):
         for verb in (["run"], ["sweep", "--param", "m", "--values", "2"]):

@@ -20,7 +20,7 @@ from stgnn.evaluation import (
 from stgnn.model import init_params, random_features
 from stgnn.temporal_graph import split_train_test
 from stgnn.training import TrainConfig, named_rng
-from conftest import random_stream
+from conftest import random_stream, scaled
 from reference_model import (
     Event,
     ScoredPair,
@@ -232,8 +232,9 @@ class TestHeuristic:
         g = random_stream(rng, n_nodes=10, n_events=400)
         u, v = np.triu_indices(10, k=1)
         u, v = np.concatenate([u, v[:7]]), np.concatenate([v, u[:7]])  # both orientations
+        # the oracle at decay rate lam against the stream with its times scaled by lam
         for t0, lam in ((g.t_max * 0.9, 1.0), (events_of(g)[150].t, 0.3), (g.t_max + 1.0, 2.0), (0.0, 1.0)):
-            got = heuristic_reference(g, u, v, t0, lam=lam)
+            got = heuristic_reference(scaled(g, lam), u, v, t0 * lam)
             want = pairwise_reference(g, u, v, t0, lam=lam)
             assert (got > 0).tolist() == (want > 0).tolist()
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -320,7 +321,7 @@ class TestEvaluate:
             assert got["map_per_node"] == pytest.approx(list_map(pairs, per_node=True), abs=1e-15)
         t0 = split.t_split
         ref = [
-            ScoredPair(u, v, initial_significance(pair_history(split.train, u, v, t0), t0, lam=cfg.lam), lab)
+            ScoredPair(u, v, initial_significance(pair_history(split.train, u, v, t0), t0), lab)
             for u, v, lab in labeled
         ]
         assert report.reference_auc == list_auc(ref)

@@ -18,7 +18,7 @@ from stgnn.model import (
 from stgnn.evaluation import node_embeddings
 from stgnn.significance import top_m_neighbors
 from stgnn.training import TrainConfig, named_rng
-from conftest import random_stream
+from conftest import random_stream, scaled
 from reference_model import Event, check_finite, cosine, from_events, phi, pure_top_m, stagg_layer
 from reference_model import forward_node as reference_forward_node
 from reference_model import tree_forward_node
@@ -206,7 +206,7 @@ class TestForwardNode:
         params.beta = rng.normal(size=2)
         t, nodes = g.t_max * 0.9, [1, 4, 6]
         got = node_embeddings(g, params, feats, t, cfg)
-        ids, scores, mask = top_m_neighbors(g, t, 2, cfg.lam, rng=named_rng(5, "eval-selection"))
+        ids, scores, mask = top_m_neighbors(g, t, 2, rng=named_rng(5, "eval-selection"))
         replay = lambda g_, node, t_, m_: (ids[node][mask[node]], scores[node][mask[node]])
         for u in nodes:
             np.testing.assert_allclose(
@@ -247,23 +247,24 @@ class TestForwardNode:
     n_events=st.integers(1, 60),
     m=st.integers(1, 5),
     at=st.one_of(st.floats(0.0, 1.2), st.integers(0, 59)),
-    lam=st.sampled_from([0.5, 1.0, 4.0]),
+    scale=st.sampled_from([0.5, 1.0, 4.0]),
     draw=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
     subset=st.booleans(),
 )
-def test_dense_forward_matches_tree_oracle(seed, n_nodes, n_events, m, at, lam, draw, subset):
+def test_dense_forward_matches_tree_oracle(seed, n_nodes, n_events, m, at, scale, draw, subset):
     # ``at`` is a fraction of the horizon or, as an int, the time of one
-    # event (its contact is not yet seen); a subset may repeat nodes
+    # event (its contact is not yet seen); a subset may repeat nodes; the
+    # stream's times are scaled, as a time unit 1 / scale would
     rng = np.random.default_rng(seed)
-    g = random_stream(rng, n_nodes=n_nodes, n_events=n_events)
+    g = scaled(random_stream(rng, n_nodes=n_nodes, n_events=n_events), scale)
     feats = random_features(n_nodes, 4, rng)
     params = init_params(rng, 4, 3, 3, m=m)
     params.beta = rng.normal(size=m)
     t = float(g.t[at % n_events]) if isinstance(at, int) else g.t_max * at
     nodes = rng.integers(n_nodes, size=int(rng.integers(1, n_nodes + 1))) if subset else np.arange(n_nodes)
     sel = lambda: None if draw is None else np.random.default_rng(draw)
-    dense = forward_node(g, feats, params, t, lam, sel())
-    want = tree_forward_node(g, feats, params, nodes, t, lam, sel())
+    dense = forward_node(g, feats, params, t, sel())
+    want = tree_forward_node(g, feats, params, nodes, t, sel())
     assert dense.shape == (n_nodes, 3)
     if subset:  # the tree's matrix products run over fewer rows
         np.testing.assert_allclose(dense[nodes], want, rtol=1e-12, atol=0.0)
@@ -294,10 +295,10 @@ class TestCheckpoint:
         params.beta = rng.normal(size=3)
         feats = random_features(10, 8, rng)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, params, feats, seed=77, config={"m": 3, "lam": 0.5}, train_digest="ab" * 32)
+        save_checkpoint(path, params, feats, seed=77, config={"m": 3, "time_unit": 0.5}, train_digest="ab" * 32)
         loaded, feats2, seed = load_checkpoint(path)
         assert seed == 77
-        assert checkpoint_config(path) == ({"m": 3, "lam": 0.5}, "ab" * 32)
+        assert checkpoint_config(path) == ({"m": 3, "time_unit": 0.5}, "ab" * 32)
         np.testing.assert_array_equal(feats, feats2)
         for (_, a), (_, b) in zip(params.arrays(), loaded.arrays()):
             np.testing.assert_array_equal(a, b)

@@ -102,12 +102,12 @@ class TestFit:
 
 
 @st.composite
-def fit_samples(draw):
+def fit_samples(draw, kinds=("raw", "ceil", "round", "few", "wide", "ulps")):
     """10 to 600 positive samples: power-law draws as drawn, ceil-rounded
     or rounded to 0.1 (which can reach 0), a resample of 1 to 20 values
     (heavy ties, or all equal), draws spanning more than
     MAX_XMIN_CANDIDATES distinct values, or values a few ulps apart."""
-    kind = draw(st.sampled_from(["raw", "ceil", "round", "few", "wide", "ulps"]))
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(MAX_XMIN_CANDIDATES + 2, 600) if kind == "wide" else st.integers(10, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     alpha, scale = draw(st.floats(1.3, 4.0)), draw(st.sampled_from([0.01, 1.0, 7.0, 300.0]))
@@ -148,6 +148,38 @@ def test_long_sample_matches_filtered_fit(alpha, rounding):
     if rounding is not None:
         xs = rounding(xs)
     assert fit_power_law(xs) == fit_power_law_filtered(xs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fit_samples(kinds=("raw", "ceil", "round", "few", "wide")))
+def test_fit_scales_with_the_sample(xs):
+    """Gaps k times larger, as a time unit k times smaller gives, fit with
+    k times the cutoff and the window and the same exponent and KS
+    distance, all to rtol 1e-12, or fail alike.  Values a few ulps apart
+    are left out: their ratios to the cutoff, and so the exponent, are
+    rounding noise, which the product by k draws anew."""
+    try:
+        want = fit_power_law(xs)
+    except ValueError as exc:
+        for k in (1e-3, 1.0, 3600.0):
+            with pytest.raises(type(exc)) as got:
+                fit_power_law(k * xs)
+            assert str(got.value) == str(exc), k
+        return
+    window = intimate_window_size(want, 0.5)
+    for k in (1e-3, 1.0, 3600.0):
+        got = fit_power_law(k * xs)
+        # the tolerance stays; a cutoff that wins on rounding alone is named
+        tie = math.isclose(got.ks_distance, want.ks_distance, rel_tol=1e-12)
+        assert got.n_tail == want.n_tail, (
+            f"{'last-bit cutoff tie' if tie else 'another cutoff'} at k = {k}: "
+            f"xmin {want.xmin!r} became {got.xmin / k!r}"
+        )
+        np.testing.assert_allclose(
+            [got.xmin, got.alpha, got.ks_distance, intimate_window_size(got, 0.5)],
+            [k * want.xmin, want.alpha, want.ks_distance, k * window],
+            rtol=1e-12, atol=0, err_msg=f"k = {k}",
+        )
 
 
 def _deviation_calls(xs) -> list[tuple]:

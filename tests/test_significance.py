@@ -13,7 +13,7 @@ from stgnn.significance import (
     top_m_neighbors,
 )
 from stgnn.training import build_positive_samples
-from conftest import index_pair_score, random_stream, table_list, tied_stream
+from conftest import index_pair_score, random_stream, scaled, table_list, tied_stream
 from reference_model import (
     Event,
     events_of,
@@ -27,9 +27,9 @@ from reference_model import (
 )
 
 
-def row(g, u, t, m, lam=1.0, rng=None):
+def row(g, u, t, m, rng=None):
     """Node u's list from one array pass, cut to its valid slots."""
-    ids, scores, mask = top_m_neighbors(g, t, m, lam, rng)
+    ids, scores, mask = top_m_neighbors(g, t, m, rng)
     return ids[u][mask[u]], scores[u][mask[u]]
 
 
@@ -63,7 +63,7 @@ def named_stream(name, rng):
 
 
 def assert_same_table(got, want):
-    for name in ("m", "lam", "times", "keys", "row_t", "ids", "scores", "lens", "first"):
+    for name in ("m", "times", "keys", "row_t", "ids", "scores", "lens", "first"):
         a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -161,14 +161,6 @@ class TestTopM:
         ids, scores, mask = top_m_neighbors(from_events([], num_nodes=2), 1.0, m=3)
         assert ids.shape == (2, 3) and not mask.any()
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
-    def test_bad_decay_rejected(self, lam):
-        g = from_events([Event(0, 1, 0.0)], num_nodes=2)
-        with pytest.raises(ValueError, match="decay rate"):
-            top_m_neighbors(g, 1.0, m=2, lam=lam)
-        with pytest.raises(ValueError, match="decay rate"):
-            pure_top_m(g, 0, 1.0, m=2, lam=lam)
-
     def test_permutation_invariance(self, rng):
         events = [
             Event(int(u), int(v), float(t))
@@ -193,9 +185,11 @@ class TestTopM:
         # three nodes that never interact
         g = from_events(events_of(g), num_nodes=15)
         t_event = events_of(g)[150].t
+        # the oracle at decay rate 0.7 against the stream with its times scaled by 0.7
+        g_07 = scaled(g, 0.7)
         for t in (t_event, float(rng.uniform(0, g.t_max)), g.t_max + 2.0, 0.0):
             for m in (1, 3, 30):
-                ids, scores, mask = top_m_neighbors(g, t, m, lam=0.7)
+                ids, scores, mask = top_m_neighbors(g_07, t * 0.7, m)
                 assert ids.shape == scores.shape == mask.shape == (15, m)
                 for u in range(15):
                     ref_ids, ref_scores = pure_top_m(g, u, t, m, lam=0.7)
@@ -367,10 +361,10 @@ class TestTopMTable:
     @pytest.mark.parametrize("stream", ["tied", "coarse", "long-gap"])
     def test_matches_list_sweep_bitwise(self, stream, m_max, rng):
         # m_max = 1024 is above every node's candidate count, so no row is cut
-        g = named_stream(stream, rng)
+        g = scaled(named_stream(stream, rng), 0.7)
         for m in (1, 3, m_max):
-            table = TopMTable.build(g, m, lam=0.7)
-            assert_same_table(table, sweep_table(g, m, lam=0.7))
+            table = TopMTable.build(g, m)
+            assert_same_table(table, sweep_table(g, m))
         if stream == "long-gap":  # stored rows hold underflowed scores
             assert (table.scores[np.arange(m) < table.lens[:, None]] == 0.0).any()
 
@@ -449,8 +443,6 @@ class TestTopMTable:
         g = from_events([Event(0, 1, 0.0)], num_nodes=2)
         with pytest.raises(ValueError):
             TopMTable.build(g, 0)
-        with pytest.raises(ValueError):
-            TopMTable.build(g, 2, lam=0.0)
         with pytest.raises(ValueError):
             TopMTable.build(from_events([], num_nodes=2), 2)
 

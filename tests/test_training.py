@@ -192,7 +192,7 @@ class TestCaptureChunk:
         g = tied_stream(cfg.batch_size)
         pos_t = g.t.tolist()
         assert pos_t[cfg.batch_size - 1] == pos_t[cfg.batch_size]
-        table = TopMTable.build(g, cfg.m, cfg.lam)
+        table = TopMTable.build(g, cfg.m)
         n_chunks = 0
         for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
             got = _capture_chunk(*cols, table)
@@ -206,7 +206,7 @@ class TestCaptureChunk:
         # a time
         cfg = TrainConfig(m=3, batch_size=32, ablation="BGNN+I")
         g = tied_stream(cfg.batch_size)
-        table = TopMTable.build(g, cfg.m, cfg.lam, rng=np.random.default_rng(4))
+        table = TopMTable.build(g, cfg.m, rng=np.random.default_rng(4))
         row = lambda u, t, m: table_list(table, u, t)
         n_chunks = 0
         for cols, samples in chunks_with_negatives(g, cfg, delta=0.3):
@@ -243,7 +243,7 @@ class TestBackwardMatchesReference:
         cfg = TrainConfig(ablation="STGNN" if selection else "BGNN+I", **self.cfg)
         g = tied_stream(cfg.batch_size)
         rng = None if selection else np.random.default_rng(4)
-        table = TopMTable.build(g, cfg.m, cfg.lam, rng=rng)
+        table = TopMTable.build(g, cfg.m, rng=rng)
         params, feats = self.model(g.num_nodes)
         n_chunks = 0
         for cols, _ in chunks_with_negatives(g, cfg, delta=0.3):
@@ -261,7 +261,7 @@ class TestBackwardMatchesReference:
             events.append(Event(0 if k % 10 else int(u), int(v), 0.05 * k))
         g = from_events(events, num_nodes=30)
         cfg = TrainConfig(**{**self.cfg, "batch_size": 256})
-        table = TopMTable.build(g, cfg.m, cfg.lam)
+        table = TopMTable.build(g, cfg.m)
         positives = positive_samples(g, 0.5)[300:556]
         neg = [draw_negative(g, p, named_rng(1, "neg"), 0.5, 100) for p in positives]
         cols = (
@@ -517,9 +517,9 @@ class TestTrainLoop:
         builds = []
         build = TopMTable.build
 
-        def spy(g, m, lam=1.0, rng=None):
+        def spy(g, m, rng=None):
             builds.append(rng)
-            return build(g, m, lam, rng=rng)
+            return build(g, m, rng=rng)
 
         monkeypatch.setattr(TopMTable, "build", spy)
         g = self.make_stream()
@@ -612,11 +612,6 @@ class TestConfigValidation:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
-
-    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
-    def test_bad_lam(self, lam):
-        with pytest.raises(ValueError, match="lam"):
-            TrainConfig(lam=lam)
 
     @pytest.mark.parametrize(
         "field, value",
