@@ -99,8 +99,15 @@ def _experiment_config(given: dict) -> ExperimentConfig:
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     base: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                base = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot open config {path}: {exc.strerror}") from None
+        except ValueError as exc:  # malformed JSON or text
+            raise ValueError(f"cannot parse config {path}: {exc}") from None
+        if not isinstance(base, dict):
+            raise ValueError(f"config {path} must hold a JSON object, got {type(base).__name__}")
     if overrides:
         base.update({k: v for k, v in overrides.items() if v is not None})
     return _experiment_config(base)
@@ -128,13 +135,12 @@ def _fit_window(train_g, config: ExperimentConfig):
             return None, None
         raise
     if config.window_size is not None:
-        return float(config.window_size), _fit_to_dict(fit, delta=None)
+        return float(config.window_size), {**dataclasses.asdict(fit), "delta": None}
     delta = powerlaw.intimate_window_size(fit, config.p)
-    return delta, _fit_to_dict(fit, delta)
-
-
-def _fit_to_dict(fit: powerlaw.PowerLawFit, delta: float | None) -> dict:
-    return {**dataclasses.asdict(fit), "delta": delta}
+    if delta > 700:  # so the warning comes before the window reaches the underflow age
+        logger.warning("the fitted window is %.4g time units, near or past the age of about 745 where "
+                       "exp(-age) underflows to 0; rescale time with a larger --time-unit", delta)
+    return delta, {**dataclasses.asdict(fit), "delta": delta}
 
 
 def _check_negative_supply(g, split) -> None:

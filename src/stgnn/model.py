@@ -129,16 +129,17 @@ def build_batch(node, t, table: TopMTable) -> tuple[_FlatBatch, np.ndarray]:
     followed by its candidates.
 
     The candidate lists are ``table.lookup`` rows, (k, table.m) and
-    score-descending, looked up once for the roots and once for the
-    other entries.  Returns the batch, without loss samples, and the
-    root index of each input position.
+    score-descending: one lookup gives the roots' lists, which make the
+    walk, and one more gives every entry's, the roots' again among them
+    (a lookup depends only on its (node, time)).  Returns the batch,
+    without loss samples, and the root index of each input position.
     """
     node = np.asarray(node, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
     t_rank = np.unique(t, return_inverse=True)[1].astype(np.int64) << 32
     root_pos, root_of = _first_unique(t_rank + node)
     r_node, r_t, r_rank = node[root_pos], t[root_pos], t_rank[root_pos]
-    r_ids, r_scores, r_mask = table.lookup(r_node, r_t)
+    r_ids, _, r_mask = table.lookup(r_node, r_t)
 
     # the walk: each root, then its candidates
     walk = np.column_stack([np.ones(r_node.shape[0], dtype=bool), r_mask])
@@ -149,14 +150,7 @@ def build_batch(node, t, table: TopMTable) -> tuple[_FlatBatch, np.ndarray]:
     slots = np.zeros(walk.shape, dtype=np.int64)
     slots[walk] = entry_of
     root_entry, root_nbrs = slots[:, 0], slots[:, 1:]
-
-    nbrs = np.zeros((owner.shape[0], table.m), dtype=np.int64)
-    scores = np.zeros((owner.shape[0], table.m), dtype=np.float64)
-    mask = np.zeros((owner.shape[0], table.m), dtype=bool)
-    nbrs[root_entry], scores[root_entry], mask[root_entry] = r_ids, r_scores, r_mask
-    rest = np.ones(owner.shape[0], dtype=bool)
-    rest[root_entry] = False
-    nbrs[rest], scores[rest], mask[rest] = table.lookup(owner[rest], e_t[rest])
+    nbrs, scores, mask = table.lookup(owner, e_t)
     return _FlatBatch(owner, nbrs, scores, mask, root_entry, root_nbrs), root_of
 
 

@@ -187,19 +187,14 @@ class SignificanceIndex:
             grown[:k] = arrays[u]
             arrays[u] = grown
 
-    def _check_query_time(self, t: float) -> None:
-        if t < self.t_frontier:
-            raise ValueError(
-                f"query at t={t} behind insertion frontier {self.t_frontier}"
-            )
-
     def neighbor_scores(self, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Neighbors of u with their scores at time t, counting every
         contact the index holds, those at exactly t included.
 
         The ids are a read-only view of the index's storage, in slot order.
         """
-        self._check_query_time(t)
+        if t < self.t_frontier:
+            raise ValueError(f"query at t={t} behind insertion frontier {self.t_frontier}")
         k = len(self._slot[u])
         ids = self._nbr[u][:k]
         ids.flags.writeable = False
@@ -302,11 +297,15 @@ class TopMTable:
     def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate lists of nodes[i] at ts[i], as (k, m) ids, scores and
         mask, zero-padded; the mask comes from the stored list lengths, so
-        a score that underflows to 0 keeps its slot."""
+        a score that underflows to 0 keeps its slot.  The query keys are
+        searched in ascending order, so that each binary search starts at
+        the previous one's hit."""
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
-        n_t = self.times.shape[0]
-        row = np.searchsorted(self.keys, nodes * n_t + np.searchsorted(self.times, ts)) - 1
+        key = nodes * self.times.shape[0] + np.searchsorted(self.times, ts)
+        order = np.argsort(key)
+        row = np.empty_like(key)
+        row[order] = np.searchsorted(self.keys, key[order]) - 1
         found = row >= np.take(self.first, nodes)  # u has an event-time group strictly before t
         row = np.where(found, row, 0)
         decay = np.exp(-np.where(found, ts - np.take(self.row_t, row), 0.0))

@@ -12,8 +12,9 @@ Each chronological chunk of samples becomes one computation tree
 strictly before each sample's time; ``_capture_chunk`` then pairs the
 tree's roots into the chunk's samples and weights them, each positive by
 its label and each negative by the chunk's mean label.  The candidate
-lists come from a stgnn.significance.TopMTable, two batched lookups per
-chunk: STGNN's table holds the top-m lists and is built once per
+lists come from a stgnn.significance.TopMTable, in two batched lookups
+per chunk, one for the roots and one for every tree entry, the roots
+included: STGNN's table holds the top-m lists and is built once per
 ``train`` call, and the selection-ablated variants build a table of
 uniform ``random_m`` draws in each epoch (one random key per candidate,
 the m smallest kept), so the draws are new in every epoch and shared

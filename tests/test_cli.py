@@ -147,6 +147,24 @@ class TestConfigValidation:
         assert "unknown config field(s): decay" in caplog.text and "Traceback" not in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot open config {path}: "),
+            ("[1, 2]", "config {path} must hold a JSON object, got list"),
+            ('{"dataset": ', "cannot parse config {path}: "),
+        ],
+        ids=["missing", "not-an-object", "malformed"],
+    )
+    def test_bad_config_file_fails_with_one_line(self, tmp_path, caplog, text, message):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "x")]) == 1
+        assert message.format(path=path) in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "x").exists()
+
     def test_negative_seed_fails_before_output(self, tmp_path, dataset, caplog):
         # it used to fail only in rep_seed, with a message that named no field
         out = tmp_path / "out"
@@ -529,7 +547,23 @@ class TestZeroScoreShare:
     def test_days_stream_is_silent(self, seconds_dataset, tmp_path, caplog):
         report = _prepare(quick_config(seconds_dataset, tmp_path, time_unit=86400.0))[3]
         assert report["zero_score_share"] == 0.0
+        assert report["fit"]["delta"] < 700.0  # the window warning is silent too
         assert "underflow" not in caplog.text
+
+
+class TestWindowUnderflow:
+    def test_seconds_stream_warns_once(self, seconds_dataset, tmp_path, caplog):
+        # gaps from 1 s to a day, counted in seconds, fit a window of far more
+        # than the about 745 units past which exp(-age) underflows to 0
+        _, _, delta, report = _prepare(quick_config(seconds_dataset, tmp_path, time_unit=1.0))
+        assert delta == report["fit"]["delta"] > 700.0
+        warned = [r.getMessage() for r in caplog.records if "fitted window" in r.getMessage()]
+        assert len(warned) == 1 and "--time-unit" in warned[0]
+
+    def test_fit_verb_warns(self, seconds_dataset, caplog, capsys):
+        assert main(["fit", "--dataset", str(seconds_dataset), "--time-unit", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] > 700.0
+        assert "fitted window" in caplog.text
 
 
 class TestGridAndSweep:
@@ -680,7 +714,7 @@ class TestMain:
         assert f"swept m values must be positive integers, got {float(value)}\n" in caplog.text
         assert not (tmp_path / "bad_sweep").exists()
 
-    def test_value_error_is_one_line(self, tmp_path, caplog):
+    def test_value_error_is_one_line(self, tmp_path, caplog, monkeypatch):
         cfg_file = tmp_path / "bad.json"
         cfg_file.write_text(json.dumps({"dataset": "edges.txt", "time_unit": 1.0, "m": 2.5}))
         assert main(["run", "--config", str(cfg_file)]) == 1
@@ -688,8 +722,13 @@ class TestMain:
         assert "Traceback" not in caplog.text
         # any other exception keeps its traceback
         caplog.clear()
-        assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
-        assert "Traceback" in caplog.text
+
+        def fail(config):
+            raise RuntimeError("not a ValueError")
+
+        monkeypatch.setattr("stgnn.cli.run_experiment", fail)
+        assert main(["run", "--dataset", "edges.txt", "--time-unit", "1"]) == 1
+        assert "Traceback" in caplog.text and "RuntimeError: not a ValueError" in caplog.text
 
     @pytest.mark.parametrize("verb", ["run", "sweep", "fit"])
     def test_missing_dataset_fails_with_one_line(self, tmp_path, caplog, verb):

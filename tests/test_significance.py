@@ -428,16 +428,26 @@ class TestTopMTable:
         np.testing.assert_array_equal(scores, 0.0)
 
     def test_batched_rows_match_single_queries(self, rng):
+        # random times, then both ends of some events at their exact event
+        # times, then repeats of earlier queries, identical in (node, t)
         g = random_stream(rng, n_nodes=12, n_events=300)
         table = TopMTable.build(g, 3)
-        nodes = rng.integers(12, size=50)
-        ts = rng.uniform(-0.5, g.t_max + 1.0, size=50)
+        at = rng.integers(g.num_events, size=25)
+        nodes = np.concatenate([rng.integers(12, size=50), g.src[at], g.dst[at]])
+        ts = np.concatenate([rng.uniform(-0.5, g.t_max + 1.0, size=50), g.t[at], g.t[at]])
+        again = rng.integers(nodes.shape[0], size=40)
+        nodes, ts = np.concatenate([nodes, nodes[again]]), np.concatenate([ts, ts[again]])
         ids, scores, mask = table.lookup(nodes, ts)
-        for i in range(50):
+        for i in range(nodes.shape[0]):
             one = table.lookup(nodes[i : i + 1], ts[i : i + 1])
-            np.testing.assert_array_equal(ids[i], one[0][0])
-            np.testing.assert_array_equal(scores[i], one[1][0])
-            np.testing.assert_array_equal(mask[i], one[2][0])
+            assert ids[i].tobytes() == one[0][0].tobytes()
+            assert scores[i].tobytes() == one[1][0].tobytes()
+            assert mask[i].tobytes() == one[2][0].tobytes()
+        # a query at an event time does not see that time's contacts: it
+        # reads the list that a query just before that time reads
+        before = table.lookup(g.src[at], np.nextafter(g.t[at], -np.inf))
+        np.testing.assert_array_equal(ids[50:75], before[0])
+        np.testing.assert_array_equal(mask[50:75], before[2])
 
     def test_rejects_bad_input(self):
         g = from_events([Event(0, 1, 0.0)], num_nodes=2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stgnn.model import init_params, random_features
 from stgnn.significance import TopMTable
@@ -217,6 +219,49 @@ class TestCaptureChunk:
             assert_same_batch(got, tree.finalize())
             n_chunks += 1
         assert n_chunks == 4
+
+
+@st.composite
+def capture_cases(draw):
+    """A stream with tied times and long gaps, one chronological chunk of
+    its events as positives with labels and negatives (-1 where none was
+    found), a capacity m, and the seed of a drawn table or None for the
+    top-m one."""
+    n = draw(st.integers(3, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    # a gap of 0 ties two events; across a gap of 800 every score exp(-age) underflows to 0
+    rows = draw(st.lists(st.tuples(pair, st.sampled_from([0.0, 0.0, 0.25, 1.0, 800.0])), min_size=2, max_size=60))
+    t = np.cumsum([gap for _, gap in rows]).tolist()
+    g = from_events([Event(u, v, ti) for ((u, v), _), ti in zip(rows, t)], num_nodes=n)
+    lo = draw(st.integers(0, g.num_events - 1))
+    c = slice(lo, draw(st.integers(lo + 1, g.num_events)))
+    k = c.stop - lo
+    w = np.array(draw(st.lists(st.integers(-1, n - 1), min_size=k, max_size=k)))
+    s_delta = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)), dtype=np.float64)
+    table_seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    return g, (g.src[c], g.dst[c], g.t[c], s_delta, w), draw(st.integers(1, 5)), table_seed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(capture_cases())
+def test_capture_matches_the_entry_at_a_time_oracle(case):
+    """Every array of a _capture_chunk batch is bitwise that of the
+    BatchTree oracle, which looks each entry up on its own: with tied
+    times, with scores that underflowed to 0 in the stored rows or in the
+    lookups' decay, with missing negatives, and for both table kinds."""
+    g, cols, m, table_seed = case
+    rng = None if table_seed is None else np.random.default_rng(table_seed)
+    table = TopMTable.build(g, m, rng=rng)
+    got = _capture_chunk(*cols, table)
+    tree = BatchTree(m, lambda u, t, m: table_list(table, u, t))
+    for u, v, t, s, w in zip(*(a.tolist() for a in cols)):
+        tree.add_sample(tree.add_root(u, t), tree.add_root(v, t), True, s)
+        if w >= 0:
+            tree.add_sample(tree.add_root(u, t), tree.add_root(w, t), False, 0)
+    want = tree.finalize()
+    for name in ("owner", "nbrs", "scores", "mask", "root_entry", "root_nbrs", "su", "sv", "positive", "weight"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def assert_same_gradients(fb, params, feats):
