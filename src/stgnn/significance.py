@@ -9,8 +9,9 @@ for aggregation.  (The forward-window labels of the training events are
 counted in stgnn.training.build_positive_samples.)
 
 Candidate lists reach the model as zero-padded (k, m) arrays ``ids``,
-``scores`` and ``mask``, each row score-descending with the smaller id first on
-ties, counting only contacts strictly before the query time.  Two
+``scores`` and ``mask``, counting only contacts strictly before the query
+time, each row score-descending with exact ties going to the larger log
+score (finite where the score underflows), then the smaller id.  Two
 routes produce them:
 
 * ``top_m_neighbors`` gives every node's list at one time t in a single
@@ -20,10 +21,11 @@ routes produce them:
 * ``SignificanceIndex`` sweeps events chronologically and keeps each
   neighbor's score up to date in O(1) per contact.  One sweep of it over
   the training stream's time-sorted columns builds a ``TopMTable`` from
-  its lists at each event time, and the table answers the batched
-  queries of the training trees at their samples' times: a node's
-  candidate set changes only at its own events, and between them every
-  score decays by the same factor.
+  its lists at each event time, ranked there by score and id, and the
+  table answers the batched queries of the training trees at their
+  samples' times: a node's candidate set changes only at its own events,
+  and between them every score decays by the same factor, so that order
+  is the order by log score while no stored score has underflowed.
 
 Given an ``rng``, both routes replace each list by a uniform draw of up
 to m candidates (the selection-ablated variants): each candidate of a node
@@ -87,16 +89,22 @@ def top_m_neighbors(
     gives every key of the nodes with more than m candidates.
 
     The lists come from one stable sort of every (node, neighbor) entry by
-    node, score descending and neighbor id, with the ids narrowed
-    (``narrow_ids``): up to 65,536 nodes the id keys sort as radix sorts.
+    node, score and log score descending and neighbor id, with the ids
+    narrowed (``narrow_ids``): up to 65,536 nodes the id keys sort as radix sorts.
     """
     if m < 1:
         raise ValueError(f"capacity must be at least 1, got {m}")
     pairs, sums = pair_significance(g, t)
+    # log sum_i exp(-(t_last - t_i)) - (t - t_last): a pair's contacts before t head its CSR run
+    past = np.flatnonzero(g.pair_t < t)
+    head = np.searchsorted(past, g.pair_ptr[pairs])
+    count = np.diff(head, append=past.shape[0])
+    t_last = g.pair_t[g.pair_ptr[pairs] + count - 1]
+    logs = np.log(np.add.reduceat(np.exp(g.pair_t[past] - np.repeat(t_last, count)), head)) - (t - t_last)
     ends = narrow_ids(g.pair_ends()[pairs])
-    # each pair from both ends, ranked within each node
+    # each pair from both ends, ranked within each node, exact score ties by log score
     node, nbr, score = ends.T.reshape(-1), ends[:, ::-1].T.reshape(-1), np.tile(sums, 2)
-    order = np.lexsort((nbr, -score, node))
+    order = np.lexsort((nbr, -np.tile(logs, 2), -score, node))
     node, nbr, score = node[order], nbr[order], score[order]
     n = g.num_nodes
     deg = np.bincount(node, minlength=n)
@@ -224,32 +232,32 @@ class SignificanceIndex:
 
 @dataclass(frozen=True)
 class TopMTable:
-    """Every node's candidate list just after each of its event times.
+    """Every node's candidate list before its first event and just after
+    each of its event times.
 
     Row r holds ``lens[r]`` neighbors of one node and their scores at
     ``row_t[r]``, counting the contacts at that time: the m most
     significant ones or, in a table built with an ``rng``, a uniform draw
-    of up to m of them, new in each build and ranked the same way.  Rows
-    are sorted by the int64 key node * len(times) + time rank, where
-    ``times`` are the distinct event times; ``first[u]`` is u's first row,
-    or where its rows would start if it has none.  A query (u, t) reads
-    u's last row strictly before t and rescales its scores by
-    exp(-(t - row_t)): u's candidates change only at u's own events, and
-    between them every score decays by the same factor.  The rows are therefore
-    exact (a drawn row is a uniform subset of the pure route's candidates,
-    with their exact scores) while no score underflows.  Once the
-    rescaled scores reach 0, a row keeps its order from row_t, where the
-    pure route falls back to id order over the zero scores.
+    of up to m of them, ranked the same way.  Rows are sorted by the int64
+    key node * (T + 1) + slot, for the T distinct event ``times``: slot 0
+    is the node's empty row (row_t -inf, length 0), slot k + 1 its row
+    after time rank k.  A query (u, t) reads u's last row strictly before
+    t and rescales its scores by exp(-(t - row_t)), 0 for the empty row:
+    u's candidates change only at u's own events, and between them every
+    score decays by the same factor.  So the rows are exact (a drawn row
+    is a uniform subset of the pure route's candidates), in the pure
+    route's order also where rescaled scores underflow, except where a
+    score had already underflowed at u's own last event: that row keeps
+    the id order it had there.
     """
 
     m: int
     times: np.ndarray   # (T,) distinct event times, ascending
-    keys: np.ndarray    # (rows,) node * T + time rank, ascending
-    row_t: np.ndarray   # (rows,)
+    keys: np.ndarray    # (rows,) node * (T + 1) + slot, ascending
+    row_t: np.ndarray   # (rows,) -inf for the empty rows
     ids: np.ndarray     # (rows, m) zero-padded
     scores: np.ndarray  # (rows, m) zero-padded
     lens: np.ndarray    # (rows,)
-    first: np.ndarray   # (num_nodes,) each node's first row
 
     @classmethod
     def build(
@@ -257,33 +265,31 @@ class TopMTable:
     ) -> "TopMTable":
         """One chronological sweep of a SignificanceIndex over g's events.
 
-        Each row is the index's ``top_m`` list, or with ``rng`` its
+        Each event row is the index's ``top_m`` list, or with ``rng`` its
         ``random_m`` draw; within one event time the rows are drawn in
         node order.  The sweep writes each row into the table as it makes
-        it.
+        it; a stream with no events gives each node its empty row only.
         """
         if m < 1:
             raise ValueError(f"capacity must be at least 1, got {m}")
-        if g.num_events == 0:
-            raise ValueError("a top-m table needs at least one event")
         index = SignificanceIndex(g.num_nodes)
         times, rank = np.unique(g.t, return_inverse=True)
-        n_t = times.shape[0]
-        keys = np.unique(np.concatenate([g.src, g.dst]) * n_t + np.tile(rank, 2))
-        first = np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * n_t)
-        key_rank = keys % n_t
-        # the sweep makes the rows in (time rank, node) order
-        sweep = np.argsort(key_rank, kind="stable")
-        row_nodes = (keys[sweep] // n_t).tolist()
-        row_ends = np.cumsum(np.bincount(key_rank, minlength=n_t)).tolist()
-        event_ends = np.cumsum(np.bincount(rank, minlength=n_t)).tolist()
+        stride = times.shape[0] + 1
+        empty = np.arange(g.num_nodes) * stride
+        keys = np.unique(np.concatenate([empty, g.src * stride + rank + 1, g.dst * stride + rank + 1]))
+        slot = keys % stride
+        # the empty rows come first, then the sweep makes the rows in (time rank, node) order
+        sweep = np.argsort(slot, kind="stable")
+        row_nodes = (keys[sweep] // stride).tolist()
+        row_ends = np.cumsum(np.bincount(slot, minlength=stride)).tolist()
+        event_ends = np.cumsum(np.bincount(rank, minlength=stride - 1)).tolist()
         n_rows = keys.shape[0]
         ids = np.zeros((n_rows, m), dtype=np.int64)
         scores = np.zeros((n_rows, m), dtype=np.float64)
         lens = np.zeros(n_rows, dtype=np.int64)
         src, dst, t = g.src.tolist(), g.dst.tolist(), g.t.tolist()
-        lo = r0 = 0
-        for hi, r1 in zip(event_ends, row_ends):
+        lo, r0 = 0, row_ends[0]
+        for hi, r1 in zip(event_ends, row_ends[1:]):
             for u, v, ti in zip(src[lo:hi], dst[lo:hi], t[lo:hi]):
                 index.add_event(u, v, ti)
             tf = index.t_frontier
@@ -292,28 +298,22 @@ class TopMTable:
                 k = a.shape[0]
                 ids[r, :k], scores[r, :k], lens[r] = a, b, k
             lo, r0 = hi, r1
-        return cls(m, times, keys, times[key_rank], ids, scores, lens, first)
+        return cls(m, times, keys, np.r_[-np.inf, times][slot], ids, scores, lens)
 
     def lookup(self, nodes, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate lists of nodes[i] at ts[i], as (k, m) ids, scores and
-        mask, zero-padded; the mask comes from the stored list lengths, so
-        a score that underflows to 0 keeps its slot.  The query keys are
-        searched in ascending order, so that each binary search starts at
-        the previous one's hit."""
+        mask, each a row of its node rescaled; the mask comes from the
+        stored list lengths, so a score that underflows to 0 keeps its
+        slot.  The query keys are searched in ascending order, so that each
+        binary search starts at the previous one's hit."""
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
-        key = nodes * self.times.shape[0] + np.searchsorted(self.times, ts)
+        key = nodes * (self.times.shape[0] + 1) + np.searchsorted(self.times, ts)
         order = np.argsort(key)
         row = np.empty_like(key)
-        row[order] = np.searchsorted(self.keys, key[order]) - 1
-        found = row >= np.take(self.first, nodes)  # u has an event-time group strictly before t
-        row = np.where(found, row, 0)
-        decay = np.exp(-np.where(found, ts - np.take(self.row_t, row), 0.0))
-        # stored rows are zero past their length: only the queries with no row need zeroing
+        row[order] = np.searchsorted(self.keys, key[order], side="right") - 1
         ids = np.take(self.ids, row, axis=0)
         scores = np.take(self.scores, row, axis=0)
-        scores *= decay[:, None]
-        missing = np.flatnonzero(~found)
-        ids[missing], scores[missing] = 0, 0.0
-        mask = np.arange(self.m) < np.where(found, np.take(self.lens, row), 0)[:, None]
+        scores *= np.exp(-(ts - np.take(self.row_t, row)))[:, None]
+        mask = np.arange(self.m) < np.take(self.lens, row)[:, None]
         return ids, scores, mask

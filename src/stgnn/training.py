@@ -432,9 +432,7 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
     times = _pair_times(g_train)
     neg_u, neg_t = pos_u.tolist(), pos_t.tolist()
     neg_delta = None if delta is None else float(delta)
-    table = None
-    if config.use_significant_selection and n_pos:  # no events, no chunks, no table
-        table = TopMTable.build(g_train, config.m)
+    table = TopMTable.build(g_train, config.m) if config.use_significant_selection else None
 
     history: list[float] = []
     epoch_seconds: list[float] = []
@@ -452,7 +450,7 @@ def train(g_train: TemporalGraph, config: TrainConfig, delta: float | None) -> T
         if n_skip and epoch == 0:
             logger.warning("epoch 0: %d positive(s) have no valid negative", n_skip)
 
-        if not config.use_significant_selection and n_pos:
+        if not config.use_significant_selection:
             table = None  # free the last epoch's draws before drawing the next
             table = TopMTable.build(g_train, config.m, rng=sel_rng)
         loss_sum = 0.0

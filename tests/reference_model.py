@@ -233,7 +233,10 @@ def pure_top_m(
     g: TemporalGraph, u: int, t: float, m: int, lam: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ids and scores of u's m most significant neighbors at time t,
-    score-descending with the smaller id first on ties.
+    score-descending; exact score ties go to the larger log score
+    log sum_i exp(-lam (t_last - t_i)) - lam (t - t_last), with t_last the
+    pair's last contact before t, which stays finite where the score
+    underflows, then to the smaller id.
 
     A neighbor qualifies once it has at least one contact with u strictly
     before t.  Isolated nodes yield empty arrays.
@@ -242,20 +245,20 @@ def pure_top_m(
         raise ValueError(f"capacity must be at least 1, got {m}")
     if not lam > 0:
         raise ValueError(f"decay rate must be positive, got {lam}")
-    ids: list[int] = []
-    scores: list[float] = []
+    ranked: list[tuple[float, float, int]] = []
     ptr = g.pair_ptr.tolist()
     for i, (a, b) in enumerate(g.pair_ends().tolist()):
         if u in (a, b):
             ts = g.pair_t[ptr[i] : ptr[i + 1]]
             hist = ts[: bisect.bisect_left(ts, t)]
             if hist.shape[0]:
-                ids.append(b if a == u else a)
-                scores.append(float(np.exp(-lam * (t - hist)).sum()))
-    ids_a = np.asarray(ids, dtype=np.int64)
-    sc_a = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((ids_a, -sc_a))[:m]
-    return ids_a[order], sc_a[order]
+                t_last = float(hist[-1])
+                log_score = math.log(float(np.exp(-lam * (t_last - hist)).sum())) - lam * (t - t_last)
+                ranked.append((float(np.exp(-lam * (t - hist)).sum()), log_score, b if a == u else a))
+    ranked.sort(key=lambda c: (-c[0], -c[1], c[2]))
+    ids_a = np.asarray([c[2] for c in ranked[:m]], dtype=np.int64)
+    sc_a = np.asarray([c[0] for c in ranked[:m]], dtype=np.float64)
+    return ids_a, sc_a
 
 
 def m_smallest_keys(ids, scores, m: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:
@@ -332,18 +335,21 @@ class ListSignificanceIndex:
 def sweep_table(g: TemporalGraph, m: int, rng: np.random.Generator | None = None) -> TopMTable:
     """The top-m table filled row by row during one chronological sweep of
     a ``ListSignificanceIndex``: after each event-time group, each touched
-    node's list goes straight into its next row.  With ``rng`` each row is
+    node's list goes straight into its next row, and each node's first row
+    is an empty one, read before its first event.  With ``rng`` each row is
     an ``m_smallest_keys`` draw from the node's candidates in first-contact
     order, the rows of one event time drawn in node order.  The oracle for
     ``stgnn.significance.TopMTable.build``.
     """
     index = ListSignificanceIndex(g.num_nodes)
     times, rank = np.unique(g.t, return_inverse=True)
-    n_t = times.shape[0]
-    keys = np.unique(np.concatenate([g.src, g.dst]) * n_t + np.tile(rank, 2))
-    # a node's rows are consecutive and in time order: fill them in sweep order
-    first = np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * n_t)
-    cursor = first.tolist()
+    stride = times.shape[0] + 1
+    # each node's empty row in slot 0, then a row after each of its event times
+    slots = {(u, 0) for u in range(g.num_nodes)}
+    slots.update((u, r + 1) for a, b, r in zip(g.src.tolist(), g.dst.tolist(), rank.tolist()) for u in (a, b))
+    keys = np.array(sorted(u * stride + k for u, k in slots), dtype=np.int64)
+    # a node's rows are consecutive and in time order: fill them in sweep order, after its empty row
+    cursor = (np.searchsorted(keys, np.arange(g.num_nodes, dtype=np.int64) * stride) + 1).tolist()
     ids = np.zeros((keys.shape[0], m), dtype=np.int64)
     scores = np.zeros((keys.shape[0], m), dtype=np.float64)
     lens = np.zeros(keys.shape[0], dtype=np.int64)
@@ -365,7 +371,8 @@ def sweep_table(g: TemporalGraph, m: int, rng: np.random.Generator | None = None
             cursor[u] += 1
             lens[row] = k = len(nbr)
             ids[row, :k], scores[row, :k] = nbr, sc
-    return TopMTable(m, times, keys, times[keys % n_t], ids, scores, lens, first)
+    row_t = np.array([-np.inf if k % stride == 0 else times[k % stride - 1] for k in keys.tolist()])
+    return TopMTable(m, times, keys, row_t, ids, scores, lens)
 
 
 def phi(scores, beta) -> np.ndarray:

@@ -63,7 +63,7 @@ def named_stream(name, rng):
 
 
 def assert_same_table(got, want):
-    for name in ("m", "times", "keys", "row_t", "ids", "scores", "lens", "first"):
+    for name in ("m", "times", "keys", "row_t", "ids", "scores", "lens"):
         a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -422,10 +422,46 @@ class TestTopMTable:
         table = TopMTable.build(g, 2)
         ids, scores, mask = table.lookup([0], [2000.0])
         assert mask.tolist() == [[True, True]]
-        # pins the table's behaviour today: the order just after t = 1,
-        # where pure_top_m ranks the zero scores by id ([1, 2])
+        # the order just after t = 1, which the pure route's log-domain tie rule keeps
         assert ids.tolist() == [[2, 1]]
         np.testing.assert_array_equal(scores, 0.0)
+        assert pure_top_m(g, 0, 2000.0, 2)[0].tolist() == [2, 1]
+
+    def test_long_gap_probe(self):
+        # scores at t = 2000 underflow to 0; the log scores rank 3, 2, 1
+        events = [Event(0, 1, 0.0), Event(0, 1, 1.0), Event(0, 1, 2.0), Event(0, 2, 5.0), Event(0, 3, 10.0)]
+        g = from_events(events, num_nodes=4)
+        ids, scores, mask = TopMTable.build(g, 2).lookup([0], [2000.0])
+        assert ids.tolist() == [[3, 2]] and mask.all() and not scores.any()
+        assert row(g, 0, 2000.0, m=2)[0].tolist() == [3, 2]
+        assert pure_top_m(g, 0, 2000.0, 2)[0].tolist() == [3, 2]
+
+    def test_long_gap_stream_matches_pure_route(self, rng):
+        # across each gap every score underflows; a row that stored no
+        # underflowed score keeps the pure route's order after it
+        g, m = long_gap_stream(rng), 3
+        table = TopMTable.build(g, m)
+        times = np.unique(g.t)
+        gaps = np.flatnonzero(np.diff(times) > 100.0)
+        assert gaps.shape[0] == 2
+        n, checked, underflowed = g.num_nodes, 0, 0
+        for t in [*(times[gaps] + 400.0).tolist(), g.t_max + 2000.0, *times[::10].tolist()]:
+            ids, scores, mask = top_m_neighbors(g, t, m)
+            t_ids, t_scores, t_mask = table.lookup(np.arange(n), np.full(n, t))
+            rows = np.searchsorted(table.keys, np.arange(n) * (times.shape[0] + 1) + np.searchsorted(times, t), "right") - 1
+            for u in range(n):
+                ref_ids, ref_scores = pure_top_m(g, u, t, m)
+                k = ref_ids.shape[0]
+                assert ids[u, :k].tolist() == ref_ids.tolist() and mask[u].sum() == k
+                np.testing.assert_allclose(scores[u, :k], ref_scores, rtol=1e-12, atol=0.0)
+                r = rows[u]
+                if (table.scores[r, : table.lens[r]] == 0.0).any():
+                    continue  # already underflowed at u's last event: the case left open
+                assert t_ids[u][t_mask[u]].tolist() == ref_ids.tolist()
+                np.testing.assert_allclose(t_scores[u][t_mask[u]], ref_scores, rtol=1e-9, atol=0.0)
+                checked += 1
+                underflowed += bool((t_scores[u][t_mask[u]] == 0.0).any())
+        assert checked > 400 and underflowed > 20
 
     def test_batched_rows_match_single_queries(self, rng):
         # random times, then both ends of some events at their exact event
@@ -453,8 +489,14 @@ class TestTopMTable:
         g = from_events([Event(0, 1, 0.0)], num_nodes=2)
         with pytest.raises(ValueError):
             TopMTable.build(g, 0)
-        with pytest.raises(ValueError):
-            TopMTable.build(from_events([], num_nodes=2), 2)
+
+    def test_empty_stream_builds_one_empty_row_per_node(self):
+        table = TopMTable.build(from_events([], num_nodes=3), 2)
+        assert table.keys.tolist() == [0, 1, 2] and not table.lens.any()
+        assert (table.row_t == -np.inf).all()
+        ids, scores, mask = table.lookup([0, 2, 1], [-5.0, 0.0, 1e9])
+        assert not ids.any() and not scores.any() and not mask.any()
+        assert not np.signbit(scores).any()
 
 
 class TestRandomTable:
