@@ -45,7 +45,7 @@ form of these metrics lives on in the tests as their oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ SIMILARITIES = ("Cos", "Had", "L2")
 class MetricsReport:
     """AUC and MAP per similarity plus the per-metric best."""
 
-    per_similarity: dict[str, dict[str, float]]
+    similarity: dict[str, dict[str, float]]
     best_auc: float
     best_map: float
     best_auc_similarity: str
@@ -71,16 +71,7 @@ class MetricsReport:
     reference_auc: float
 
     def to_dict(self) -> dict:
-        return {
-            "similarity": self.per_similarity,
-            "best_auc": self.best_auc,
-            "best_map": self.best_map,
-            "best_auc_similarity": self.best_auc_similarity,
-            "best_map_similarity": self.best_map_similarity,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "reference_auc": self.reference_auc,
-        }
+        return asdict(self)
 
 
 def score_pair(h_u: np.ndarray, h_v: np.ndarray, kind: str) -> np.ndarray:
@@ -288,7 +279,7 @@ def evaluate(
     ref_scores = heuristic_reference(split.train, u, v, split.t_split)
 
     return MetricsReport(
-        per_similarity=per_sim,
+        similarity=per_sim,
         best_auc=per_sim[best_auc_sim]["auc"],
         best_map=per_sim[best_map_sim]["map"],
         best_auc_similarity=best_auc_sim,

@@ -134,28 +134,27 @@ class SignificanceIndex:
     """Streaming significance scores over a chronological event sweep.
 
     Events are inserted in non-decreasing time order and queries must not
-    run behind the insertion frontier.  Per neighbor the index stores the
-    score decayed to the last contact time, split into the part strictly
-    before that time and the count at exactly that time, and the last
-    contact time.  The candidate lists (``neighbor_scores``, ``top_m``,
-    ``random_m``) count every contact held, so a query at a time t ahead
-    of the frontier sees the contacts strictly before t.
+    run behind the insertion frontier.  Per neighbor the index stores its
+    score at its last contact time, every contact held counted, and that
+    time: each contact at t makes the score s * exp(-(t - last)) + 1, a
+    contact at the last time included (its decay factor is exactly 1).
+    The candidate lists (``neighbor_scores``, ``top_m``, ``random_m``)
+    count every contact held, so a query at a time t ahead of the frontier
+    sees the contacts strictly before t.
 
     Each node's neighbors sit in slots in first-contact order, in per-node
-    numpy arrays of ids, s_strict, n_last and last contact time that double
-    when full, so that a query computes every score from views.
+    numpy arrays of ids, score and last contact time that double when
+    full, so that a query computes every score from views.
 
     ``TopMTable.build`` sweeps it and stores each node's ``top_m`` list,
     or a ``random_m`` draw, at each of the node's event times.
     """
 
     def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
         self.t_frontier = -np.inf
         self._slot: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
         self._nbr: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * num_nodes
-        self._s_strict: list[np.ndarray] = [np.empty(0)] * num_nodes
-        self._n_last: list[np.ndarray] = [np.empty(0)] * num_nodes
+        self._score: list[np.ndarray] = [np.empty(0)] * num_nodes
         self._last_t: list[np.ndarray] = [np.empty(0)] * num_nodes
 
     def add_event(self, u: int, v: int, t: float) -> None:
@@ -174,23 +173,16 @@ class SignificanceIndex:
             if k == self._nbr[u].shape[0]:
                 self._grow(u, k)
             self._nbr[u][k] = v
-            self._s_strict[u][k] = 0.0
-            self._n_last[u][k] = 1.0
+            self._score[u][k] = 1.0
             self._last_t[u][k] = t
             return
-        s_strict, n_last, last_t = self._s_strict[u], self._n_last[u], self._last_t[u]
-        last = last_t.item(slot)
-        if t == last:
-            n_last[slot] += 1.0
-        else:
-            decay = float(np.exp(-(t - last)))
-            s_strict[slot] = (s_strict.item(slot) + n_last.item(slot)) * decay
-            n_last[slot] = 1.0
-            last_t[slot] = t
+        score, last_t = self._score[u], self._last_t[u]
+        score[slot] = score.item(slot) * float(np.exp(-(t - last_t.item(slot)))) + 1.0
+        last_t[slot] = t
 
     def _grow(self, u: int, k: int) -> None:
         cap = max(2 * k, 4)
-        for arrays in (self._nbr, self._s_strict, self._n_last, self._last_t):
+        for arrays in (self._nbr, self._score, self._last_t):
             grown = np.empty(cap, dtype=arrays[u].dtype)
             grown[:k] = arrays[u]
             arrays[u] = grown
@@ -206,8 +198,7 @@ class SignificanceIndex:
         k = len(self._slot[u])
         ids = self._nbr[u][:k]
         ids.flags.writeable = False
-        s_strict, n_last, last_t = self._s_strict[u][:k], self._n_last[u][:k], self._last_t[u][:k]
-        return ids, (s_strict + n_last) * np.exp(-(t - last_t))
+        return ids, self._score[u][:k] * np.exp(-(t - self._last_t[u][:k]))
 
     def top_m(self, u: int, t: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and scores of u's m most significant neighbors at time t,

@@ -136,7 +136,8 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
     the mapping is kept on the graph for report emission.  Self-loops
     are dropped with a counted warning; duplicate rows are kept as
     distinct repeat contacts.  A path that cannot be opened raises a
-    ValueError naming it.
+    ValueError naming it, and times that overflow once rescaled raise
+    one naming the time unit.
     """
     check_time_unit(time_unit)
     us: list[str] = []
@@ -174,7 +175,10 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
     remap = {lab: i for i, lab in enumerate(ordered)}
     u = np.fromiter(map(remap.__getitem__, us), dtype=np.int64, count=len(us))
     v = np.fromiter(map(remap.__getitem__, vs), dtype=np.int64, count=len(vs))
-    t = np.array(ts, dtype=np.float64) / time_unit - min(ts) / time_unit
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.array(ts, dtype=np.float64) / time_unit - min(ts) / time_unit
+    if not np.isfinite(t).all():
+        raise EdgeListParseError(f"{path}: timestamps overflow at time unit {time_unit} (--time-unit)")
 
     keep = u != v
     n_self = len(ts) - int(np.count_nonzero(keep))

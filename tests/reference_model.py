@@ -284,17 +284,17 @@ class ListSignificanceIndex:
     array-backed ``stgnn.significance.SignificanceIndex``, which runs the
     same recurrence.
 
-    Per neighbor it stores the score decayed to the last contact time,
-    split into the part strictly before that time and the count at
-    exactly that time; a query counts every contact held.
+    Per neighbor it stores the score at the last contact time, every
+    contact held counted, and that time: each contact at t makes the score
+    s * exp(-(t - last)) + 1, one at the last time included; a query
+    counts every contact held.
     """
 
     def __init__(self, num_nodes: int):
         self.t_frontier = -np.inf
         self._slot: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
         self._nbr: list[list[int]] = [[] for _ in range(num_nodes)]
-        self._s_strict: list[list[float]] = [[] for _ in range(num_nodes)]
-        self._n_last: list[list[float]] = [[] for _ in range(num_nodes)]
+        self._score: list[list[float]] = [[] for _ in range(num_nodes)]
         self._last_t: list[list[float]] = [[] for _ in range(num_nodes)]
 
     def add_event(self, u: int, v: int, t: float) -> None:
@@ -309,27 +309,20 @@ class ListSignificanceIndex:
         if slot is None:
             slots[v] = len(self._nbr[u])
             self._nbr[u].append(v)
-            self._s_strict[u].append(0.0)
-            self._n_last[u].append(1.0)
+            self._score[u].append(1.0)
             self._last_t[u].append(t)
             return
-        last = self._last_t[u][slot]
-        if t == last:
-            self._n_last[u][slot] += 1.0
-        else:
-            decay = float(np.exp(-(t - last)))
-            self._s_strict[u][slot] = (self._s_strict[u][slot] + self._n_last[u][slot]) * decay
-            self._n_last[u][slot] = 1.0
-            self._last_t[u][slot] = t
+        decay = float(np.exp(-(t - self._last_t[u][slot])))
+        self._score[u][slot] = self._score[u][slot] * decay + 1.0
+        self._last_t[u][slot] = t
 
     def neighbor_scores(self, u: int, t: float) -> tuple[np.ndarray, np.ndarray]:
         """u's neighbors in first-contact order and their scores at t."""
         assert t >= self.t_frontier
         ids = np.asarray(self._nbr[u], dtype=np.int64)
-        s_strict = np.asarray(self._s_strict[u], dtype=np.float64)
-        n_last = np.asarray(self._n_last[u], dtype=np.float64)
+        score = np.asarray(self._score[u], dtype=np.float64)
         last_t = np.asarray(self._last_t[u], dtype=np.float64)
-        return ids, (s_strict + n_last) * np.exp(-(t - last_t))
+        return ids, score * np.exp(-(t - last_t))
 
 
 def sweep_table(g: TemporalGraph, m: int, rng: np.random.Generator | None = None) -> TopMTable:

@@ -394,7 +394,7 @@ class TestEvalCheckpointChecks:
     def test_run_fields_may_differ(self, dataset, checkpoint, tmp_path):
         cfg = quick_config(dataset, tmp_path / "elsewhere", **CKPT_KW, repetitions=3, jobs=2, per_node_map=True)
         report = eval_checkpoint(checkpoint, cfg)
-        assert all("map_per_node" in sim for sim in report.per_similarity.values())
+        assert all("map_per_node" in sim for sim in report.similarity.values())
 
     def test_other_dataset_rejected(self, checkpoint, tmp_path, no_evaluation):
         wider, _ = generate_synthetic(
@@ -739,6 +739,18 @@ class TestMain:
         partial = "; partial results (if any) were preserved" if verb != "fit" else ""
         assert f"{verb} failed{partial}: cannot open dataset {missing}: " in caplog.text
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "rows, time_unit",
+        [(["0 1 1e300", "1 2 2e300", "0 2 3e300"], "1e-10"), (["0 1 -1.7e308", "1 2 1.7e308"], "1")],
+    )
+    def test_overflowing_times_fail_with_one_line(self, tmp_path, caplog, rows, time_unit):
+        data, out = tmp_path / "big.txt", tmp_path / "out"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["run", "--dataset", str(data), "--time-unit", time_unit, "--outdir", str(out)]) == 1
+        assert f"{data}: timestamps overflow at time unit {float(time_unit)} (--time-unit)\n" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not out.exists()
 
     def test_missing_checkpoint_fails_with_one_line(self, dataset, tmp_path, caplog):
         missing = tmp_path / "nope.npz"

@@ -263,12 +263,12 @@ class TestEvaluate:
         report = evaluate(split, params, feats, cfg)
         assert report.n_pos == len(split.test_pairs)
         assert report.n_neg == report.n_pos
-        assert set(report.per_similarity) == {"Cos", "Had", "L2"}
-        for d in report.per_similarity.values():
+        assert set(report.similarity) == {"Cos", "Had", "L2"}
+        for d in report.similarity.values():
             assert 0.0 <= d["auc"] <= 1.0
             assert 0.0 <= d["map"] <= 1.0
-        assert report.best_auc == max(d["auc"] for d in report.per_similarity.values())
-        assert report.best_map == max(d["map"] for d in report.per_similarity.values())
+        assert report.best_auc == max(d["auc"] for d in report.similarity.values())
+        assert report.best_map == max(d["map"] for d in report.similarity.values())
 
     def test_untrained_model_beats_coin_flip_on_communities(self):
         # random params, but history + community structure alone separate
@@ -294,7 +294,7 @@ class TestEvaluate:
         feats = random_features(20, 16, named_rng(6, "features"))
         params = init_params(named_rng(6, "params"), 16, 8, 8, 4)
         report = evaluate(split, params, feats, cfg, per_node_map=True)
-        for d in report.per_similarity.values():
+        for d in report.similarity.values():
             assert "map_per_node" in d
 
     @pytest.mark.parametrize("selection", [True, False])
@@ -315,7 +315,7 @@ class TestEvaluate:
         for kind in SIMILARITIES:
             scores = score_pair(h_u, h_v, kind).tolist()
             pairs = [ScoredPair(u, v, s, lab) for (u, v, lab), s in zip(labeled, scores)]
-            got = report.per_similarity[kind]
+            got = report.similarity[kind]
             assert got["auc"] == list_auc(pairs)
             assert got["map"] == list_map(pairs)
             assert got["map_per_node"] == pytest.approx(list_map(pairs, per_node=True), abs=1e-15)
@@ -483,7 +483,7 @@ def test_evaluate_ranks_like_the_list_oracle(case):
     positives_per_node = np.bincount([x for u, v, lab in labeled if lab for x in (u, v)])
     for kind in SIMILARITIES:
         pairs = [ScoredPair(u, v, s, lab) for (u, v, lab), s in zip(labeled, scores[kind])]
-        got = report.per_similarity[kind]
+        got = report.similarity[kind]
         assert got["auc"] == list_auc(pairs)
         assert got["map"] == list_map(pairs)
         if positives_per_node.max() < 8:

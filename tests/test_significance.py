@@ -560,17 +560,24 @@ class TestRandomTable:
 class TestStreamingIndex:
 
     def test_pair_score_matches_direct(self):
-        # every event's pair score, read before any contact of its time group is added
-        g = coarse_tied_stream(np.random.default_rng(6))
-        idx = SignificanceIndex(g.num_nodes)
-        for _, group in itertools.groupby(events_of(g), key=lambda e: e.t):
-            group = list(group)
-            for e in group:
-                s_stream = index_pair_score(idx, e.u, e.v, e.t)
-                s_direct = initial_significance(pair_history(g, e.u, e.v, e.t), e.t)
-                assert s_stream == pytest.approx(s_direct, rel=1e-9, abs=1e-300)
-            for e in group:
-                idx.add_event(e.u, e.v, e.t)
+        # every event's pair score, read before any contact of its time group
+        # is added, and just after the group, counting the contacts at t as a
+        # table row does: sum_i exp(-(t - t_i)) over t_i <= t
+        for g in (coarse_tied_stream(np.random.default_rng(6)), tied_stream(32)):
+            idx = SignificanceIndex(g.num_nodes)
+            for _, group in itertools.groupby(events_of(g), key=lambda e: e.t):
+                group = list(group)
+                for e in group:
+                    s_stream = index_pair_score(idx, e.u, e.v, e.t)
+                    s_direct = initial_significance(pair_history(g, e.u, e.v, e.t), e.t)
+                    assert s_stream == pytest.approx(s_direct, rel=1e-9, abs=1e-300)
+                for e in group:
+                    idx.add_event(e.u, e.v, e.t)
+                for e in group:
+                    s_stream = index_pair_score(idx, e.u, e.v, e.t)
+                    held = pair_history(g, e.u, e.v, np.nextafter(e.t, np.inf))
+                    s_direct = float(np.exp(-(e.t - held)).sum())
+                    assert s_stream == pytest.approx(s_direct, rel=1e-9, abs=1e-300)
 
     def test_rejects_time_travel(self):
         idx = SignificanceIndex(4)

@@ -1,4 +1,5 @@
 import logging
+import re
 import tempfile
 from pathlib import Path
 
@@ -96,6 +97,17 @@ class TestLoadEdgeList:
             p = write_lines(tmp_path / "e.txt", ["1 2 0.0", f"0 3 {bad}"])
             with pytest.raises(EdgeListParseError, match=f":2: non-finite timestamp '{bad}'"):
                 load_edge_list(p)
+
+    @pytest.mark.parametrize(
+        "rows, time_unit",
+        [(["0 1 1e300", "1 2 2e300", "0 2 3e300"], 1e-10), (["0 1 -1.7e308", "1 2 1.7e308"], 1.0)],
+    )
+    def test_times_overflowing_at_the_time_unit_rejected(self, tmp_path, rows, time_unit):
+        # these used to load as t = [nan, nan, nan] and [0, inf], and fail at the split
+        p = write_lines(tmp_path / "e.txt", rows)
+        message = f"{p}: timestamps overflow at time unit {time_unit} (--time-unit)"
+        with pytest.raises(EdgeListParseError, match=re.escape(message)):
+            load_edge_list(p, time_unit=time_unit)
 
     def test_empty_file_rejected(self, tmp_path):
         p = write_lines(tmp_path / "e.txt", ["# only a comment"])
