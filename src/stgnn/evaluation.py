@@ -32,15 +32,16 @@ so far predicts for the pairs still missing, plus 64, within the budget.
 
 The held-out set travels as columns: ``labels`` (1 positive, 0
 negative), ``scores``, and the endpoint ids ``u`` and ``v`` are aligned
-1-D arrays with one entry per pair.  Each similarity's scores are ranked
-once, by one stable sort in (-score, u, v) order (node ids narrowed, so
-their keys sort as radix sorts), and every metric reads that order:
-AUC takes each tie group's midrank from its positions in it, global AP
-reads the labels in it, and per-node AP groups it by endpoint with one
-more stable sort.  The (u, v) tie-break makes every metric
-deterministic; a NaN score has no rank and raises.  The list-of-pairs
-form of these metrics lives on in the tests as their oracle
-(``tests/reference_model.py``).
+1-D arrays with one entry per pair.  The pairs are put in (u, v) order
+once per evaluation (node ids narrowed, so their keys sort as radix
+sorts).  Each similarity's scores, laid out in that order, are then
+ranked by one stable sort, which gives one ranking in (-score, u, v)
+order, and every metric reads it: AUC takes each tie group's midrank
+from its positions in it, global AP reads the labels in it, and per-node
+AP groups it by endpoint with one more stable sort.  The (u, v)
+tie-break makes every metric deterministic; a NaN score has no rank and
+raises.  The list-of-pairs form of these metrics lives on in the tests
+as their oracle (``tests/reference_model.py``).
 """
 
 from __future__ import annotations
@@ -93,18 +94,26 @@ def score_pair(h_u: np.ndarray, h_v: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown similarity {kind!r}; expected one of {SIMILARITIES}")
 
 
-def _ranking(scores: np.ndarray, u: np.ndarray | None = None, v: np.ndarray | None = None) -> np.ndarray:
-    """The order of the ranked list: score descending, then (u, v).
+def _pair_order(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The order of the pairs by (u, v), the ranking's tie-break, on the
+    narrowed ids; ties keep their input order."""
+    return np.lexsort((narrow_ids(v), narrow_ids(u)))
 
-    Without endpoints the order within a tie is left free, as AUC reads
-    each tie group whole.  A NaN score has no place in the list and
+
+def _ranking(scores: np.ndarray, by_pair: np.ndarray | None = None) -> np.ndarray:
+    """The order of the ranked list: score descending, then the pair
+    order ``by_pair`` (``_pair_order``), by one stable sort of the scores
+    laid out in that order.
+
+    Without a pair order the order within a tie is left free, as AUC
+    reads each tie group whole.  A NaN score has no place in the list and
     raises.
     """
     if np.isnan(scores).any():
         raise ValueError("a NaN score cannot be ranked")
-    if u is None:
+    if by_pair is None:
         return np.argsort(-scores)
-    return np.lexsort((narrow_ids(v), narrow_ids(u), -scores))
+    return by_pair[np.argsort(-scores[by_pair], kind="stable")]
 
 
 def _ranked_auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -186,7 +195,7 @@ def mean_average_precision(labels, scores, u, v, per_node: bool = False) -> floa
     if not (labels == 1).any():
         raise ValueError("MAP needs at least one positive")
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    order = _ranking(scores, u, v)
+    order = _ranking(scores, _pair_order(u, v))
     if not per_node:
         return _average_precision(labels[order])
     return _per_node_ap(labels[order], u[order], v[order])
@@ -231,7 +240,10 @@ def heuristic_reference(g_train: TemporalGraph, u, v, t0: float) -> np.ndarray:
     key = np.append(g_train.pair_key[pairs], np.iinfo(np.int64).max)
     sums = np.append(sums, 0.0)
     query = pair_keys(u, v, g_train.num_nodes)
-    at = np.searchsorted(key, query)
+    # the query keys searched in ascending order, so that each search starts at the last hit
+    by_key = np.argsort(query)
+    at = np.empty(query.shape, dtype=np.intp)
+    at[by_key] = np.searchsorted(key, query[by_key])
     return np.where(key[at] == query, sums[at], 0.0)
 
 
@@ -265,10 +277,11 @@ def evaluate(
     emb = node_embeddings(split.train, params, feats, split.t_split, config)
     h_u, h_v = emb[u], emb[v]
 
+    by_pair = _pair_order(u, v)
     per_sim: dict[str, dict[str, float]] = {}
     for kind in SIMILARITIES:
         scores = score_pair(h_u, h_v, kind)
-        order = _ranking(scores, u, v)  # one ranking for every metric
+        order = _ranking(scores, by_pair)  # one ranking for every metric
         lab = label[order]
         per_sim[kind] = {"auc": _ranked_auc(lab, scores[order]), "map": _average_precision(lab)}
         if per_node_map:

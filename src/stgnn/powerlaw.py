@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stgnn.temporal_graph import TemporalGraph
+from stgnn.temporal_graph import TemporalGraph, run_starts
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +108,8 @@ def fit_power_law(xs) -> PowerLawFit:
     (quantile-subsampled to at most MAX_XMIN_CANDIDATES) to minimize the
     KS distance between the empirical and fitted tail CDFs, with ties
     broken toward the smallest cutoff.  The sample is sorted once, so each
-    candidate's tail x >= xmin is a suffix of it.
+    candidate's tail x >= xmin is a suffix of it, starting where one
+    comparison pass over the sorted sample finds xmin first.
 
     Each candidate with a finite exponent is first bounded by its CDF
     deviation at every KS_BOUND_STRIDE-th tail point.  Those values are
@@ -126,14 +127,15 @@ def fit_power_law(xs) -> PowerLawFit:
         raise DegenerateFitError("all samples identical; exponent is unidentifiable")
     if xs.size < 10:
         raise ValueError(f"need at least 10 samples to search for xmin, got {xs.size}")
-    candidates = np.unique(xs)[:-1]  # largest value leaves an empty tail fit
-    if candidates.size > MAX_XMIN_CANDIDATES:
+    # each distinct value's first position, where its tail starts; the largest leaves an empty tail
+    starts = np.flatnonzero(run_starts(xs))[:-1]
+    if starts.size > MAX_XMIN_CANDIDATES:
         qs = np.linspace(0.0, 1.0, MAX_XMIN_CANDIDATES)
-        idx = np.unique((qs * (candidates.size - 1)).astype(int))
-        candidates = candidates[idx]
+        idx = (qs * (starts.size - 1)).astype(int)
+        starts = starts[idx[run_starts(idx)]]
 
     bounded = []  # (KS lower bound, xmin, alpha, tail start)
-    for xmin, start in zip(candidates.tolist(), np.searchsorted(xs, candidates).tolist()):
+    for xmin, start in zip(xs[starts].tolist(), starts.tolist()):
         tail = xs[start:]
         alpha = _alpha_mle(tail, xmin)
         if alpha is not None:

@@ -16,8 +16,13 @@ routes produce them:
 
 * ``top_m_neighbors`` gives every node's list at one time t in a single
   array pass over the graph's CSR pair index (``pair_significance``).
-  Evaluation embeds every node at one time, so its (num_nodes, m) rows
-  are the candidate lists of one dense forward pass as they stand.
+  A pair's score and log score are the same from both ends, so the pass
+  ranks the pairs once, by score and log score descending with ties left
+  in pair-key order, and then groups both ends of every ranked pair by
+  node with one stable sort: within a node, key order is neighbor-id
+  order.  Evaluation embeds every node at one time, so its
+  (num_nodes, m) rows are the candidate lists of one dense forward pass
+  as they stand.
 * ``SignificanceIndex`` sweeps events chronologically and keeps each
   neighbor's score up to date in O(1) per contact.  One sweep of it over
   the training stream's time-sorted columns builds a ``TopMTable`` from
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stgnn.temporal_graph import TemporalGraph, narrow_ids
+from stgnn.temporal_graph import TemporalGraph, narrow_ids, run_starts
 
 def _rank_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Indices sorting by score descending, neighbor id ascending on ties."""
@@ -88,9 +93,13 @@ def top_m_neighbors(
     ranked order, the nodes drawn in id order: one ``rng.random`` call
     gives every key of the nodes with more than m candidates.
 
-    The lists come from one stable sort of every (node, neighbor) entry by
-    node, score and log score descending and neighbor id, with the ids
-    narrowed (``narrow_ids``): up to 65,536 nodes the id keys sort as radix sorts.
+    The P live pairs are ranked once, by one stable sort on score and log
+    score descending, which leaves ties in pair-key order.  Each ranked
+    pair then gives its two directed entries, side by side, and one stable
+    sort by node on the narrowed ids (``narrow_ids``; up to 65,536 nodes a
+    radix sort) groups them: each node's entries keep the pair ranking,
+    and since key order is neighbor-id order within a node, a row is
+    ranked by score, log score and neighbor id.
     """
     if m < 1:
         raise ValueError(f"capacity must be at least 1, got {m}")
@@ -101,12 +110,15 @@ def top_m_neighbors(
     count = np.diff(head, append=past.shape[0])
     t_last = g.pair_t[g.pair_ptr[pairs] + count - 1]
     logs = np.log(np.add.reduceat(np.exp(g.pair_t[past] - np.repeat(t_last, count)), head)) - (t - t_last)
-    ends = narrow_ids(g.pair_ends()[pairs])
-    # each pair from both ends, ranked within each node, exact score ties by log score
-    node, nbr, score = ends.T.reshape(-1), ends[:, ::-1].T.reshape(-1), np.tile(sums, 2)
-    order = np.lexsort((nbr, -np.tile(logs, 2), -score, node))
-    node, nbr, score = node[order], nbr[order], score[order]
+    # the pairs ranked once, exact score ties by log score; ties left in key order, which is
+    # neighbor-id order within each node
+    by_rank = np.lexsort((-logs, -sums))
     n = g.num_nodes
+    ends = narrow_ids(np.column_stack(np.divmod(g.pair_key[pairs[by_rank]], n)))
+    # each pair from both ends, interleaved, so that grouping by node keeps the pair ranking
+    node, nbr, score = ends.reshape(-1), ends[:, ::-1].reshape(-1), np.repeat(sums[by_rank], 2)
+    order = np.argsort(node, kind="stable")
+    node, nbr, score = node[order], nbr[order], score[order]
     deg = np.bincount(node, minlength=n)
     start = np.cumsum(deg) - deg
     rank = np.arange(node.shape[0]) - start[node]
@@ -264,10 +276,13 @@ class TopMTable:
         if m < 1:
             raise ValueError(f"capacity must be at least 1, got {m}")
         index = SignificanceIndex(g.num_nodes)
-        times, rank = np.unique(g.t, return_inverse=True)
+        # g.t is ascending: its distinct times and each event's time rank in one comparison pass
+        new_time = run_starts(g.t)
+        times, rank = g.t[new_time], np.cumsum(new_time) - 1
         stride = times.shape[0] + 1
         empty = np.arange(g.num_nodes) * stride
-        keys = np.unique(np.concatenate([empty, g.src * stride + rank + 1, g.dst * stride + rank + 1]))
+        keys = np.sort(np.concatenate([empty, g.src * stride + rank + 1, g.dst * stride + rank + 1]))
+        keys = keys[run_starts(keys)]
         slot = keys % stride
         # the empty rows come first, then the sweep makes the rows in (time rank, node) order
         sweep = np.argsort(slot, kind="stable")

@@ -86,6 +86,20 @@ def narrow_ids(ids) -> np.ndarray:
     return ids.astype(np.result_type(np.min_scalar_type(ids.min()), np.min_scalar_type(ids.max())))
 
 
+def run_starts(ascending) -> np.ndarray:
+    """Mask of the entries of an ascending 1-D array that differ from the
+    one before: the first entry of each run of equal values.
+
+    ``a[run_starts(a)]`` is ``np.unique(a)`` without another sort, and
+    ``np.cumsum(run_starts(a)) - 1`` each entry's rank among those values.
+    """
+    a = np.asarray(ascending)
+    first = np.empty(a.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 def from_columns(src, dst, t, num_nodes: int | None = None, raw_ids: list[str] | None = None) -> TemporalGraph:
     """Build a TemporalGraph from contact columns with dense node ids.
 

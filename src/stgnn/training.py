@@ -60,7 +60,7 @@ from stgnn.model import (
     random_features,
 )
 from stgnn.significance import TopMTable
-from stgnn.temporal_graph import TemporalGraph, pair_keys
+from stgnn.temporal_graph import TemporalGraph, pair_keys, run_starts
 
 logger = logging.getLogger(__name__)
 
@@ -209,7 +209,7 @@ def build_positive_samples(
         return g.src, g.dst, g.t, np.ones(g.num_events, dtype=np.int64)
     if not delta > 0:
         raise ValueError(f"window size must be positive, got {delta}")
-    times = np.unique(g.t)
+    times = g.t[run_starts(g.t)]
     n_t = times.shape[0]
     n_pairs = g.pair_key.shape[0]
     contact = np.repeat(np.arange(n_pairs), np.diff(g.pair_ptr)) * n_t + np.searchsorted(times, g.pair_t)

@@ -12,6 +12,9 @@
   node's pair histories: the oracle for the array pass
   ``stgnn.significance.top_m_neighbors``, the top-m table and the
   streaming index.
+* ``entry_sort_top_m_neighbors``, the array pass that sorts every
+  directed (node, neighbor) entry on four keys: the bitwise oracle for
+  ``stgnn.significance.top_m_neighbors``, which ranks each pair once.
 * ``m_smallest_keys``, one uniform draw of up to m candidates from a list
   (one random key per candidate, the m smallest kept): the oracle for the
   uniform draws of ``stgnn.significance``.
@@ -80,7 +83,7 @@ from stgnn.model import (
     random_features,
 )
 from stgnn.powerlaw import MAX_XMIN_CANDIDATES, DegenerateFitError, PowerLawFit, _alpha_mle, _ks_distance
-from stgnn.significance import TopMTable, top_m_neighbors
+from stgnn.significance import TopMTable, pair_significance, top_m_neighbors
 from stgnn.temporal_graph import COMMENT_PREFIXES, EdgeListParseError, TemporalGraph, from_columns
 from stgnn.training import TrainConfig, _forward_backward
 
@@ -259,6 +262,49 @@ def pure_top_m(
     ids_a = np.asarray([c[2] for c in ranked[:m]], dtype=np.int64)
     sc_a = np.asarray([c[0] for c in ranked[:m]], dtype=np.float64)
     return ids_a, sc_a
+
+
+def entry_sort_top_m_neighbors(
+    g: TemporalGraph, t: float, m: int, rng: np.random.Generator | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node's list at time t from one ``lexsort`` of every directed
+    (node, neighbor) entry by node, score and log score descending and
+    neighbor id: the bitwise oracle for
+    ``stgnn.significance.top_m_neighbors``, which ranks each undirected
+    pair once and groups the ranked entries by node.  With ``rng`` the
+    same entries, in the same order, get the same keys.
+    """
+    pairs, sums = pair_significance(g, t)
+    past = np.flatnonzero(g.pair_t < t)
+    head = np.searchsorted(past, g.pair_ptr[pairs])
+    count = np.diff(head, append=past.shape[0])
+    t_last = g.pair_t[g.pair_ptr[pairs] + count - 1]
+    logs = np.log(np.add.reduceat(np.exp(g.pair_t[past] - np.repeat(t_last, count)), head)) - (t - t_last)
+    ends = g.pair_ends()[pairs]
+    node, nbr, score = ends.T.reshape(-1), ends[:, ::-1].T.reshape(-1), np.tile(sums, 2)
+    order = np.lexsort((nbr, -np.tile(logs, 2), -score, node))
+    node, nbr, score = node[order], nbr[order], score[order]
+    n = g.num_nodes
+    deg = np.bincount(node, minlength=n)
+    start = np.cumsum(deg) - deg
+    rank = np.arange(node.shape[0]) - start[node]
+    if rng is not None:
+        drawn = np.repeat(deg > m, deg)
+        key = np.zeros(node.shape[0])
+        key[drawn] = rng.random(np.count_nonzero(drawn))
+        picked = np.empty_like(drawn)
+        picked[np.lexsort((key, node))] = rank < m
+        node, nbr, score = node[picked], nbr[picked], score[picked]
+        deg = np.minimum(deg, m)
+        start = np.cumsum(deg) - deg
+        rank = np.arange(node.shape[0]) - start[node]
+    keep = rank < m
+    ids = np.zeros((n, m), dtype=np.int64)
+    scores = np.zeros((n, m), dtype=np.float64)
+    ids[node[keep], rank[keep]] = nbr[keep]
+    scores[node[keep], rank[keep]] = score[keep]
+    mask = np.arange(m) < np.minimum(deg, m)[:, None]
+    return ids, scores, mask
 
 
 def m_smallest_keys(ids, scores, m: int, rng: np.random.Generator) -> tuple[list[int], list[float]]:

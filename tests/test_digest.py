@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stgnn import training
+from stgnn import model, training
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
 
@@ -40,6 +40,10 @@ def test_equal_digests_compare_equal(digest, tiny_digest, tmp_path, capsys):
         # every stage ran: a training table, two epochs of negatives for run-stgnn, a report
         assert all(stage["calls"] > 0 for stage in seeds["1"].values()), name
     assert again["digests"]["run-stgnn"]["1"]["negatives"]["calls"] == 2
+    # one top_m_neighbors pass per evaluation: eval-wide evaluates after training its checkpoint, and again
+    assert {name: seeds["1"]["neighbors"]["calls"] for name, seeds in again["digests"].items()} == {
+        "run-stgnn": 1, "run-bgnn": 1, "eval-wide": 2
+    }
     a, b = write(tmp_path / "a.json", tiny_digest), write(tmp_path / "b.json", again)
     assert digest.main(["--compare", a, b]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -47,7 +51,8 @@ def test_equal_digests_compare_equal(digest, tiny_digest, tmp_path, capsys):
 
 
 def test_compare_names_the_first_changed_stage(digest, tiny_digest, tmp_path, capsys, monkeypatch):
-    # a changed negative column changes every later stage, and no earlier one
+    # a changed negative column changes every later stage but the candidate lists of the
+    # evaluation, which read the training graph only, and no earlier stage
     negative_column = training._negative_column
     monkeypatch.setattr(training, "_negative_column", lambda *args: negative_column(*args)[::-1].copy())
     changed = digest.make_digest("b", [1], small=True)
@@ -62,9 +67,21 @@ def test_compare_names_the_first_changed_stage(digest, tiny_digest, tmp_path, ca
     assert out == [f"{name} seed 1: first differs at stage negatives" for name in ("eval-wide", "run-bgnn", "run-stgnn")] + [
         "eval-wide seed 1: equal", "run-bgnn seed 1: first differs at stage report", "run-stgnn seed 1: equal"
     ]
-    stages = changed["digests"]["run-stgnn"]["1"]
-    later = digest.STAGES[digest.STAGES.index("negatives"):]
-    assert all(stages[s] != tiny_digest["digests"]["run-stgnn"]["1"][s] for s in later)
+    stages, before = changed["digests"]["run-stgnn"]["1"], tiny_digest["digests"]["run-stgnn"]["1"]
+    later = [s for s in digest.STAGES[digest.STAGES.index("negatives"):] if s != "neighbors"]
+    assert all(stages[s] != before[s] for s in later)
+    assert stages["neighbors"] == before["neighbors"]
+
+
+def test_changed_candidate_lists_are_named_at_neighbors(digest, tiny_digest, tmp_path, capsys, monkeypatch):
+    # the evaluation's lists with their ranks reversed: training is as it was
+    top_m_neighbors = model.top_m_neighbors
+    monkeypatch.setattr(model, "top_m_neighbors", lambda *args: tuple(a[:, ::-1].copy() for a in top_m_neighbors(*args)))
+    changed = digest.make_digest("b", [1], small=True)
+    monkeypatch.undo()
+    assert digest.main(["--compare", write(tmp_path / "a.json", tiny_digest), write(tmp_path / "b.json", changed)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{name} seed 1: first differs at stage neighbors" for name in ("eval-wide", "run-bgnn", "run-stgnn")]
 
 
 def test_seed_ranges(digest):

@@ -232,12 +232,15 @@ class TestHeuristic:
         g = random_stream(rng, n_nodes=10, n_events=400)
         u, v = np.triu_indices(10, k=1)
         u, v = np.concatenate([u, v[:7]]), np.concatenate([v, u[:7]])  # both orientations
+        # the queries in key order and shuffled: the reference searches them sorted and scatters back
+        shuffle = rng.permutation(u.shape[0])
         # the oracle at decay rate lam against the stream with its times scaled by lam
         for t0, lam in ((g.t_max * 0.9, 1.0), (events_of(g)[150].t, 0.3), (g.t_max + 1.0, 2.0), (0.0, 1.0)):
-            got = heuristic_reference(scaled(g, lam), u, v, t0 * lam)
-            want = pairwise_reference(g, u, v, t0, lam=lam)
-            assert (got > 0).tolist() == (want > 0).tolist()
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            for qu, qv in ((u, v), (u[shuffle], v[shuffle])):
+                got = heuristic_reference(scaled(g, lam), qu, qv, t0 * lam)
+                want = pairwise_reference(g, qu, qv, t0, lam=lam)
+                assert (got > 0).tolist() == (want > 0).tolist()
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert heuristic_reference(g, [], [], 1.0).shape == (0,)
         assert heuristic_reference(from_events([], num_nodes=3), [0], [1], 1.0).tolist() == [0.0]
 

@@ -16,6 +16,7 @@ from stgnn.training import build_positive_samples
 from conftest import index_pair_score, random_stream, scaled, table_list, tied_stream
 from reference_model import (
     Event,
+    entry_sort_top_m_neighbors,
     events_of,
     from_events,
     initial_significance,
@@ -681,3 +682,40 @@ def test_draws_keep_the_m_smallest_keys(case):
         np.testing.assert_allclose(scores[u, :k], want_scores, rtol=1e-12, atol=0.0)
         assert not ids[u, k:].any() and not scores[u, k:].any()
     assert got_rng.random() == want_rng.random()
+
+
+@st.composite
+def ranking_cases(draw):
+    """A stream on a few node ids spread over 200, 5,000 or 70,000 nodes,
+    the largest id among them with a contact at t = 0, so that the live
+    ids narrow to uint8, uint16 or uint32 and most nodes are isolated.
+    Its times lie on a grid broken by a gap of 800 units: contacts at
+    shared times give pairs whose scores and log scores both tie, and
+    across the gap scores underflow to an exact 0 while their log scores
+    differ.  Plus a query time, a capacity m and a seed."""
+    n = draw(st.sampled_from([200, 5_000, 70_000]))
+    ids = [n - 1, *draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=9, unique=True))]
+    grid = st.sampled_from([0.0, 1.0, 2.0, 3.0, 800.0, 801.0, 802.0])
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    rows = [((n - 1, ids[1]), 0.0), *draw(st.lists(st.tuples(pair, grid), max_size=60))]
+    g = from_events([Event(u, v, t) for (u, v), t in rows], num_nodes=n)
+    t = draw(st.sampled_from([0.5, 2.0, 3.5, 801.0, 802.5, 1700.0]))
+    return g, t, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ranking_cases())
+def test_top_m_neighbors_matches_entry_sort(case):
+    """``top_m_neighbors``, which ranks each pair once, against the oracle
+    that sorts every directed entry on four keys: bitwise equal ids,
+    scores and mask, and with equal seeds the same draws and the same
+    generator end state."""
+    g, t, m, seed = case
+    for draw in (False, True):
+        got_rng, want_rng = (np.random.default_rng(seed), np.random.default_rng(seed)) if draw else (None, None)
+        got = top_m_neighbors(g, t, m, got_rng)
+        want = entry_sort_top_m_neighbors(g, t, m, want_rng)
+        for name, a, b in zip(("ids", "scores", "mask"), got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        if draw:
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -21,6 +21,8 @@ tiny stream instead.  The stages, in pipeline order:
     batches    every computation tree with its samples (_capture_chunk)
     loss       the loss history
     params     the trained parameters and features
+    neighbors  the candidate lists each evaluation reads: every node's
+               ``top_m_neighbors`` ids, scores and mask at t_split
     report     the evaluation report
 
 A table is digested through its answers, not its arrays, so that a
@@ -50,10 +52,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from stgnn import cli, evaluation, powerlaw, significance, synthetic, temporal_graph, training  # noqa: E402
+from stgnn import cli, evaluation, model, powerlaw, significance, synthetic, temporal_graph, training  # noqa: E402
 from workloads import WORKLOADS, tiny  # noqa: E402
 
-STAGES = ("graph", "split", "gaps", "fit", "labels", "table", "negatives", "batches", "loss", "params", "report")
+STAGES = (
+    "graph", "split", "gaps", "fit", "labels", "table", "negatives", "batches", "loss", "params", "neighbors", "report"
+)
 
 
 def _feed(h, obj) -> None:
@@ -143,6 +147,7 @@ def _spies(rec: Recorder):
     spy(training, "_negative_column", lambda out, *_: rec.add("negatives", out))
     spy(training, "_capture_chunk", lambda fb, *_: rec.add("batches", fb))
     spy(training, "train", lambda res, *_: (rec.add("loss", res.loss_history), rec.add("params", [res.params, res.feats])))
+    spy(model, "top_m_neighbors", lambda lists, *_: rec.add("neighbors", lists))
     spy(evaluation, "evaluate", lambda report, *_: rec.add("report", report.to_dict()))
     patched.append((table_cls, "build", table_cls.build))
     table_cls.build = classmethod(build)
