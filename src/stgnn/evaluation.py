@@ -40,8 +40,7 @@ order, and every metric reads it: AUC takes each tie group's midrank
 from its positions in it, global AP reads the labels in it, and per-node
 AP groups it by endpoint with one more stable sort.  The (u, v)
 tie-break makes every metric deterministic; a NaN score has no rank and
-raises.  The list-of-pairs form of these metrics lives on in the tests
-as their oracle (``tests/reference_model.py``).
+raises.
 """
 
 from __future__ import annotations

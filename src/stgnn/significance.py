@@ -33,9 +33,13 @@ routes produce them:
   is the order by log score while no stored score has underflowed.
 
 Given an ``rng``, both routes replace each list by a uniform draw of up
-to m candidates (the selection-ablated variants): each candidate of a node
-with more than m gets one ``rng.random`` key and the m smallest keys are
-kept (``sample_m``).
+to m candidates (the selection-ablated variants).  The draw rule: a node
+with more than m candidates gives each one ``rng.random`` key, in
+candidate order (ranked in ``top_m_neighbors``, first contact first in
+``SignificanceIndex``), and keeps the m with the smallest keys, the
+earlier candidate on equal keys; a node with at most m keeps them all
+and draws no key.  The kept candidates are ranked like any list, so that
+the rank corrections stay aligned.
 """
 
 from __future__ import annotations
@@ -49,24 +53,6 @@ from stgnn.temporal_graph import TemporalGraph, narrow_ids, run_starts
 def _rank_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Indices sorting by score descending, neighbor id ascending on ties."""
     return np.lexsort((ids, -scores))
-
-
-def sample_m(
-    ids: np.ndarray, scores: np.ndarray, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Up to m candidates drawn uniformly without replacement, ranked.
-
-    Used by the selection-ablated model variants.  With more than m
-    candidates, each gets one ``rng.random`` key, in the order given, and
-    the m with the smallest keys are kept (the earlier candidate on equal
-    keys): a uniform draw without replacement.  The subset is returned
-    score-descending so downstream rank corrections stay aligned.
-    """
-    if ids.size > m:
-        pick = rng.random(ids.size).argsort(kind="stable")[:m]
-        ids, scores = ids[pick], scores[pick]
-    order = _rank_order(ids, scores)
-    return ids[order], scores[order]
 
 
 def pair_significance(g: TemporalGraph, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +75,7 @@ def top_m_neighbors(
 
     A neighbor qualifies once it has at least one contact with u strictly
     before t; isolated nodes get an empty row.  With ``rng`` each row is
-    instead a ``sample_m`` draw from all of the node's candidates in their
+    instead a uniform draw from all of the node's candidates in their
     ranked order, the nodes drawn in id order: one ``rng.random`` call
     gives every key of the nodes with more than m candidates.
 
@@ -218,7 +204,7 @@ class SignificanceIndex:
 
         At the insertion frontier this is the list any later query sees
         until u's next contact, up to the common decay factor; it is the
-        row ``TopMTable.build`` stores.  Nothing is cached.
+        row ``TopMTable.build`` stores.
         """
         ids, scores = self.neighbor_scores(u, t)
         order = _rank_order(ids, scores)[:m]
@@ -228,9 +214,15 @@ class SignificanceIndex:
         self, u: int, t: float, m: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Up to m neighbors drawn uniformly (not ranked) at time t,
-        counting every contact the index holds as ``top_m`` does; see
-        ``sample_m``.  It is the row of a table built with an ``rng``."""
-        return sample_m(*self.neighbor_scores(u, t), m, rng)
+        their keys in slot order, counting every contact the index holds
+        as ``top_m`` does, and returned ranked.  It is the row of a table
+        built with an ``rng``."""
+        ids, scores = self.neighbor_scores(u, t)
+        if ids.size > m:
+            pick = rng.random(ids.size).argsort(kind="stable")[:m]
+            ids, scores = ids[pick], scores[pick]
+        order = _rank_order(ids, scores)
+        return ids[order], scores[order]
 
 
 @dataclass(frozen=True)

@@ -213,13 +213,6 @@ def _is_int(token: str) -> bool:
     return True
 
 
-def write_edge_list(g: TemporalGraph, path) -> None:
-    """Serialize a graph back to "u v t" rows (dense ids, repr timestamps)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v, t in zip(g.src.tolist(), g.dst.tolist(), g.t.tolist()):
-            fh.write(f"{u} {v} {t!r}\n")
-
-
 def write_node_map(g: TemporalGraph, path) -> None:
     """Emit the dense-id -> original-label table as CSV."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -25,10 +25,9 @@ composition are derived by hand from its activations and evaluated in
 batched numpy; tests pin the loss against a per-node recursive reference
 forward and the gradients against central finite differences.  Every
 scatter of gradient rows onto nodes or tree entries adds each bin's rows
-in input order and so equals ``np.add.at`` bitwise: the small ones are
-one ``np.bincount`` over a flat (row, column) index, and the
-softmax-weighted neighbour rows of both layers one ``np.bincount`` per
-column, never formed as one (rows, d) array.
+in input order and so equals ``np.add.at`` bitwise.  Each runs one
+``np.bincount`` per column, so the softmax-weighted neighbour rows of
+both layers are never formed as one (rows, d) array.
 
 Negatives are drawn one uniform node at a time per positive, and each
 try is checked by bisection on the pair's timestamps held as a Python
@@ -284,19 +283,11 @@ def _negative_column(
 # ---------------------------------------------------------------------------
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, d) sums of ``rows`` by target row ``index``: one ``np.bincount``
-    over the flat (row, column) index, each bin adding its rows in input
-    order, so the result is bitwise that of ``np.add.at`` into zeros."""
-    d = rows.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).reshape(-1)
-    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
-
-
 def _scatter_columns(index: np.ndarray, column, d: int, n: int) -> np.ndarray:
     """(n, d) sums by target row ``index`` of rows whose column j is
-    ``column(j)``: one ``np.bincount`` per column, so the rows are never
-    formed as one array, bitwise equal to ``_scatter_rows`` on them."""
+    ``column(j)``: one ``np.bincount`` per column, each bin adding its rows
+    in input order, so the result is bitwise that of ``np.add.at`` into
+    zeros, and the rows need never be formed as one array."""
     return np.column_stack([np.bincount(index, weights=column(j), minlength=n) for j in range(d)])
 
 
@@ -311,7 +302,7 @@ def _forward_backward(
     hu, hv = h2[fb.su], h2[fb.sv]
     nu = np.linalg.norm(hu, axis=1)
     nv = np.linalg.norm(hv, axis=1)
-    ok = (nu > NORM_EPS) & (nv > NORM_EPS)
+    ok = (nu >= NORM_EPS) & (nv >= NORM_EPS)
     denom = np.where(ok, nu * nv, 1.0)
     cos = np.where(ok, np.einsum("sd,sd->s", hu, hv) / denom, 0.0)
 
@@ -328,7 +319,8 @@ def _forward_backward(
     dhu = dcos[:, None] * (hv / denom[:, None] - cos[:, None] * hu / np.where(ok, nu * nu, 1.0)[:, None])
     dhv = dcos[:, None] * (hu / denom[:, None] - cos[:, None] * hv / np.where(ok, nv * nv, 1.0)[:, None])
 
-    d_h2 = _scatter_rows(np.concatenate([fb.su, fb.sv]), np.concatenate([dhu, dhv]), h2.shape[0])
+    dh = np.concatenate([dhu, dhv])
+    d_h2 = _scatter_columns(np.concatenate([fb.su, fb.sv]), lambda j: dh[:, j], dh.shape[1], h2.shape[0])
 
     g_w2_self = h1[fb.root_entry].T @ d_h2
     g_w2_nbr = agg.T @ d_h2
@@ -343,13 +335,12 @@ def _forward_backward(
         h1.shape[0],
     )
     mask_r = fb.mask[fb.root_entry]
-    d_phi = _scatter_rows(
-        fb.root_entry, np.einsum("rd,rmd->rm", d_agg, h1_nbr) * mask_r, phi_e.shape[0]
-    )
+    d_phi_r = np.einsum("rd,rmd->rm", d_agg, h1_nbr) * mask_r
+    d_phi = _scatter_columns(fb.root_entry, lambda j: d_phi_r[:, j], d_phi_r.shape[1], phi_e.shape[0])
 
     d_pre = d_h1 * (pre > 0.0)
     n_nodes = feats.shape[0]
-    d_xw1s = _scatter_rows(fb.owner, d_pre, n_nodes)
+    d_xw1s = _scatter_columns(fb.owner, lambda j: d_pre[:, j], d_pre.shape[1], n_nodes)
     d_phi += np.einsum("ed,emd->em", d_pre, nbr_gather) * fb.mask
     # the (E * m, d1) weighted neighbour rows
     d_xw1n = _scatter_columns(

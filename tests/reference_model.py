@@ -313,7 +313,7 @@ def m_smallest_keys(ids, scores, m: int, rng: np.random.Generator) -> tuple[list
     and the m with the smallest keys are kept, the earlier candidate on
     equal keys.  Returned score-descending with the smaller id first on
     ties.  The list oracle for the uniform draws of
-    ``stgnn.significance``: ``sample_m``, ``SignificanceIndex.random_m``,
+    ``stgnn.significance``: ``SignificanceIndex.random_m``,
     ``top_m_neighbors`` with an rng and a ``TopMTable`` built with one.
     """
     cands = list(zip(list(ids), list(scores)))
@@ -732,7 +732,7 @@ def forward_backward(
     hu, hv = h2[fb.su], h2[fb.sv]
     nu = np.linalg.norm(hu, axis=1)
     nv = np.linalg.norm(hv, axis=1)
-    ok = (nu > NORM_EPS) & (nv > NORM_EPS)
+    ok = (nu >= NORM_EPS) & (nv >= NORM_EPS)
     denom = np.where(ok, nu * nv, 1.0)
     cos = np.where(ok, np.einsum("sd,sd->s", hu, hv) / denom, 0.0)
 

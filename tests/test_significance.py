@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stgnn.significance import (
     SignificanceIndex,
     TopMTable,
-    sample_m,
     top_m_neighbors,
 )
 from stgnn.training import build_positive_samples
@@ -235,7 +234,8 @@ class TestTopM:
 
 class TestRandomRows:
     """``top_m_neighbors`` with an rng: each row a uniform draw of up to m
-    of the node's candidates, drawn in node order with ``sample_m``."""
+    of the node's candidates, drawn in node order by the rule of
+    ``m_smallest_keys``."""
 
     def test_rows_are_ranked_subsets_of_the_oracle(self, rng):
         g = random_stream(rng, n_nodes=12, n_events=400)
@@ -260,8 +260,8 @@ class TestRandomRows:
         ids, _, mask = top_m_neighbors(g, t, m, rng=np.random.default_rng(3))
         gen = np.random.default_rng(3)
         for u in range(10):
-            want, _ = sample_m(*pure_top_m(g, u, t, m=10), m, gen)
-            assert ids[u][mask[u]].tolist() == want.tolist()
+            want, _ = m_smallest_keys(*pure_top_m(g, u, t, m=10), m, gen)
+            assert ids[u][mask[u]].tolist() == want
 
     def test_draws_are_uniform(self):
         g = uneven_star()

@@ -12,7 +12,6 @@ from stgnn.temporal_graph import (
     EdgeListParseError,
     load_edge_list,
     split_train_test,
-    write_edge_list,
     write_node_map,
 )
 from conftest import random_stream
@@ -49,6 +48,13 @@ def assert_graph_equals_rows(g, events):
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_edge_list(g, path) -> None:
+    """Serialize a graph back to "u v t" rows (dense ids, repr timestamps)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, v, t in zip(g.src.tolist(), g.dst.tolist(), g.t.tolist()):
+            fh.write(f"{u} {v} {t!r}\n")
 
 
 class TestLoadEdgeList:

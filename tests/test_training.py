@@ -3,7 +3,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stgnn.model import init_params, random_features
+from stgnn.evaluation import score_pair
+from stgnn.model import NORM_EPS, init_params, random_features
 from stgnn.significance import TopMTable
 from stgnn import training
 from stgnn.training import (
@@ -22,7 +23,6 @@ from stgnn.training import (
     _negative_column,
     _pair_times,
     _scatter_columns,
-    _scatter_rows,
     _valid_negative,
 )
 from conftest import random_stream, table_list, tied_stream
@@ -150,6 +150,30 @@ class TestEngineConsistency:
         for seed in range(5):
             g, feats, params, cfg, batch = small_instance(seed + 50)
             assert batch_loss(batch, g, feats, params, cfg) >= 0.0
+
+    def test_loss_cosine_at_the_norm_floor_is_the_evaluated_one(self, monkeypatch):
+        # an embedding whose norm is exactly NORM_EPS is not null, in the
+        # loss as in evaluation; one negative of weight 1 has the cosine as its loss
+        g, feats, params, cfg, batch = small_instance(4)
+        fb = tree_from_graph(batch, g, cfg)
+        fb.su, fb.sv, fb.positive, fb.weight = fb.su[:1], fb.sv[:1], np.array([False]), np.array([1.0])
+        assert fb.su[0] != fb.sv[0]
+        hu, hv = np.zeros(cfg.d2), np.zeros(cfg.d2)
+        hu[0], hv[:2] = NORM_EPS, (3.0, 4.0)
+        assert np.linalg.norm(hu[None], axis=1)[0] == NORM_EPS
+        real = training.forward_batch
+
+        def at_the_floor(*args):
+            acts = real(*args)
+            h2 = acts.h2.copy()
+            h2[fb.su[0]], h2[fb.sv[0]] = hu, hv
+            return acts._replace(h2=h2)
+
+        monkeypatch.setattr(training, "forward_batch", at_the_floor)
+        loss, _ = _forward_backward(fb, params, feats)
+        want = score_pair(hu[None], hv[None], "Cos")[0]
+        assert want > 0.0
+        assert loss == want
 
     def test_s_bar_is_exact_batch_mean(self):
         g, feats, params, cfg, batch = small_instance(4)
@@ -324,7 +348,7 @@ class TestBackwardMatchesReference:
 
 
 class TestScatterRows:
-    """Both scatter forms, the flat-index and the per-column one."""
+    """The per-column scatter of rows onto targets."""
 
     def test_bitwise_equal_to_add_at(self, rng):
         for n_rows, n_targets in ((1, 1), (50, 3), (400, 40), (0, 5)):
@@ -332,12 +356,9 @@ class TestScatterRows:
             rows = rng.normal(size=(n_rows, 6)) * rng.choice([1e-8, 1.0, 1e8], size=(n_rows, 1))
             want = np.zeros((n_targets, 6))
             np.add.at(want, index, rows)
-            for got in (
-                _scatter_rows(index, rows, n_targets),
-                _scatter_columns(index, lambda j: rows[:, j], 6, n_targets),
-            ):
-                assert got.shape == want.shape
-                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+            got = _scatter_columns(index, lambda j: rows[:, j], 6, n_targets)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 class TestSignificanceLoss:
