@@ -254,6 +254,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     with open(outdir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2)
     temporal_graph.write_node_map(g, outdir / "node_map.csv")
+    del g  # the repetitions read the split only
 
     rep = functools.partial(_run_rep, config, split, delta, data_report)
     reps = range(config.repetitions)
@@ -332,6 +333,7 @@ def eval_checkpoint(checkpoint: str, config: ExperimentConfig) -> evaluation.Met
             f"{checkpoint} was trained on a split with digest {train_digest}"
         )
     _check_negative_supply(g, split)
+    del g  # the split holds copies of what evaluation reads
     config = dataclasses.replace(config, seed=seed)
     return evaluation.evaluate(split, params, feats, config, per_node_map=config.per_node_map)
 

@@ -9,10 +9,12 @@ squared L2) and the best per metric is reported,
 alongside a no-learning reference that ranks pairs by their decayed
 historical contact count, each contact weighing exp(-age) with its age
 in the training graph's time unit.  Every node is embedded at the split
-time in one dense forward pass over one ``top_m_neighbors`` pass on the
-training graph, and each pair reads its endpoints' rows; the reference
-reads the same decayed pair counts (``significance.pair_significance``,
-from the CSR pair index).
+time by ``forward_node`` over one ``top_m_neighbors`` pass on the
+training graph, and the pairs read their endpoints' rows in blocks of
+``PAIR_BLOCK``, each block scored under every similarity before the next
+is gathered; each score is a reduction over its own pair's row, so the
+blocks change no bit of it.  The reference reads the same decayed pair
+counts (``significance.pair_significance``, from the CSR pair index).
 
 The negative sampler is specified as a loop: each try draws two scalar
 node ids a, b from the generator and accepts the pair unless a == b, it
@@ -55,6 +57,8 @@ from stgnn.temporal_graph import DataSplit, TemporalGraph, narrow_ids, pair_keys
 from stgnn.training import TrainConfig, named_rng
 
 SIMILARITIES = ("Cos", "Had", "L2")
+# pairs per block of scoring: its (block, d2) endpoint gathers stay small
+PAIR_BLOCK = 4096
 
 
 @dataclass
@@ -267,19 +271,27 @@ def evaluate(
 ) -> MetricsReport:
     """Score the held-out window: embeddings at t0 = t_split, all three
     similarities, AUC/MAP each, best per metric, plus the heuristic
-    reference AUC on the same pairs."""
+    reference AUC on the same pairs.
+
+    The endpoint rows are gathered ``PAIR_BLOCK`` pairs at a time and
+    scored under every similarity, so no (pairs, d2) gather is formed;
+    the scores are bitwise those of one ``score_pair`` call over all
+    pairs."""
     n_pos = split.test_pairs.shape[0]
     negatives = sample_test_negatives(split, n_pos, named_rng(config.seed, "eval-negatives"))
     u, v = np.concatenate([split.test_pairs, negatives]).T
     label = np.repeat([1, 0], [n_pos, negatives.shape[0]])
 
     emb = node_embeddings(split.train, params, feats, split.t_split, config)
-    h_u, h_v = emb[u], emb[v]
+    score = {kind: np.empty(u.shape[0]) for kind in SIMILARITIES}
+    for blk in (slice(a, a + PAIR_BLOCK) for a in range(0, u.shape[0], PAIR_BLOCK)):
+        h_u, h_v = emb[u[blk]], emb[v[blk]]
+        for kind in SIMILARITIES:
+            score[kind][blk] = score_pair(h_u, h_v, kind)
 
     by_pair = _pair_order(u, v)
     per_sim: dict[str, dict[str, float]] = {}
-    for kind in SIMILARITIES:
-        scores = score_pair(h_u, h_v, kind)
+    for kind, scores in score.items():
         order = _ranking(scores, by_pair)  # one ranking for every metric
         lab = label[order]
         per_sim[kind] = {"auc": _ranked_auc(lab, scores[order]), "map": _average_precision(lab)}

@@ -11,16 +11,18 @@ Everything here is plain numpy and pure: given (graph, features,
 parameters, time) the embedding of a node is deterministic.  Time enters
 only through the significance scores, exp(-age) summed over a pair's
 contacts, so the graph's time unit sets how fast they decay.  The forward
-pass exists once, batched over a flattened computation tree
-(``forward_batch``).  Training builds the tree of each mini-batch with
-``build_batch``: it deduplicates the samples' roots and their candidates
-on (time, node) keys and takes the candidate lists from a TopMTable of
+pass exists once, as ``layer_one`` and ``layer_two``, which
+``forward_batch`` runs over a flattened computation tree.  Training
+builds the tree of each mini-batch with ``build_batch``: it
+deduplicates the samples' roots and their candidates on (time, node)
+keys and takes the candidate lists from a TopMTable of
 stgnn.significance (top-m lists for STGNN, uniform draws for the
 selection-ablated variants, each keeping the m candidates with the
 smallest random keys), then backpropagates through the returned
 activations.  Evaluation embeds every node at one time, where the tree
 is the node set itself: ``forward_node`` takes one ``top_m_neighbors``
-pass as the entries and roots of one dense batch.
+pass as the entries and roots, and runs each layer over blocks of nodes,
+bitwise equal to one dense batch.
 """
 
 from __future__ import annotations
@@ -158,15 +160,20 @@ def _masked_phi(scores: np.ndarray, mask: np.ndarray, beta: np.ndarray) -> np.nd
     """Row-wise stable softmax of score * beta over the valid ranks.
 
     Rank i pairs with beta[i]; a tree narrower than beta uses its leading
-    ranks.
+    ranks.  A padded rank is -inf before the exponential, so it weighs
+    exactly 0, and a row whose weights sum to no positive number (none
+    valid, or NaN) is divided by 1.  One (E, m) buffer holds every step.
     """
     z = scores * beta[None, : scores.shape[1]]
-    z = np.where(mask, z, -np.inf)
+    np.copyto(z, -np.inf, where=~mask)
     zmax = np.max(z, axis=1, keepdims=True)
-    zmax = np.where(np.isfinite(zmax), zmax, 0.0)
-    e = np.where(mask, np.exp(z - zmax), 0.0)
+    zmax[~np.isfinite(zmax)] = 0.0
+    z -= zmax
+    e = np.exp(z, out=z)
     denom = e.sum(axis=1, keepdims=True)
-    return e / np.where(denom > 0.0, denom, 1.0)
+    denom[~(denom > 0.0)] = 1.0
+    e /= denom
+    return e
 
 
 class Activations(NamedTuple):
@@ -182,28 +189,55 @@ class Activations(NamedTuple):
     h2: np.ndarray          # (R, d2) root embeddings
 
 
-def forward_batch(fb: _FlatBatch, params: ModelParams, feats: np.ndarray) -> Activations:
-    """The two-layer aggregation over every root of a flattened tree.
+def layer_one(
+    xw1s: np.ndarray,
+    xw1n: np.ndarray,
+    beta: np.ndarray,
+    owner: np.ndarray,
+    nbrs: np.ndarray,
+    scores: np.ndarray,
+    mask: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Layer one at a set of entries: each entry's mapped features
+    ``xw1s[owner]`` plus its candidates' ``xw1n`` rows, weighted by phi
+    over their significance scores, then ReLU.  ``xw1s`` and ``xw1n`` are
+    the features times w1_self and w1_nbr, for every node.  Returns phi,
+    the candidates' gathered rows, the pre-activation and the states; each
+    row depends on its own entry only."""
+    phi = _masked_phi(scores, mask, beta)
+    nbr_gather = np.take(xw1n, nbrs, axis=0)
+    pre = np.take(xw1s, owner, axis=0) + np.einsum("em,emd->ed", phi, nbr_gather)
+    return phi, nbr_gather, pre, np.maximum(pre, 0.0)
 
-    Layer one maps each entry's raw features plus its candidates'
-    features, weighted by phi over their significance scores, and applies
-    ReLU.  Layer two fuses each root's layer-1 state with its candidates'
-    layer-1 states under the same weights; it is linear so pair cosines
-    can span [-1, 1].  Padded ranks carry zero weight.
-    """
+
+def layer_two(
+    phi_e: np.ndarray, h1: np.ndarray, root_entry: np.ndarray, root_nbrs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer two's aggregate at a set of roots: each root's candidates'
+    layer-1 states ``h1[root_nbrs]`` under the root's own entry weights
+    ``phi_e[root_entry]``.  Returns those weights, the gathered states and
+    the aggregate; each row depends on its own root only.  The layer's
+    output is ``h1[root_entry] @ w2_self + aggregate @ w2_nbr``, linear so
+    pair cosines can span [-1, 1]."""
+    phi_r = np.take(phi_e, root_entry, axis=0)
+    h1_nbr = np.take(h1, root_nbrs, axis=0)
+    return phi_r, h1_nbr, np.einsum("rm,rmd->rd", phi_r, h1_nbr)
+
+
+def forward_batch(fb: _FlatBatch, params: ModelParams, feats: np.ndarray) -> Activations:
+    """The two-layer aggregation over every root of a flattened tree:
+    ``layer_one`` at every entry, then ``layer_two`` at every root.
+    Padded ranks carry zero weight."""
     xw1s = feats @ params.w1_self  # (N, d1)
     xw1n = feats @ params.w1_nbr
-
-    phi_e = _masked_phi(fb.scores, fb.mask, params.beta)
-    nbr_gather = np.take(xw1n, fb.nbrs, axis=0)
-    pre = np.take(xw1s, fb.owner, axis=0) + np.einsum("em,emd->ed", phi_e, nbr_gather)
-    h1 = np.maximum(pre, 0.0)
-
-    phi_r = np.take(phi_e, fb.root_entry, axis=0)
-    h1_nbr = np.take(h1, fb.root_nbrs, axis=0)
-    agg = np.einsum("rm,rmd->rd", phi_r, h1_nbr)
+    phi_e, nbr_gather, pre, h1 = layer_one(xw1s, xw1n, params.beta, fb.owner, fb.nbrs, fb.scores, fb.mask)
+    phi_r, h1_nbr, agg = layer_two(phi_e, h1, fb.root_entry, fb.root_nbrs)
     h2 = np.take(h1, fb.root_entry, axis=0) @ params.w2_self + agg @ params.w2_nbr
     return Activations(phi_e, nbr_gather, pre, h1, phi_r, h1_nbr, agg, h2)
+
+
+# nodes per block of forward_node: its (block, m, d1) gathers stay small
+NODE_BLOCK = 512
 
 
 def forward_node(
@@ -222,10 +256,28 @@ def forward_node(
     root's candidates are the entries of their ids.  ``rng`` draws
     uniform lists instead (the selection-ablated variants): one random
     key per candidate of each node with more than m, the m smallest kept.
+
+    ``layer_one`` runs over blocks of ``NODE_BLOCK`` nodes, then
+    ``layer_two`` does, so no (num_nodes, m, d1) gather is ever formed.
+    Every row of a layer depends on its own node only, and the weight
+    products run once over all nodes, so the embeddings are bitwise those
+    of one ``forward_batch`` over the whole node set.  (A BLAS product's
+    rows can round differently with its row count, so the products are
+    not blocked.)
     """
     ids, scores, mask = top_m_neighbors(g, float(t), params.m, rng)
     every = np.arange(g.num_nodes)
-    return forward_batch(_FlatBatch(every, ids, scores, mask, every, ids), params, feats).h2
+    blocks = [slice(a, a + NODE_BLOCK) for a in range(0, g.num_nodes, NODE_BLOCK)]
+    xw1s = feats @ params.w1_self
+    xw1n = feats @ params.w1_nbr
+    phi = np.empty(ids.shape)
+    h1 = np.empty(xw1s.shape)
+    for b in blocks:
+        phi[b], _, _, h1[b] = layer_one(xw1s, xw1n, params.beta, every[b], ids[b], scores[b], mask[b])
+    agg = np.empty(h1.shape)
+    for b in blocks:
+        agg[b] = layer_two(phi, h1, every[b], ids[b])[2]
+    return h1 @ params.w2_self + agg @ params.w2_nbr
 
 
 def save_checkpoint(

@@ -12,6 +12,11 @@ pair index in CSR form after TGL's temporal CSR (Zhou et al., arXiv
 key min * num_nodes + max, ascending, and pair i's timestamps are
 ``pair_t[pair_ptr[i]:pair_ptr[i + 1]]``, ascending.  ``from_columns`` is
 the one constructor; the loader and the split build through it.
+
+The loader keeps no Python object per row: a row leaves its line as two
+references to interned label ids and one time in a typed array, so
+reading a file costs a few machine words per row on top of the graph it
+builds.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,11 +159,21 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
     distinct repeat contacts.  A path that cannot be opened raises a
     ValueError naming it, and times that overflow once rescaled raise
     one naming the time unit.
+
+    The rows are read line by line, and no object of a row outlives its
+    line: each label is interned once, as an id in order of first
+    appearance, a row's two ids are references to those shared ids, and
+    its time goes to an ``array("d")``.  One permutation then maps the
+    first-seen ids to the sorted label order.
     """
     check_time_unit(time_unit)
-    us: list[str] = []
-    vs: list[str] = []
-    ts: list[float] = []
+    first_id: defaultdict[str, int] = defaultdict()
+    first_id.default_factory = first_id.__len__  # a new label takes the next id
+    # u, v of each row: references to the dict's id objects, one pointer
+    # each as in an array("q"), but a list appends them faster
+    ends: list[int] = []
+    times = array("d")
+    add_end, add_time = ends.append, times.append
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -175,34 +192,42 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
                 raise EdgeListParseError(f"{path}:{lineno}: bad timestamp {parts[2]!r}") from exc
             if not math.isfinite(t_raw):
                 raise EdgeListParseError(f"{path}:{lineno}: non-finite timestamp {parts[2]!r}")
-            us.append(parts[0])
-            vs.append(parts[1])
-            ts.append(t_raw)
-    if not ts:
+            add_end(first_id[parts[0]])
+            add_end(first_id[parts[1]])
+            add_time(t_raw)
+    del add_end, add_time  # bound to ends and times, they would keep both alive past their dels
+    if not times:
         raise EdgeListParseError(f"{path}: no events found")
 
-    labels = set(us).union(vs)
-    if all(_is_int(lab) for lab in labels):
-        ordered = sorted(labels, key=lambda lab: (int(lab), lab))
+    if all(_is_int(lab) for lab in first_id):
+        ordered = sorted(first_id, key=lambda lab: (int(lab), lab))
     else:
-        ordered = sorted(labels)
-    remap = {lab: i for i, lab in enumerate(ordered)}
-    u = np.fromiter(map(remap.__getitem__, us), dtype=np.int64, count=len(us))
-    v = np.fromiter(map(remap.__getitem__, vs), dtype=np.int64, count=len(vs))
+        ordered = sorted(first_id)
+    dense = np.empty(len(ordered), dtype=np.int64)  # the dense id of each first-seen id
+    dense[[first_id[lab] for lab in ordered]] = np.arange(len(ordered))
+    # labels of their own: the parsed ones would pin the parse's freed memory
+    raw_ids = [lab.encode().decode() for lab in ordered]
+    u, v = dense[np.array(ends, dtype=np.int64).reshape(-1, 2).T]
+    del ends
+    t = np.frombuffer(times, dtype=np.float64)
+    # the first of the earliest rows, as min() of the rows would pick it (0.0 or -0.0)
+    t_min = times[int(np.argmax(t == t.min()))]
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.array(ts, dtype=np.float64) / time_unit - min(ts) / time_unit
+        t = t / time_unit
+        t -= t_min / time_unit
+    del times
     if not np.isfinite(t).all():
         raise EdgeListParseError(f"{path}: timestamps overflow at time unit {time_unit} (--time-unit)")
 
     keep = u != v
-    n_self = len(ts) - int(np.count_nonzero(keep))
+    n_self = t.shape[0] - int(np.count_nonzero(keep))
     if n_self:
         logger.warning("%s: dropped %d self-loop row(s)", path, n_self)
-    if n_self == len(ts):
+    if n_self == t.shape[0]:
         raise EdgeListParseError(f"{path}: all rows were self-loops")
-    # labels of their own: the parsed ones would pin the parse's freed memory
-    raw_ids = [lab.encode().decode() for lab in ordered]
-    return from_columns(u[keep], v[keep], t[keep], num_nodes=len(ordered), raw_ids=raw_ids)
+    if n_self:
+        u, v, t = u[keep], v[keep], t[keep]
+    return from_columns(u, v, t, num_nodes=len(raw_ids), raw_ids=raw_ids)
 
 
 def _is_int(token: str) -> bool:

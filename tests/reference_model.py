@@ -31,6 +31,9 @@
   through a training tree (``stgnn.model.build_batch`` over a table
   whose lookup indexes one ``top_m_neighbors`` pass): the oracle for the
   dense ``stgnn.model.forward_node``, which embeds every node at once.
+* ``where_masked_phi``, the batched softmax of ``phi`` written with one
+  new array per step: the bitwise oracle for the in-place
+  ``stgnn.model._masked_phi``.
 * The scalar per-sample loss and ``cosine``, the oracle for the batched
   loss.
 * ``BatchTree``, the dict-based tree builder that builds one entry at a
@@ -431,6 +434,19 @@ def phi(scores, beta) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def where_masked_phi(scores: np.ndarray, mask: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of score * beta over the valid ranks of each row,
+    padded ranks at exactly 0, and a row whose weights sum to no positive
+    number (none valid, or NaN) divided by 1."""
+    z = scores * beta[None, : scores.shape[1]]
+    z = np.where(mask, z, -np.inf)
+    zmax = np.max(z, axis=1, keepdims=True)
+    zmax = np.where(np.isfinite(zmax), zmax, 0.0)
+    e = np.where(mask, np.exp(z - zmax), 0.0)
+    denom = e.sum(axis=1, keepdims=True)
+    return e / np.where(denom > 0.0, denom, 1.0)
 
 
 def stagg_layer(

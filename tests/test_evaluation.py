@@ -300,6 +300,28 @@ class TestEvaluate:
         for d in report.similarity.values():
             assert "map_per_node" in d
 
+    @pytest.mark.parametrize("block", [1, 2, "one short"])
+    def test_blocked_scores_are_one_shot_scores(self, block, monkeypatch):
+        # blocks of one pair, of two, and one block of all pairs but the
+        # last, which then makes a block of its own
+        split = self.planted_split(seed=3)
+        cfg = TrainConfig(m=4, d0=16, d1=8, d2=8, seed=6)
+        feats = random_features(20, 16, named_rng(6, "features"))
+        params = init_params(named_rng(6, "params"), 16, 8, 8, 4)
+        n = 2 * len(split.test_pairs)
+        monkeypatch.setattr(evaluation, "PAIR_BLOCK", n - 1 if block == "one short" else block)
+        pairs, ranked = [], []
+        pair_order, ranking = evaluation._pair_order, evaluation._ranking
+        monkeypatch.setattr(evaluation, "_pair_order", lambda u, v: pairs.append((u, v)) or pair_order(u, v))
+        monkeypatch.setattr(evaluation, "_ranking", lambda s, *a: ranked.append(s) or ranking(s, *a))
+        evaluate(split, params, feats, cfg)
+
+        (u, v), = pairs
+        assert u.shape == (n,)
+        emb = node_embeddings(split.train, params, feats, split.t_split, cfg)
+        for kind, scores in zip(SIMILARITIES, ranked):  # the reference's ranking comes last
+            assert scores.tobytes() == score_pair(emb[u], emb[v], kind).tobytes()
+
     @pytest.mark.parametrize("selection", [True, False])
     def test_matches_scored_pair_oracle(self, selection):
         split = self.planted_split(seed=3)

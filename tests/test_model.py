@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 import stgnn.model
 from stgnn.model import (
+    NODE_BLOCK,
     ModelParams,
+    _FlatBatch,
+    _masked_phi,
     checkpoint_config,
+    forward_batch,
     forward_node,
     init_params,
     load_checkpoint,
@@ -17,9 +21,10 @@ from stgnn.model import (
 )
 from stgnn.evaluation import node_embeddings
 from stgnn.significance import top_m_neighbors
+from stgnn.temporal_graph import from_columns
 from stgnn.training import TrainConfig, named_rng
 from conftest import random_stream, scaled
-from reference_model import Event, check_finite, cosine, from_events, phi, pure_top_m, stagg_layer
+from reference_model import Event, check_finite, cosine, from_events, phi, pure_top_m, stagg_layer, where_masked_phi
 from reference_model import forward_node as reference_forward_node
 from reference_model import tree_forward_node
 
@@ -270,6 +275,53 @@ def test_dense_forward_matches_tree_oracle(seed, n_nodes, n_events, m, at, scale
         np.testing.assert_allclose(dense[nodes], want, rtol=1e-12, atol=0.0)
     else:
         assert dense.tobytes() == want.tobytes()
+
+
+# products past exp's range and NaN (inf * 0) included, so that rows
+# with no valid rank, an infinite maximum or a NaN sum all occur
+_phi_values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 700.0, -800.0, 1e200, -1e200, np.inf, -np.inf, 1e-320])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    m=st.integers(1, 5),
+    extra=st.integers(0, 2),
+    data=st.data(),
+)
+def test_in_place_phi_matches_where_oracle(rows, m, extra, data):
+    # beta may be wider than the rows' ranks; a tree narrower than beta
+    # uses its leading ranks
+    scores = np.array(data.draw(st.lists(_phi_values, min_size=rows * m, max_size=rows * m))).reshape(rows, m)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=rows * m, max_size=rows * m))).reshape(rows, m)
+    beta = np.array(data.draw(st.lists(_phi_values, min_size=m + extra, max_size=m + extra)))
+    with np.errstate(all="ignore"):
+        got, want = _masked_phi(scores, mask, beta), where_masked_phi(scores, mask, beta)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_nodes", [1, 7, NODE_BLOCK + 1])
+@pytest.mark.parametrize("draw", [None, 11])
+def test_blocked_forward_node_is_one_dense_batch(n_nodes, draw):
+    # one node, fewer nodes than a block, and one node past a block: the
+    # blocked layers give the bits of one dense batch over every node,
+    # on the top-m lists and on drawn ones
+    rng = np.random.default_rng(n_nodes)
+    if n_nodes == 1:
+        g = from_columns([], [], [], num_nodes=1)
+    else:
+        g = random_stream(rng, n_nodes=n_nodes, n_events=6 * n_nodes)
+    # the model's default widths: a product one row high can round its
+    # rows differently from a taller one at these widths
+    feats = random_features(n_nodes, 8, rng)
+    params = init_params(rng, 8, 16, 16, m=2)
+    params.beta = rng.normal(size=2)
+    t = g.t_max * 0.9 + 0.1
+    sel = lambda: None if draw is None else np.random.default_rng(draw)
+    ids, scores, mask = top_m_neighbors(g, t, 2, sel())
+    every = np.arange(n_nodes)
+    dense = forward_batch(_FlatBatch(every, ids, scores, mask, every, ids), params, feats).h2
+    assert forward_node(g, feats, params, t, sel()).tobytes() == dense.tobytes()
 
 
 class TestCosine:

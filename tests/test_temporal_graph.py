@@ -1,6 +1,7 @@
 import logging
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stgnn.synthetic import generate_synthetic
 from stgnn.temporal_graph import (
     EdgeListParseError,
     load_edge_list,
@@ -256,18 +258,27 @@ class TestSplit:
 @st.composite
 def edge_list_files(draw):
     """Edge-list text with integer (some zero-padded) or string labels,
-    duplicate rows, self-loops, tied times, commas and comment lines."""
+    duplicate rows, self-loops, tied times (0.0 and -0.0 among them),
+    commas, no-break and ideographic spaces, extra trailing columns,
+    comment lines, LF or CRLF line ends, and rows led by a comma, which
+    makes a label "#2" a label rather than the start of a comment."""
     if draw(st.booleans()):
         label = st.sampled_from(["0", "1", "01", "001", "2", "02", "10", "7", "-3"])
     else:
-        label = st.sampled_from(["a", "b", "B", "node7", "x_1", "1", "01"])
-    time = st.integers(-5, 12).map(float) | st.floats(-50.0, 50.0, allow_nan=False)
+        label = st.sampled_from(["a", "b", "B", "node7", "x_1", "1", "01", "#2"])
+    # with no negative time, 0.0 or -0.0 is the earliest, and the first one wins
+    low = draw(st.sampled_from([-50, 0]))
+    time = st.integers(low // 10, 12).map(float) | st.floats(low, 50.0) | st.sampled_from([0.0, -0.0])
     rows = draw(st.lists(st.tuples(label, label, time), min_size=1, max_size=30))
     rows += draw(st.lists(st.sampled_from(rows), max_size=5))  # duplicate rows
-    lines = [draw(st.sampled_from([" ", ",", ", ", "\t"])).join([u, v, repr(t)]) for u, v, t in rows]
+    sep = st.sampled_from([" ", ",", ", ", "\t", "\xa0", "\u3000"])
+    lead = st.sampled_from(["", "", ",", " ,"])
+    extra = st.sampled_from(["", "", " 1", ",x", "\t0.5 y"])
+    lines = [draw(lead) + draw(sep).join([u, v, repr(t)]) + draw(extra) for u, v, t in rows]
     for comment in draw(st.lists(st.sampled_from(["# a comment", "% 1 2 3", ""]), max_size=3)):
         lines.insert(draw(st.integers(0, len(lines))), comment)
-    return "\n".join(lines) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -277,7 +288,7 @@ def test_columnar_load_and_split_match_row_oracle(text, time_unit, ratio):
     and row split of tests/reference_model.py."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         events, labels = load_edge_list_rows(path, time_unit)
         if not events:
             with pytest.raises(EdgeListParseError, match="self-loops"):
@@ -299,3 +310,21 @@ def test_columnar_load_and_split_match_row_oracle(text, time_unit, ratio):
     assert split.train.num_nodes == g.num_nodes and split.train.raw_ids == labels
     assert split.test_pairs.dtype == np.int64 and split.test_pairs.shape == (len(held), 2)
     assert split.test_pairs.tolist() == [list(p) for p in held]
+
+
+def test_loader_keeps_no_object_per_row(tmp_path):
+    """Loading holds machine numbers per row, not Python objects, and
+    frees its parse buffers before the graph is built: the traced peak
+    stays under 110 bytes per row (a label string and a float per row
+    take more than 200, and the buffers kept to the end about 26)."""
+    path, _ = generate_synthetic(tmp_path / "s.txt", seed=1, n_background_events=18_600)
+    rows = load_edge_list(path).num_events
+    assert rows == 20_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < 110
