@@ -143,24 +143,6 @@ def _fit_window(train_g, config: ExperimentConfig):
     return delta, {**dataclasses.asdict(fit), "delta": delta}
 
 
-def _check_negative_supply(g, split) -> None:
-    """Raise unless the never-linked pairs can supply one test negative
-    per held-out positive, and the sampler expects to find them within its
-    try budget; the training and held-out pairs together are the stream's
-    pairs.  A try draws two of the N nodes, so with i of the S never-linked
-    pairs found it finds a new one with probability 2 (S - i) / N**2."""
-    n = g.num_nodes
-    supply = n * (n - 1) // 2 - g.pair_key.shape[0]
-    n_pos = split.test_pairs.shape[0]
-    # the sum over i < n_pos of N**2 / (2 (S - i)), while S >= n_pos
-    expected_tries = n**2 / 2 * np.sum(1.0 / np.arange(max(supply - n_pos, 0) + 1, supply + 1))
-    if supply < n_pos or expected_tries > evaluation.negative_try_budget(n_pos):
-        raise ValueError(
-            f"graph too dense for the evaluation protocol: {supply} never-linked pairs "
-            f"cannot supply a negative for each of the {n_pos} held-out pairs"
-        )
-
-
 def _prepare(config: ExperimentConfig):
     """The stages a repetition does not change: load, split, the density
     check and the window fit.  Returns (graph, split, delta, data report),
@@ -169,10 +151,10 @@ def _prepare(config: ExperimentConfig):
     with a contact before t_split whose decayed significance score at
     t_split underflows to 0."""
     g, split = _load_split(config)
-    _check_negative_supply(g, split)
+    evaluation.check_negative_supply(g, split)
     delta, fit_dict = _fit_window(split.train, config)
     # the stream starts at time 0 < t_split, so some pair has a contact before it
-    _, scores = significance.pair_significance(split.train, split.t_split)
+    _, scores, _ = significance.pair_significance(split.train, split.t_split)
     share = float(np.mean(scores == 0.0))
     if share > 0.5:
         logger.warning(
@@ -332,7 +314,7 @@ def eval_checkpoint(checkpoint: str, config: ExperimentConfig) -> evaluation.Met
             f"the training split of {config.dataset} has digest {digest}, but checkpoint "
             f"{checkpoint} was trained on a split with digest {train_digest}"
         )
-    _check_negative_supply(g, split)
+    evaluation.check_negative_supply(g, split)
     del g  # the split holds copies of what evaluation reads
     config = dataclasses.replace(config, seed=seed)
     return evaluation.evaluate(split, params, feats, config, per_node_map=config.per_node_map)

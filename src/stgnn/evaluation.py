@@ -20,17 +20,17 @@ The negative sampler is specified as a loop: each try draws two scalar
 node ids a, b from the generator and accepts the pair unless a == b, it
 is linked, or it was accepted before, until n pairs are found or the
 budget of ``negative_try_budget(n)`` = 200 * n + 1000 tries is spent
-("graph too dense"; stgnn.cli checks the expected tries against it
-before training).  It runs as block
-draws with the same result: for a bound below 2**32 (pair keys already
-need N**2 < 2**63), ``rng.integers(N, size=k)`` yields the values of k
-scalar calls, so a block of tries is checked at once (a sorted search
-against the linked keys, and ``np.unique`` for each key's first try),
-and the generator is then rewound to the block's start and redrawn up to
-the try that found the last pair.  The pairs, their order and the
-generator's end state are the loop's, so the ``eval-negatives`` stream
-is unchanged.  A block holds 9/8 of the tries that the acceptance rate
-so far predicts for the pairs still missing, plus 64, within the budget.
+("graph too dense"; ``check_negative_supply`` checks the expected tries
+against it before training).  It runs as block draws with the same
+result: for a bound below 2**32 (pair keys already need N**2 < 2**63),
+``rng.integers(N, size=k)`` yields the values of k scalar calls, so a
+block of tries is checked at once (a sorted search against the linked
+keys, and ``np.unique`` for each key's first try), and the generator is
+then rewound to the block's start and redrawn up to the try that found
+the last pair.  The pairs, their order and the generator's end state are
+the loop's, so the ``eval-negatives`` stream is unchanged.  A block
+holds 9/8 of the tries that the acceptance rate so far predicts for the
+pairs still missing, plus 64, within the budget.
 
 The held-out set travels as columns: ``labels`` (1 positive, 0
 negative), ``scores``, and the endpoint ids ``u`` and ``v`` are aligned
@@ -209,6 +209,24 @@ def negative_try_budget(n: int) -> int:
     return 200 * n + 1000
 
 
+def check_negative_supply(g: TemporalGraph, split: DataSplit) -> None:
+    """Raise unless the never-linked pairs can supply one test negative
+    per held-out positive, and the sampler expects to find them within its
+    try budget; the training and held-out pairs together are the stream's
+    pairs.  A try draws two of the N nodes, so with i of the S never-linked
+    pairs found it finds a new one with probability 2 (S - i) / N**2."""
+    n = g.num_nodes
+    supply = n * (n - 1) // 2 - g.pair_key.shape[0]
+    n_pos = split.test_pairs.shape[0]
+    # the sum over i < n_pos of N**2 / (2 (S - i)), while S >= n_pos
+    expected_tries = n**2 / 2 * np.sum(1.0 / np.arange(max(supply - n_pos, 0) + 1, supply + 1))
+    if supply < n_pos or expected_tries > negative_try_budget(n_pos):
+        raise ValueError(
+            f"graph too dense for the evaluation protocol: {supply} never-linked pairs "
+            f"cannot supply a negative for each of the {n_pos} held-out pairs"
+        )
+
+
 def sample_test_negatives(split: DataSplit, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly sampled distinct pairs with no contact anywhere in the
     data, as (n, 2) endpoint ids (smaller first) in draw order; drawn in
@@ -238,7 +256,7 @@ def sample_test_negatives(split: DataSplit, n: int, rng: np.random.Generator) ->
 def heuristic_reference(g_train: TemporalGraph, u, v, t0: float) -> np.ndarray:
     """No-learning reference: decayed historical contact count at t0 of
     each pair (u[i], v[i]), over its training contacts strictly before t0."""
-    pairs, sums = pair_significance(g_train, t0)
+    pairs, sums, _ = pair_significance(g_train, t0)
     # the pairs' sorted keys, then a sentinel above every key, which scores 0
     key = np.append(g_train.pair_key[pairs], np.iinfo(np.int64).max)
     sums = np.append(sums, 0.0)

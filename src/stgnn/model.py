@@ -28,6 +28,7 @@ bitwise equal to one dense batch.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -304,11 +305,16 @@ def load_checkpoint(path) -> tuple[ModelParams, np.ndarray, int]:
 
 def checkpoint_config(path) -> tuple[dict, str]:
     """The model config and training-split digest saved with a checkpoint;
-    a ValueError names a path that cannot be opened or holds neither."""
+    a ValueError names a path that cannot be opened, is not an .npz
+    archive or holds neither."""
     try:
         data = np.load(path)
     except OSError as exc:
         raise ValueError(f"cannot open checkpoint {path}: {exc.strerror}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None  # numpy found no array format, or a broken archive
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"checkpoint {path} is not an .npz archive")
     with data:
         if "config" not in data.files or "train_digest" not in data.files:
             raise ValueError(

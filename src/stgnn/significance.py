@@ -6,17 +6,19 @@ unit old weighs exp(-1), so the time unit the stream is loaded in (the
 ``--time-unit`` of stgnn.cli) sets how fast significance decays.  Each
 node's neighbors are ranked by this score and only the top m are kept
 for aggregation.  (The forward-window labels of the training events are
-counted in stgnn.training.build_positive_samples.)
+counted in stgnn.training.build_positive_samples.)  A pair's state is
+t_last, the last of its contacts counted, and s = sum_i exp(-(t_last -
+t_i)) >= 1: at t its score is s * exp(-(t - t_last)) and its log score
+log s - (t - t_last), finite where the score underflows to 0.
 
 Candidate lists reach the model as zero-padded (k, m) arrays ``ids``,
 ``scores`` and ``mask``, counting only contacts strictly before the query
 time, each row score-descending with exact ties going to the larger log
-score (finite where the score underflows), then the smaller id.  Two
-routes produce them:
+score, then the smaller id.  Two routes produce them:
 
-* ``top_m_neighbors`` gives every node's list at one time t in a single
-  array pass over the graph's CSR pair index (``pair_significance``).
-  A pair's score and log score are the same from both ends, so the pass
+* ``top_m_neighbors`` gives every node's list at one time t from every
+  pair's state at t (``pair_significance``, one pass over the graph's
+  CSR pair index).  A pair's state is the same from both ends, so it
   ranks the pairs once, by score and log score descending with ties left
   in pair-key order, and then groups both ends of every ranked pair by
   node with one stable sort: within a node, key order is neighbor-id
@@ -24,7 +26,7 @@ routes produce them:
   (num_nodes, m) rows are the candidate lists of one dense forward pass
   as they stand.
 * ``SignificanceIndex`` sweeps events chronologically and keeps each
-  neighbor's score up to date in O(1) per contact.  One sweep of it over
+  neighbor's state up to date in O(1) per contact.  One sweep of it over
   the training stream's time-sorted columns builds a ``TopMTable`` from
   its lists at each event time, ranked there by score and id, and the
   table answers the batched queries of the training trees at their
@@ -55,16 +57,19 @@ def _rank_order(ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.lexsort((ids, -scores))
 
 
-def pair_significance(g: TemporalGraph, t: float) -> tuple[np.ndarray, np.ndarray]:
+def pair_significance(g: TemporalGraph, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSR ids of the pairs of g with a contact strictly before t,
-    ascending (so in pair-key order), and each one's decayed contact
-    count at t."""
+    ascending (so in pair-key order), and each one's score and log score
+    at t: those contacts head the pair's CSR run, so one ``reduceat``
+    counts them, which locates t_last, and a second sums s."""
     past = g.pair_t < t
-    n_pairs = g.pair_key.shape[0]
-    pair = np.repeat(np.arange(n_pairs), np.diff(g.pair_ptr))[past]
-    sums = np.bincount(pair, weights=np.exp(-(t - g.pair_t[past])), minlength=n_pairs)
-    live = np.flatnonzero(np.bincount(pair, minlength=n_pairs))
-    return live, sums[live]
+    count = np.add.reduceat(past, g.pair_ptr[:-1])
+    live = np.flatnonzero(count)
+    count = count[live]
+    t_last = g.pair_t[g.pair_ptr[live] + count - 1]
+    s = np.add.reduceat(np.exp(g.pair_t[past] - np.repeat(t_last, count)), np.cumsum(count) - count)
+    age = t - t_last
+    return live, s * np.exp(-age), np.log(s) - age
 
 
 def top_m_neighbors(
@@ -89,13 +94,7 @@ def top_m_neighbors(
     """
     if m < 1:
         raise ValueError(f"capacity must be at least 1, got {m}")
-    pairs, sums = pair_significance(g, t)
-    # log sum_i exp(-(t_last - t_i)) - (t - t_last): a pair's contacts before t head its CSR run
-    past = np.flatnonzero(g.pair_t < t)
-    head = np.searchsorted(past, g.pair_ptr[pairs])
-    count = np.diff(head, append=past.shape[0])
-    t_last = g.pair_t[g.pair_ptr[pairs] + count - 1]
-    logs = np.log(np.add.reduceat(np.exp(g.pair_t[past] - np.repeat(t_last, count)), head)) - (t - t_last)
+    pairs, sums, logs = pair_significance(g, t)
     # the pairs ranked once, exact score ties by log score; ties left in key order, which is
     # neighbor-id order within each node
     by_rank = np.lexsort((-logs, -sums))
@@ -133,9 +132,9 @@ class SignificanceIndex:
 
     Events are inserted in non-decreasing time order and queries must not
     run behind the insertion frontier.  Per neighbor the index stores its
-    score at its last contact time, every contact held counted, and that
-    time: each contact at t makes the score s * exp(-(t - last)) + 1, a
-    contact at the last time included (its decay factor is exactly 1).
+    state over every contact held: a contact at t sets s to
+    s * exp(-(t - t_last)) + 1 and t_last to t, one at t_last included
+    (its decay factor is exactly 1).
     The candidate lists (``neighbor_scores``, ``top_m``, ``random_m``)
     count every contact held, so a query at a time t ahead of the frontier
     sees the contacts strictly before t.

@@ -26,6 +26,7 @@ import logging
 import math
 from array import array
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +158,9 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
     the mapping is kept on the graph for report emission.  Self-loops
     are dropped with a counted warning; duplicate rows are kept as
     distinct repeat contacts.  A path that cannot be opened raises a
-    ValueError naming it, and times that overflow once rescaled raise
-    one naming the time unit.
+    ValueError naming it, bytes that are not UTF-8 raise one naming the
+    first line that holds them, and times that overflow once rescaled
+    raise one naming the time unit.
 
     The rows are read line by line, and no object of a row outlives its
     line: each label is interned once, as an id in order of first
@@ -178,7 +180,7 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot open dataset {path}: {exc.strerror}") from None
-    with fh:
+    with fh, _naming_undecodable_line(path):
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith(COMMENT_PREFIXES):
@@ -228,6 +230,26 @@ def load_edge_list(path, time_unit: float = 1.0) -> TemporalGraph:
     if n_self:
         u, v, t = u[keep], v[keep], t[keep]
     return from_columns(u, v, t, num_nodes=len(raw_ids), raw_ids=raw_ids)
+
+
+@contextmanager
+def _naming_undecodable_line(path):
+    """Turn a UTF-8 decode error in the block into an EdgeListParseError
+    naming path and its first line that does not decode, the lines split
+    as a text-mode read splits them."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EdgeListParseError(
+                    f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x}: {exc.reason})"
+                ) from None
+        raise
 
 
 def _is_int(token: str) -> bool:

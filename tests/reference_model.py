@@ -277,7 +277,7 @@ def entry_sort_top_m_neighbors(
     pair once and groups the ranked entries by node.  With ``rng`` the
     same entries, in the same order, get the same keys.
     """
-    pairs, sums = pair_significance(g, t)
+    pairs, sums, _ = pair_significance(g, t)
     past = np.flatnonzero(g.pair_t < t)
     head = np.searchsorted(past, g.pair_ptr[pairs])
     count = np.diff(head, append=past.shape[0])

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,17 @@ class TestEvalCheckpointChecks:
             checkpoint_config(path)
         assert main(["eval", "--checkpoint", str(path), "--dataset", str(dataset)]) == 1
         assert "holds no model config" in caplog.text and "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "content", [b"", b"not a checkpoint\n", b"PK\x03\x04 a broken archive"], ids=["empty", "text", "broken-zip"]
+    )
+    def test_checkpoint_that_is_not_npz_fails_with_one_line(self, dataset, tmp_path, caplog, content):
+        path = tmp_path / "model.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))} is not an .npz archive"):
+            checkpoint_config(path)
+        assert main(["eval", "--checkpoint", str(path), "--dataset", str(dataset)]) == 1
+        assert "is not an .npz archive" in caplog.text and "Traceback" not in caplog.text
 
 
 @pytest.fixture(scope="module")

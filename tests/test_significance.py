@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from stgnn.significance import (
     SignificanceIndex,
     TopMTable,
+    pair_significance,
     top_m_neighbors,
 )
+from stgnn.temporal_graph import pair_keys
 from stgnn.training import build_positive_samples
 from conftest import index_pair_score, random_stream, scaled, table_list, tied_stream
 from reference_model import (
@@ -116,6 +118,50 @@ class TestInitialSignificance:
         hist = [0.0, 1.0, 2.0]
         s = [initial_significance(hist, t) for t in (2.5, 3.0, 5.0, 9.0)]
         assert all(b < a for a, b in zip(s, s[1:]))
+
+
+class TestPairSignificance:
+    """``pair_significance``: every pair's score and log score at one time."""
+
+    @pytest.mark.parametrize("stream", ["random", "tied", "coarse"])
+    def test_scores_match_streaming_index(self, stream, rng):
+        # at event times (ties with the query time left out) and after the last event
+        g = random_stream(rng) if stream == "random" else named_stream(stream, rng)
+        times = np.unique(g.t)
+        for t in [*times[1 :: max(1, times.shape[0] // 8)].tolist(), g.t_max + 1.0]:
+            index = SignificanceIndex(g.num_nodes)
+            for e in events_of(g):
+                if e.t < t:
+                    index.add_event(e.u, e.v, e.t)
+            pairs, scores, logs = pair_significance(g, t)
+            before = g.t < t
+            keys = g.pair_key[pairs]
+            assert keys.tolist() == np.unique(pair_keys(g.src[before], g.dst[before], g.num_nodes)).tolist()
+            u, v = np.divmod(keys, g.num_nodes)
+            want = [index_pair_score(index, a, b, t) for a, b in zip(u.tolist(), v.tolist())]
+            np.testing.assert_allclose(scores, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(np.exp(logs), scores, rtol=1e-12, atol=0.0)
+
+    def test_underflowed_scores_keep_finite_logs_ordered_by_recency(self, rng):
+        # past each gap of 800 every older score is 0, and the log scores,
+        # log s - (t - t_last) with 1 <= s <= 400, rank the pairs by the part of
+        # the stream they were last seen in
+        g = long_gap_stream(rng)
+        times = np.unique(g.t)
+        gap_ends = times[1:][np.diff(times) > 100.0]
+        for t in [gap_ends[0] + 1.0, gap_ends[1] + 1.0, g.t_max + 2000.0]:
+            pairs, scores, logs = pair_significance(g, t)
+            assert np.isfinite(logs).all()
+            u, v = np.divmod(g.pair_key[pairs], g.num_nodes)
+            history = [pair_history(g, a, b, t) for a, b in zip(u.tolist(), v.tolist())]
+            want = [math.log(np.exp(h - h[-1]).sum()) - (t - h[-1]) for h in history]
+            np.testing.assert_allclose(logs, want, rtol=1e-12, atol=0.0)
+            part = np.searchsorted(gap_ends, [h[-1] for h in history], side="right")
+            underflowed = scores == 0.0
+            assert underflowed.any()
+            assert np.all(part[underflowed] < part[~underflowed].min(initial=3))
+            by_log = np.argsort(-logs, kind="stable")
+            assert np.all(np.diff(part[by_log]) <= 0)
 
 
 class TestTopM:

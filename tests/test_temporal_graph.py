@@ -106,6 +106,13 @@ class TestLoadEdgeList:
             with pytest.raises(EdgeListParseError, match=f":2: non-finite timestamp '{bad}'"):
                 load_edge_list(p)
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        # a lone \r ends a line for the text-mode read, as \n and \r\n do
+        p = tmp_path / "e.txt"
+        p.write_bytes(b"0 1 1.0\r\n1 2 2.0\r2 3 3.0\n4 \xff 4.0\n5 6 5.0\n")
+        with pytest.raises(EdgeListParseError, match=re.escape(f"{p}:4: not UTF-8 text (byte 0xff: invalid start byte)")):
+            load_edge_list(p)
+
     @pytest.mark.parametrize(
         "rows, time_unit",
         [(["0 1 1e300", "1 2 2e300", "0 2 3e300"], 1e-10), (["0 1 -1.7e308", "1 2 1.7e308"], 1.0)],

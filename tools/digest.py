@@ -29,10 +29,10 @@ A table is digested through its answers, not its arrays, so that a
 change of its storage alone leaves the digest as it was.  An ``eval``
 workload digests the training of its checkpoint and then the evaluation.
 
-The second form names, for each workload and seed, the first stage whose
-digest differs, and exits non-zero unless every stage is equal.  BLAS
-builds round matrix products differently, so compare digests made on one
-host only.
+The second form names, for each workload and seed, every stage whose
+digest differs, in pipeline order, and exits non-zero unless every stage
+is equal.  BLAS builds round matrix products differently, so compare
+digests made on one host only.
 """
 
 from __future__ import annotations
@@ -186,16 +186,16 @@ def make_digest(label: str, seeds: list[int], small: bool = False) -> dict:
     }
 
 
-def compare(a: dict, b: dict) -> list[tuple[str, str, str | None]]:
-    """(workload, seed, first differing stage or None) for every workload
-    and seed in either digest; a side with no entry differs at its first
-    stage."""
+def compare(a: dict, b: dict) -> list[tuple[str, str, list[str]]]:
+    """(workload, seed, the differing stages in pipeline order) for every
+    workload and seed in either digest; a side with no entry differs at
+    every stage."""
     rows = []
     for name in sorted(a["digests"].keys() | b["digests"].keys()):
         da, db = a["digests"].get(name, {}), b["digests"].get(name, {})
         for seed in sorted(da.keys() | db.keys(), key=int):
             sa, sb = da.get(seed, {}), db.get(seed, {})
-            rows.append((name, seed, next((s for s in STAGES if sa.get(s) != sb.get(s)), None)))
+            rows.append((name, seed, [s for s in STAGES if sa.get(s) != sb.get(s)]))
     return rows
 
 
@@ -223,9 +223,9 @@ def main(argv=None) -> int:
             with open(path, encoding="utf-8") as fh:
                 docs.append(json.load(fh))
         rows = compare(*docs)
-        for name, seed, stage in rows:
-            print(f"{name} seed {seed}: " + ("equal" if stage is None else f"first differs at stage {stage}"))
-        return 0 if rows and all(stage is None for *_, stage in rows) else 1
+        for name, seed, stages in rows:
+            print(f"{name} seed {seed}: " + (f"differs at stages {', '.join(stages)}" if stages else "equal"))
+        return 0 if rows and not any(stages for *_, stages in rows) else 1
     if not args.label:
         parser.error("give --label to write a digest, or --compare A B")
     doc = make_digest(args.label, parse_seeds(args.seeds), args.tiny)
